@@ -2,10 +2,14 @@
 
 Everything downstream (POVM validation, SDP embeddings, Haar sampling of
 subspaces) sits on the helpers in this module.  Matrices are plain complex
-numpy arrays; Hermiticity is validated, not assumed.  The eigensolver is a
-cyclic Jacobi iteration on the real symmetric embedding, which is exact
-enough for the small dense operators used here (d <= ~50) and has no
-dependency on LAPACK dispatch order, so results are bit-reproducible.
+numpy arrays; Hermiticity is validated, not assumed.  Eigenvectors, which
+feed results (Kraus-like decompositions, subspace bases, projector ranges),
+come from ``eig_hermitian``: a cyclic Jacobi iteration on the real symmetric
+embedding with a fixed sweep order, exact enough for the small dense
+operators used here (d <= ~50).  PSD checks need only the smallest
+eigenvalue and take it from LAPACK (``numpy.linalg.eigvalsh``), as the SDP
+solver does for its own linear algebra; both paths are deterministic for
+identical inputs.
 
 Random subspaces are drawn with ``numpy.random.default_rng`` (PCG64); every
 stochastic routine takes an explicit integer seed.
@@ -173,9 +177,8 @@ def eig_hermitian(m):
 
 
 def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    vals, _ = eig_hermitian(m)
-    return float(vals[-1])
+    """Smallest eigenvalue of a Hermitian matrix (LAPACK eigvalsh)."""
+    return float(np.linalg.eigvalsh(check_hermitian(m))[0])
 
 
 def is_psd(m, tol: float = PSD_TOL) -> bool:

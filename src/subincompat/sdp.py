@@ -1,4 +1,4 @@
-"""Dense-block semidefinite programming: primal-dual interior point solver.
+"""Block-diagonal semidefinite programming: primal-dual interior point solver.
 
 Standard form (maximisation):
 
@@ -6,12 +6,18 @@ Standard form (maximisation):
     s.t. sum_b <A_kb, X_b> + (E s)_k = b_k     k = 1..m
          X_b >= 0  (real symmetric blocks),  s free.
 
-The solver uses the HKM search direction with a Mehrotra predictor-corrector,
-a dense Schur complement (constraint counts here stay in the low hundreds)
-and an augmented system for the free scalar variables.  A Gram-Schmidt
-presolve removes linearly dependent constraint rows and detects inconsistent
-affine systems.  Everything is plain numpy and fully deterministic: identical
-inputs produce identical iterate sequences.
+The solver uses the HKM search direction with a Mehrotra predictor-corrector
+and an augmented system for the free scalar variables.  In the physics
+programs each block appears in only a few of the rows, so the data are kept
+per block: the rows that mention block b and their flattened coefficients.
+The Schur complement B[k,l] = sum_b tr(A_kb X_b A_lb Z_b^-1) is assembled
+block by block over those rows only (a row-sparse, per-block Schur formula),
+each term one batched matrix product and one GEMM.  Step lengths run one
+batched Cholesky/eigvalsh per block size.  A presolve scans the rows in
+order, removes those linearly dependent on earlier ones by two classical
+Gram-Schmidt passes (CGS2), and detects inconsistent affine systems.
+Everything is plain numpy and fully deterministic: identical inputs produce
+identical iterate sequences.
 
 Complex Hermitian physics blocks enter through ``Builder``, which maps each
 Hermitian variable to its real symmetric embedding (linalg.real_embedding)
@@ -99,24 +105,36 @@ class SdpSolution:
 
 
 class _Compiled:
-    """Dense arrays for one problem: per-block coefficient stacks."""
+    """Compact per-block data for one problem.
+
+    For block b, ``supp[b]`` holds the indices of the rows whose coefficient
+    dict mentions b (ascending) and ``A[b]`` their coefficients, symmetrised
+    and flattened to a (len(supp[b]), d_b^2) array.  Rows that never mention
+    b cost nothing in any product over b.
+    """
 
     def __init__(self, p: SdpProblem):
         p.validate()
         self.blocks = list(p.blocks)
-        self.nb = len(self.blocks)
         self.nf = p.n_free
         m = len(p.constraints)
         self.m = m
-        self.A = [np.zeros((m, d, d)) for d in self.blocks]
+        rows: list[list[int]] = [[] for _ in self.blocks]
+        mats: list[list] = [[] for _ in self.blocks]
         self.E = np.zeros((m, self.nf))
         self.b = np.zeros(m)
         for k, (bc, fc, rhs) in enumerate(p.constraints):
             for bi, mat in bc.items():
-                self.A[bi][k] = np.asarray(mat, dtype=float)
+                rows[bi].append(k)
+                mats[bi].append(mat)
             for j, v in fc.items():
                 self.E[k, j] = v
             self.b[k] = rhs
+        self.supp = [np.array(r, dtype=np.intp) for r in rows]
+        self.A = []
+        for d, ms in zip(self.blocks, mats):
+            a = np.array(ms, dtype=float).reshape(len(ms), d, d)
+            self.A.append(((a + a.transpose(0, 2, 1)) / 2).reshape(len(ms), d * d))
         sign = 1.0 if p.sense == "max" else -1.0
         self.sign = sign
         self.C = [np.zeros((d, d)) for d in self.blocks]
@@ -127,72 +145,124 @@ class _Compiled:
             self.c[j] = sign * v
 
     def row_vectors(self) -> np.ndarray:
-        """Constraints flattened to rows of [vec(A_k1)|...|E_k] for presolve."""
-        parts = [a.reshape(self.m, -1) for a in self.A]
-        if self.nf:
-            parts.append(self.E)
-        return np.concatenate(parts, axis=1)
-
-    def apply(self, X: list[np.ndarray], s: np.ndarray, rows) -> np.ndarray:
-        out = np.zeros(len(rows))
-        for a, x in zip(self.A, X):
-            out += np.einsum("kij,ij->k", a[rows], x)
-        if self.nf:
-            out += self.E[rows] @ s
+        """Constraints flattened to dense rows [vec(A_k1)|...|E_k] for presolve."""
+        out = np.zeros((self.m, sum(d * d for d in self.blocks) + self.nf))
+        off = 0
+        for d, sp, a in zip(self.blocks, self.supp, self.A):
+            out[sp, off : off + d * d] = a
+            off += d * d
+        out[:, off:] = self.E
         return out
 
-    def adjoint(self, y: np.ndarray, rows) -> list[np.ndarray]:
-        return [np.einsum("kij,k->ij", a[rows], y) for a in self.A]
+    def restrict(self, kept) -> None:
+        """Keep only the rows ``kept`` (ascending), renumbered 0..len-1."""
+        pos = np.full(self.m, -1, dtype=np.intp)
+        pos[kept] = np.arange(len(kept))
+        for bi, sp in enumerate(self.supp):
+            new = pos[sp]
+            mask = new >= 0
+            self.supp[bi] = new[mask]
+            self.A[bi] = self.A[bi][mask]
+        self.E = self.E[kept]
+        self.b = self.b[kept]
+        self.m = len(kept)
+
+    def apply(self, X: list[np.ndarray]) -> np.ndarray:
+        """Block part of the row values, sum_b <A_kb, X_b>."""
+        out = np.zeros(self.m)
+        for sp, a, x in zip(self.supp, self.A, X):
+            out[sp] += a @ x.ravel()
+        return out
+
+    def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
+        """Blocks sum_k y_k A_kb."""
+        return [(y[sp] @ a).reshape(d, d) for d, sp, a in zip(self.blocks, self.supp, self.A)]
+
+    def schur(self, X: list[np.ndarray], Zi: list[np.ndarray]) -> np.ndarray:
+        """B[k,l] = sum_b tr(A_kb X_b A_lb Zi_b), block by block over supp[b].
+
+        Each A_kb is symmetric, so tr(A_kb X A_lb Zi) = <A_kb, X A_lb Zi>:
+        one batched product per block and one GEMM over its rows."""
+        B = np.zeros((self.m, self.m))
+        for d, sp, a, xb, zib in zip(self.blocks, self.supp, self.A, X, Zi):
+            t = (xb @ a.reshape(-1, d, d) @ zib).reshape(len(sp), d * d)
+            B[np.ix_(sp, sp)] += a @ t.T
+        return B
 
 
 def _presolve(c: _Compiled, feas_tol: float):
     """Gram-Schmidt row reduction with rhs companion.
 
-    Returns (kept_row_indices, None) or (None, message) when the affine
-    system is inconsistent (a vanishing row combination with nonzero rhs).
+    Rows are scanned in order; row k is kept when its residual against the
+    rows kept so far exceeds 1e-10*max(1, |row k|).  Each residual is taken
+    by two classical Gram-Schmidt passes (CGS2) against the stacked kept
+    directions.  Returns (kept_row_indices, None) or (None, message) when
+    the affine system is inconsistent (a vanishing row combination with
+    nonzero rhs).
     """
     rows = c.row_vectors()
-    m = rows.shape[0]
+    m, ncols = rows.shape
     scale = 1.0 + np.abs(c.b).max(initial=0.0)
+    Q = np.empty((min(m, ncols), ncols))
+    betas = np.empty(len(Q))
+    n = 0
     kept: list[int] = []
-    qs: list[np.ndarray] = []
-    betas: list[float] = []
     for k in range(m):
-        r = rows[k].copy()
+        r = rows[k]
         beta = c.b[k]
         nrm0 = np.linalg.norm(r)
         if nrm0 == 0.0:
             if abs(beta) > feas_tol * scale:
                 return None, f"row {k} is 0 = {beta:g}"
             continue
-        for q, bq in zip(qs, betas):
-            coef = q @ r
-            r -= coef * q
-            beta -= coef * bq
+        for _ in range(2):
+            coef = Q[:n] @ r
+            r -= coef @ Q[:n]
+            beta -= coef @ betas[:n]
         nrm = np.linalg.norm(r)
         if nrm > 1e-10 * max(1.0, nrm0):
-            qs.append(r / nrm)
-            betas.append(beta / nrm)
+            Q[n] = r / nrm
+            betas[n] = beta / nrm
+            n += 1
             kept.append(k)
         elif abs(beta) > feas_tol * scale * 10:
             return None, f"inconsistent affine constraints (row {k}, residual {beta:g})"
     return kept, None
 
 
-def _max_step(x: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha with x + alpha*d >= 0, for x symmetric positive definite."""
-    if x.shape[0] == 1:
-        xv, dv = x[0, 0], d[0, 0]
-        if dv >= 0:
-            return np.inf
-        return xv / (-dv)
-    l = np.linalg.cholesky(x)
-    w = np.linalg.solve(l, d)
-    w = np.linalg.solve(l, w.T).T
-    lam = np.linalg.eigvalsh((w + w.T) / 2).min()
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+def _size_groups(dims) -> list[list[int]]:
+    """Block indices grouped by block dimension, in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for b, d in enumerate(dims):
+        groups.setdefault(d, []).append(b)
+    return list(groups.values())
+
+
+def _step_length(M: list[np.ndarray], D: list[np.ndarray], groups) -> float:
+    """Largest alpha with M_b + alpha*D_b >= 0 for every block, given every
+    M_b symmetric positive definite (inf when no block limits the step).
+
+    One batched Cholesky / triangular solve / eigvalsh per block size; the
+    1x1 blocks take the ratio x/(-d) where d < 0.
+    """
+    best = np.inf
+    for g in groups:
+        x = np.stack([M[b] for b in g])
+        d = np.stack([D[b] for b in g])
+        if x.shape[1] == 1:
+            xv, dv = x[:, 0, 0], d[:, 0, 0]
+            neg = dv < 0
+            if neg.any():
+                best = min(best, (xv[neg] / -dv[neg]).min())
+            continue
+        l = np.linalg.cholesky(x)
+        w = np.linalg.solve(l, d)
+        w = np.linalg.solve(l, w.transpose(0, 2, 1)).transpose(0, 2, 1)
+        lam = np.linalg.eigvalsh((w + w.transpose(0, 2, 1)) / 2).min(axis=1)
+        lam = lam[~(lam >= -1e-14)]
+        if lam.size:
+            best = min(best, (-1.0 / lam).min())
+    return best
 
 
 def _lin_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -226,14 +296,14 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             residual_dual=np.inf,
             message=bad,
         )
-    rows = np.array(kept, dtype=int)
-    m = len(rows)
+    c.restrict(kept)
+    m = c.m
     nf = c.nf
     dims = c.blocks
+    groups = _size_groups(dims)
     nu = float(sum(dims))
-    Ak = [a[rows] for a in c.A]
-    Ek = c.E[rows]
-    bk = c.b[rows]
+    Ek = c.E
+    bk = c.b
 
     # starting point: identity-scaled interior iterates
     bscale = 1.0 + np.abs(bk).max(initial=0.0)
@@ -250,8 +320,8 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         return v + c.c @ s
 
     def residuals():
-        r_p = bk - c.apply(X, s, rows)
-        ay = c.adjoint(y, rows)
+        r_p = bk - (c.apply(X) + Ek @ s)
+        ay = c.adjoint(y)
         r_d = [cb + zb - ab for cb, zb, ab in zip(c.C, Z, ay)]
         r_f = c.c - Ek.T @ y if nf else np.zeros(0)
         return r_p, r_d, r_f
@@ -294,12 +364,7 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 
         try:
             Zi = [np.linalg.inv(zb) for zb in Z]
-            # Schur complement B[k,l] = sum_b tr(A_kb X_b A_lb Zi_b)
-            B = np.zeros((m, m))
-            for ab, xb, zib in zip(Ak, X, Zi):
-                t1 = np.einsum("lij,jk->lik", ab, zib)
-                t2 = np.einsum("ij,ljk->lik", xb, t1)
-                B += np.einsum("kij,lji->kl", ab, t2)
+            B = c.schur(X, Zi)
             if nf:
                 aug = np.zeros((m + nf, m + nf))
                 aug[:m, :m] = B
@@ -313,16 +378,13 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
                     rb @ zib + xb @ rdb @ zib
                     for rb, xb, rdb, zib in zip(R, X, r_d, Zi)
                 ]
-                h = np.zeros(m)
-                for ab, s_b in zip(Ak, sb):
-                    h += np.einsum("kij,ji->k", ab, s_b)
-                h -= r_p
+                h = c.apply(sb) - r_p
                 return np.concatenate([h, r_f]) if nf else h
 
             def hkm_dirs(sol_vec, R):
                 dy = sol_vec[:m]
                 ds = sol_vec[m:] if nf else np.zeros(0)
-                ay = [np.einsum("kij,k->ij", ab, dy) for ab in Ak]
+                ay = c.adjoint(dy)
                 dZ = [a - rdb for a, rdb in zip(ay, r_d)]
                 dX = []
                 for rb, xb, dzb, zib in zip(R, X, dZ, Zi):
@@ -334,8 +396,8 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             R_aff = [-(xb @ zb) for xb, zb in zip(X, Z)]
             sol_aff = _lin_solve(aug, hkm_rhs(R_aff))
             dX_a, ds_a, dy_a, dZ_a = hkm_dirs(sol_aff, R_aff)
-            ap = min(1.0, min(_max_step(xb, dxb) for xb, dxb in zip(X, dX_a)))
-            ad = min(1.0, min(_max_step(zb, dzb) for zb, dzb in zip(Z, dZ_a)))
+            ap = min(1.0, _step_length(X, dX_a, groups))
+            ad = min(1.0, _step_length(Z, dZ_a, groups))
             mu_aff = sum(
                 np.einsum("ij,ij->", xb + ap * dxb, zb + ad * dzb)
                 for xb, dxb, zb, dzb in zip(X, dX_a, Z, dZ_a)
@@ -357,8 +419,8 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             break
 
         tau = opts.step_frac
-        ap = min(1.0, tau * min(_max_step(xb, dxb) for xb, dxb in zip(X, dX)))
-        ad = min(1.0, tau * min(_max_step(zb, dzb) for zb, dzb in zip(Z, dZ)))
+        ap = min(1.0, tau * _step_length(X, dX, groups))
+        ad = min(1.0, tau * _step_length(Z, dZ, groups))
         if ap < 1e-12 and ad < 1e-12:
             message = "step sizes collapsed"
             break
@@ -439,27 +501,6 @@ def feasibility(p: SdpProblem, opts: SolveOptions | None = None):
 
 class SolverError(RuntimeError):
     """Raised when the interior-point method cannot certify a result."""
-
-
-def dump_problem(p: SdpProblem) -> dict:
-    """Documented JSON form of a problem (debug / external verification)."""
-    return {
-        "blocks": list(p.blocks),
-        "n_free": p.n_free,
-        "sense": p.sense,
-        "objective": {
-            "blocks": {str(b): np.asarray(mat).tolist() for b, mat in p.objective[0].items()},
-            "free": {str(j): v for j, v in p.objective[1].items()},
-        },
-        "constraints": [
-            {
-                "blocks": {str(b): np.asarray(mat).tolist() for b, mat in bc.items()},
-                "free": {str(j): v for j, v in fc.items()},
-                "rhs": rhs,
-            }
-            for bc, fc, rhs in p.constraints
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------
