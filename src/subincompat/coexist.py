@@ -154,9 +154,8 @@ def _coexist_candidate(a1: Povm, a2: Povm, candidate: Povm, options) -> Coexiste
     parent on the product of the candidate's outcomes with one bit per
     binarisation, so success certifies coexistence; failure is inconclusive.
     """
-    d = a1.dim
     gs = candidate.elements
-    basis = sdp._hermitian_basis(d)
+    coords = sdp.hvec(np.array(gs)).T.tolist()  # row k: hvec(G_lam)[k] over lam
     kernels = {}
     min_slack = float("inf")
     for side, m in (("a", a1), ("b", a2)):
@@ -166,9 +165,8 @@ def _coexist_candidate(a1: Povm, a2: Povm, candidate: Povm, options) -> Coexiste
             qs = [bld.rblock() for _ in gs]
             for p, q in zip(ps, qs):
                 bld.eq_scalar(block_terms=[(p, 1.0), (q, 1.0)], rhs=1.0)
-            for h in basis:
-                terms = [(ps[k], float(np.trace(h @ g).real)) for k, g in enumerate(gs)]
-                bld.eq_scalar(block_terms=terms, rhs=float(np.trace(h @ eff).real))
+            for row, rhs in zip(coords, sdp.hvec(eff).tolist()):
+                bld.eq_scalar(block_terms=list(zip(ps, row)), rhs=rhs)
             feasible, slack, cert = bld.feasibility(options)
             min_slack = min(min_slack, slack)
             if not feasible:

@@ -1,7 +1,7 @@
 """Deterministic complex-Hermitian linear algebra kernel.
 
-Everything downstream (POVM validation, SDP embeddings, Haar sampling of
-subspaces) sits on the helpers in this module.  Matrices are plain complex
+Everything downstream (POVM validation, the SDP modelling layer, Haar
+sampling of subspaces) sits on the helpers in this module.  Matrices are plain complex
 numpy arrays; Hermiticity is validated, not assumed.  Eigenvectors, which
 feed results (Kraus-like decompositions, subspace bases, projector ranges),
 come from ``eig_hermitian``: a cyclic Jacobi iteration on the real symmetric

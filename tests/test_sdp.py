@@ -1,7 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
-from subincompat import corpus, incompat, sdp
+from subincompat import corpus, incompat, linalg, sdp
 from subincompat.povm import Assemblage, depolarise, from_basis
 
 from helpers import sigma_xz_pair
@@ -118,7 +120,8 @@ def test_solver_error_on_iteration_cap():
 
 
 def test_complex_hermitian_block_round_trip():
-    # a genuinely complex constraint matrix exercises the real embedding
+    # a genuinely complex constraint matrix exercises the imaginary hvec
+    # coordinates and a complex Hermitian solver block
     h = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
     bld = sdp.Builder()
     x = bld.cblock(2)
@@ -176,16 +179,159 @@ def test_schur_per_block_matches_dense_einsum():
         t1 = np.einsum("lij,jk->lik", ab, zib)
         t2 = np.einsum("ij,ljk->lik", xb, t1)
         ref += np.einsum("kij,lji->kl", ab, t2)
-    got = c.schur(X, Zi)
+    got = c.schur(c.stack(X), c.stack(Zi))
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     # the row products agree with the dense stacks too
     y = rng.standard_normal(len(kept))
     dense = _dense_stacks(p, kept)
     ref_apply = sum(np.einsum("kij,ij->k", a, x) for a, x in zip(dense, X))
-    assert np.abs(c.apply(X) - ref_apply).max() <= 1e-12 * np.abs(ref_apply).max()
-    for got_b, a in zip(c.adjoint(y), dense):
+    assert np.abs(c.apply(c.stack(X)) - ref_apply).max() <= 1e-12 * np.abs(ref_apply).max()
+    for got_b, a in zip(c.unstack(c.adjoint(y)), dense):
         ref_b = np.einsum("kij,k->ij", a, y)
         assert np.abs(got_b - ref_b).max() <= 1e-12 * max(1.0, np.abs(ref_b).max())
+
+
+def _random_herm(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2
+
+
+def _random_hpd(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return g @ g.conj().T + 0.5 * np.eye(d)
+
+
+def test_hvec_is_the_coordinate_map_of_the_hermitian_basis():
+    rng = np.random.default_rng(21)
+    for d in range(1, 6):
+        basis = sdp._hermitian_basis(d)
+        coords = sdp.hvec(np.array(basis))  # order and sign
+        assert np.abs(coords - np.eye(d * d)).max() <= 1e-15
+        a, b = _random_herm(rng, d), _random_herm(rng, d)
+        t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ref = [np.trace(h @ t).real for h in basis]
+        assert np.abs(sdp.hvec(t) - ref).max() <= 1e-12 * np.abs(t).max()
+        # isometry, inverse on Hermitian input, Hermitian part otherwise
+        assert abs(sdp.hvec(a) @ sdp.hvec(b) - np.trace(a @ b).real) <= 1e-12 * d * d
+        assert np.abs(sdp.hvec_inv(sdp.hvec(a)) - a).max() <= 1e-15 * max(1.0, np.abs(a).max())
+        v = rng.standard_normal(d * d)
+        assert np.abs(sdp.hvec(sdp.hvec_inv(v)) - v).max() <= 1e-15 * max(1.0, np.abs(v).max())
+        assert np.abs(sdp.hvec(t) - sdp.hvec(linalg.hermitianize(t))).max() <= 1e-15 * np.abs(t).max()
+        stack = np.array([[a, t], [b, a]])
+        assert np.array_equal(sdp.hvec(stack)[1, 0], sdp.hvec(b))
+
+
+def _random_complex_problem(rng, dims=(3, 1, 4, 2, 1), n_free=2, m=40):
+    """Rows mention a random subset of Hermitian blocks and free variables."""
+    cons = []
+    for _ in range(m):
+        picked = [b for b in range(len(dims)) if rng.random() < 0.5] or [0]
+        bc = {b: _random_herm(rng, dims[b]) for b in picked}
+        fc = {j: float(rng.standard_normal()) for j in range(n_free) if rng.random() < 0.5}
+        cons.append((bc, fc, float(rng.standard_normal())))
+    return sdp.SdpProblem(blocks=list(dims), n_free=n_free, constraints=cons)
+
+
+def test_complex_kernels_match_the_real_embedding():
+    # the same kernels on the real embedding: coefficients A~ = emb(A)/2,
+    # iterates X~ = emb(X) and Z~^-1 = 2 emb(Z^-1)
+    rng = np.random.default_rng(12)
+    p = _random_complex_problem(rng)
+    c = sdp._Compiled(p)
+    kept = [k for k in range(c.m) if k % 4 != 1]
+    c.restrict(kept)
+    X = [_random_hpd(rng, d) for d in p.blocks]
+    Zi = [linalg.hermitianize(np.linalg.inv(_random_hpd(rng, d))) for d in p.blocks]
+    emb = [np.zeros((len(kept), 2 * d, 2 * d)) for d in p.blocks]
+    for i, k in enumerate(kept):
+        for b, mat in p.constraints[k][0].items():
+            emb[b][i] = linalg.real_embedding(mat) / 2
+    xe = [linalg.real_embedding(x) for x in X]
+    zie = [2 * linalg.real_embedding(z) for z in Zi]
+    ref = sum(
+        np.einsum("kij,lji->kl", a, np.einsum("ij,ljk,kn->lin", x, a, z))
+        for a, x, z in zip(emb, xe, zie)
+    )
+    got = c.schur(c.stack(X), c.stack(Zi))
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    ref_apply = sum(np.einsum("kij,ij->k", a, x) for a, x in zip(emb, xe))
+    assert np.abs(c.apply(c.stack(X)) - ref_apply).max() <= 1e-12 * np.abs(ref_apply).max()
+    y = rng.standard_normal(len(kept))
+    for got_b, a in zip(c.unstack(c.adjoint(y)), emb):
+        ref_b = np.einsum("kij,k->ij", a, y)
+        assert np.abs(linalg.real_embedding(got_b) / 2 - ref_b).max() <= 1e-12 * np.abs(ref_b).max()
+
+
+def test_complex_sdp_native_and_embedded_reach_the_same_optimum():
+    # min <C,X> + c's over Hermitian blocks from a constructed optimal pair:
+    # X*_b, Z*_b complementary, C_b = sum_k y*_k A_kb + Z*_b, c = E'y*.
+    rng = np.random.default_rng(31)
+    dims, m = (3, 2, 1), 7
+    xs, zs = [], []
+    for d in dims:
+        q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        lam_x = np.array([1.0] * (d - 1) + [0.0]) if d > 1 else np.array([0.0])
+        xs.append(q @ np.diag(lam_x) @ q.conj().T)
+        zs.append(q @ np.diag((1.0 - np.sign(lam_x)) * (1 + rng.random(d))) @ q.conj().T)
+    ystar, sstar = rng.standard_normal(m), 0.7
+    e = rng.standard_normal(m)
+    cons, coefs = [], []
+    for k in range(m):
+        bc = {b: _random_herm(rng, d) for b, d in enumerate(dims)}
+        rhs = sum(np.trace(a @ x).real for a, x in zip(bc.values(), xs)) + e[k] * sstar
+        cons.append((bc, {0: float(e[k])}, float(rhs)))
+        coefs.append(bc)
+    cmat = [sum(ystar[k] * coefs[k][b] for k in range(m)) + zs[b] for b in range(len(dims))]
+    cfree = float(e @ ystar)
+    target = sum(np.trace(c @ x).real for c, x in zip(cmat, xs)) + cfree * sstar
+    native = sdp.SdpProblem(
+        blocks=list(dims), n_free=1, objective=(dict(enumerate(cmat)), {0: cfree}),
+        constraints=cons, sense="min",
+    )
+    half = lambda h: linalg.real_embedding(h) / 2  # noqa: E731
+    embedded = sdp.SdpProblem(
+        blocks=[2 * d for d in dims], n_free=1,
+        objective=({b: half(c) for b, c in enumerate(cmat)}, {0: cfree}),
+        constraints=[({b: half(a) for b, a in bc.items()}, fc, r) for bc, fc, r in cons],
+        sense="min",
+    )
+    sol_n, sol_e = sdp.solve(native), sdp.solve(embedded)
+    assert sol_n.status == sol_e.status == sdp.STATUS_OPTIMAL
+    assert abs(sol_n.primal_value - sol_e.primal_value) <= 1e-7
+    assert abs(sol_n.primal_value - target) <= 1e-6 * (1 + abs(target))
+    assert sol_n.lstsq_fallbacks == sol_e.lstsq_fallbacks == 0
+
+
+def test_lstsq_fallback_is_counted_and_logged(monkeypatch, caplog):
+    with caplog.at_level(logging.DEBUG, logger="subincompat.sdp"):
+        x, fell_back = sdp._lin_solve(np.zeros((2, 2)), np.ones(2))
+    assert fell_back and np.array_equal(x, np.zeros(2))
+    assert "least-squares fallback" in caplog.text
+    # every Newton system of a solve made singular: each one is counted
+    real = np.linalg.solve
+
+    def singular(a, b):
+        if b.ndim == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="subincompat.sdp"):
+        bld = sdp.Builder()
+        x = bld.cblock(2)
+        bld.eq_scalar([(x, np.eye(2))], [], 1.0)
+        bld.objective([(x, np.diag([2.0, 1.0]))], [], "max")
+        sol = bld.solve()
+    assert sol.status == sdp.STATUS_OPTIMAL
+    assert sol.lstsq_fallbacks == 2 * (sol.iterations - 1) > 0
+    assert len(caplog.records) == sol.lstsq_fallbacks
+
+
+def test_corpus_robustness_solves_take_no_lstsq_fallback():
+    for k in corpus.builtin_keys():
+        if corpus.kind_of(k) == "assemblage":
+            assert incompat.depolarising_robustness(corpus.build(k)).solution.lstsq_fallbacks == 0
 
 
 def _presolve_mgs(rows, b, feas_tol):
@@ -272,16 +418,19 @@ def _max_step(x, d):
 def test_batched_step_length_equals_per_block_minimum_bitwise():
     rng = np.random.default_rng(5)
     dims = [4, 1, 2, 4, 1, 3, 2, 1, 4]
-    groups = sdp._size_groups(dims)
+
+    def stacks(mats):  # per-group stacks, one group per block size
+        return [np.stack([x for x, d in zip(mats, dims) if d == n]) for n in sorted(set(dims))]
+
     for trial in range(40):
         M = [_random_pd(rng, d) for d in dims]
         D = [_random_sym(rng, d) for d in dims]
         if trial % 4 == 0:  # only a few blocks limit the step
             D = [dd @ dd + np.eye(len(dd)) if b % 3 else dd for b, dd in enumerate(D)]
         ref = min(_max_step(x, d) for x, d in zip(M, D))
-        assert sdp._step_length(M, D, groups) == ref
-    psd = [_random_pd(rng, d) for d in dims]
-    assert sdp._step_length(psd, psd, groups) == np.inf
+        assert sdp._step_length(sdp._factor(stacks(M)), stacks(D)) == ref
+    psd = stacks([_random_pd(rng, d) for d in dims])
+    assert sdp._step_length(sdp._factor(psd), psd) == np.inf
 
 
 def test_robustness_of_a_fourier_mub_pair_at_d5():
