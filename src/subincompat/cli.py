@@ -44,11 +44,17 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise CliError(f"{flag} must be at least {low}, got {value}")
+    return value
+
+
 def _options(args) -> sdp.SolveOptions | None:
     iters = getattr(args, "sdp_iters", None)
     if iters is None:
         return None
-    return sdp.SolveOptions(max_iters=iters)
+    return sdp.SolveOptions(max_iters=_at_least("--sdp-iters", iters, 1))
 
 
 _PARSERS = {
@@ -339,9 +345,11 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    samples = _at_least("--samples", args.samples, 0)
+    jobs = _at_least("--jobs", args.jobs, 1)
     a, _, inputs = _load(args, ("assemblage",))
     seed = _resolve_seed(args)
-    report = subspace.classify(a, args.n, args.samples, seed=seed, jobs=args.jobs)
+    report = subspace.classify(a, args.n, samples, seed=seed, jobs=jobs)
     rep = jsonio.report_skeleton("classify", seed, inputs)
     rep["results"] = {
         "n": report.n,

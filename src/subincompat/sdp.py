@@ -10,15 +10,17 @@ The solver uses the HKM search direction with a Mehrotra predictor-corrector
 and an augmented system for the free scalar variables.  Each block keeps
 only the rows that mention it, as the coordinates hvec(A_kb) of their
 coefficients in an orthonormal Hermitian basis (d^2 reals for a d x d
-block); blocks of equal dimension and row count are stacked into one group,
-so every per-iteration kernel runs once per group.  The Schur complement
-B[k,l] = sum_b Re tr(A_kb X_b A_lb Z_b^-1) is assembled over those rows
-only (the row-sparse formula of Fujisawa, Kojima & Nakata).  Step lengths
-run one batched Cholesky/eigvalsh per block size.  A presolve scans the
-rows in order, removes those linearly dependent on earlier ones by two
-classical Gram-Schmidt passes (CGS2), and detects inconsistent affine
-systems.  Everything is plain numpy and fully deterministic: identical
-inputs produce identical iterate sequences.
+block); blocks of equal dimension and row count form a group, iterates are
+stacked per dimension, and each kernel runs once per group or dimension.
+The Schur complement B[k,l] = sum_b Re tr(A_kb X_b A_lb Z_b^-1) is
+assembled over those rows only (the row-sparse formula of Fujisawa, Kojima
+& Nakata).  Per iteration and dimension one factor F = inv(cholesky([X; Z]))
+gives Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of F D F^H
+each).  A presolve drops rows dependent on earlier ones, and detects
+inconsistent systems, by blocked classical Gram-Schmidt with
+reorthogonalisation (BCGS2, Barlow & Smoktunowicz).  Everything is plain
+numpy and fully deterministic: identical inputs produce identical iterate
+sequences.
 
 ``Builder`` declares Hermitian variables and expands each d x d matrix
 equality in the Hermitian basis into d^2 real rows.  Feasibility questions
@@ -170,17 +172,19 @@ def _herm(w: np.ndarray) -> np.ndarray:
     return (w + w.conj().transpose(0, 2, 1)) / 2
 
 
-# Blocks of dimension d that share their row count r after presolve:
-# ``blocks`` (nb,) their indices, ``idx`` (nb, r) their rows (ascending) and
-# ``A`` (nb, r, d^2) the hvec coordinates of their coefficients.
-_Group = namedtuple("_Group", "d blocks idx A")
+# nb blocks of dimension d that share their row count r after presolve:
+# ``idx`` (nb, r) their rows (ascending), ``A`` (nb, r, d^2) the hvec
+# coordinates of their coefficients and ``sl`` their slice of the iterate
+# stack number ``size``.
+_Group = namedtuple("_Group", "idx A size sl")
 
 
 class _Compiled:
     """Compact problem data: one dense row of hvec coordinates per
     constraint (block b in columns off[b]:off[b+1]) and, after ``restrict``,
-    the blocks stacked into ``_Group``s.  Iterates are per-group stacks;
-    rows that never mention a block cost nothing in any product over it.
+    the blocks grouped into ``_Group``s.  Iterates are stacks of the blocks
+    ``order[i]`` of one dimension; rows that never mention a block cost
+    nothing in any product over it.
     """
 
     def __init__(self, p: SdpProblem):
@@ -224,12 +228,17 @@ class _Compiled:
         keys: dict[tuple[int, int], list[int]] = {}
         for b, key in enumerate(zip(self.blocks, men.sum(axis=0).tolist())):
             keys.setdefault(key, []).append(b)
+        order: dict[int, list[int]] = {}
         self.groups = []
         for (d, r), bs in keys.items():
+            stack = order.setdefault(d, [])
+            sl = slice(len(stack), len(stack) + len(bs))
+            stack.extend(bs)
             bs = np.array(bs, dtype=np.intp)
             idx = np.nonzero(men[:, bs].T)[1].reshape(len(bs), r)
             a = H[idx[:, :, None], (self.off[bs][:, None] + np.arange(d * d))[:, None, :]]
-            self.groups.append(_Group(d, bs, idx, a))
+            self.groups.append(_Group(idx, a, list(order).index(d), sl))
+        self.order = list(order.values())
         m = self.m
         self.apply_at = np.concatenate([g.idx.ravel() for g in self.groups])
         self.schur_at = np.concatenate(
@@ -237,25 +246,29 @@ class _Compiled:
         )
 
     def stack(self, mats) -> list[np.ndarray]:
-        """Per-block d x d matrices -> per-group (nb, d, d) complex stacks."""
-        return [np.array([mats[b] for b in g.blocks], dtype=complex) for g in self.groups]
+        """Per-block d x d matrices -> per-dimension (nb, d, d) complex stacks."""
+        return [np.array([mats[b] for b in bs], dtype=complex) for bs in self.order]
 
     def unstack(self, stacks) -> list[np.ndarray]:
-        """Per-group stacks -> per-block matrices, in block order."""
+        """Per-dimension stacks -> per-block matrices, in block order."""
         out = [None] * len(self.blocks)
-        for g, s in zip(self.groups, stacks):
-            for b, x in zip(g.blocks.tolist(), s):
+        for bs, s in zip(self.order, stacks):
+            for b, x in zip(bs, s):
                 out[b] = x
         return out
 
     def apply(self, X: list[np.ndarray]) -> np.ndarray:
         """Block part of the row values, sum_b <A_kb, X_b>."""
-        vals = [(g.A @ hvec(x)[:, :, None]).ravel() for g, x in zip(self.groups, X)]
+        hx = [hvec(x)[:, :, None] for x in X]
+        vals = [(g.A @ hx[g.size][g.sl]).ravel() for g in self.groups]
         return np.bincount(self.apply_at, np.concatenate(vals), minlength=self.m)
 
     def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        """Per-group stacks of sum_k y_k A_kb."""
-        return [hvec_inv((y[g.idx][:, None, :] @ g.A)[:, 0]) for g in self.groups]
+        """Per-dimension stacks of sum_k y_k A_kb."""
+        parts: list[list[np.ndarray]] = [[] for _ in self.order]
+        for g in self.groups:
+            parts[g.size].append((y[g.idx][:, None, :] @ g.A)[:, 0])
+        return [hvec_inv(np.concatenate(p)) for p in parts]
 
     def schur(self, X: list[np.ndarray], Zi: list[np.ndarray]) -> np.ndarray:
         """B[k,l] = sum_b Re tr(A_kb X_b A_lb Zi_b) = hvec(A_kb) . T_lb with the
@@ -264,28 +277,34 @@ class _Compiled:
         T is linear in A_lb: T_b = A_b N_b with N_b[q] = hvec(X_b h_q Zi_b),
         the basis images (HKM's symmetrised Kronecker product X (*) Zi),
         combined from the outer products X E_ij Zi = X[:, i] Zi[j, :].  Per
-        group: one broadcast product, three GEMMs; the groups share one
-        scatter-add into B."""
-        parts = []
-        for g, x, zi in zip(self.groups, X, Zi):
+        dimension one broadcast product and two GEMMs give N, per group two
+        GEMMs give its terms; the groups share one scatter-add into B."""
+        images = []
+        for x, zi in zip(X, Zi):
             nb, d = x.shape[:2]
             e = x.transpose(0, 2, 1)[:, :, None, :, None] * zi[:, None, :, None, :]
-            images = _hermitian_basis(d).reshape(d * d, d * d) @ e.reshape(nb, d * d, d * d)
-            t = g.A @ hvec(images.reshape(nb, d * d, d, d))
+            n = _hermitian_basis(d).reshape(d * d, d * d) @ e.reshape(nb, d * d, d * d)
+            images.append(hvec(n.reshape(nb, d * d, d, d)))
+        parts = []
+        for g in self.groups:
+            t = g.A @ images[g.size][g.sl]
             parts.append((g.A @ t.transpose(0, 2, 1)).ravel())
         m = self.m
         return np.bincount(self.schur_at, np.concatenate(parts), minlength=m * m).reshape(m, m)
+
+
+_PANEL = 32  # presolve rows projected together by matrix products
 
 
 def _presolve(c: _Compiled, feas_tol: float):
     """Gram-Schmidt row reduction with rhs companion.
 
     Rows are scanned in order; row k is kept when its residual against the
-    rows kept so far exceeds 1e-10*max(1, |row k|).  Each residual is taken
-    by two classical Gram-Schmidt passes (CGS2) against the stacked kept
-    directions.  Returns (kept_row_indices, None) or (None, message) when
-    the affine system is inconsistent (a vanishing row combination with
-    nonzero rhs).
+    rows kept so far exceeds 1e-10*max(1, |row k|).  Residuals come from two
+    GEMM passes per panel of _PANEL rows against the rows kept before it,
+    then two passes per row against those kept inside the panel (BCGS2).
+    Returns (kept_row_indices, None) or (None, message) when the affine
+    system is inconsistent (a vanishing row combination with nonzero rhs).
     """
     rows = c.row_vectors()
     m, ncols = rows.shape
@@ -294,66 +313,68 @@ def _presolve(c: _Compiled, feas_tol: float):
     betas = np.empty(len(Q))
     n = 0
     kept: list[int] = []
-    for k in range(m):
-        r = rows[k]
-        beta = c.b[k]
-        nrm0 = np.linalg.norm(r)
-        if nrm0 == 0.0:
-            if abs(beta) > feas_tol * scale:
-                return None, f"row {k} is 0 = {beta:g}"
-            continue
+    for p0 in range(0, m, _PANEL):
+        panel = rows[p0:p0 + _PANEL]  # a view: rows is a fresh copy
+        nrm0 = np.sqrt(np.einsum("ij,ij->i", panel, panel))
+        beta = c.b[p0:p0 + _PANEL].copy()
+        n0 = n
         for _ in range(2):
-            coef = Q[:n] @ r
-            r -= coef @ Q[:n]
-            beta -= coef @ betas[:n]
-        nrm = np.linalg.norm(r)
-        if nrm > 1e-10 * max(1.0, nrm0):
-            Q[n] = r / nrm
-            betas[n] = beta / nrm
-            n += 1
-            kept.append(k)
-        elif abs(beta) > feas_tol * scale * 10:
-            return None, f"inconsistent affine constraints (row {k}, residual {beta:g})"
+            coef = panel @ Q[:n0].T
+            panel -= coef @ Q[:n0]
+            beta -= coef @ betas[:n0]
+        for k, r, bk, nk in zip(range(p0, m), panel, beta, nrm0):
+            if nk == 0.0:
+                if abs(bk) > feas_tol * scale:
+                    return None, f"row {k} is 0 = {bk:g}"
+                continue
+            for _ in range(2):
+                coef = Q[n0:n] @ r
+                r -= coef @ Q[n0:n]
+                bk -= coef @ betas[n0:n]
+            nrm = np.linalg.norm(r)
+            if nrm > 1e-10 * max(1.0, nk):
+                Q[n] = r / nrm
+                betas[n] = bk / nrm
+                n += 1
+                kept.append(k)
+            elif abs(bk) > feas_tol * scale * 10:
+                return None, f"inconsistent affine constraints (row {k}, residual {bk:g})"
     return kept, None
 
 
-def _factor(M: list[np.ndarray]) -> list[np.ndarray]:
-    """Per positive definite stack: its 1x1 values or its Cholesky factors."""
-    return [x[:, 0, 0].real if x.shape[1] == 1 else np.linalg.cholesky(x) for x in M]
+def _factor(S: np.ndarray) -> np.ndarray:
+    """F = inv(cholesky(S)) for a stack S of Hermitian positive definite
+    matrices: S^-1 = F^H F, and S + a*D >= 0 iff I + a*F D F^H >= 0."""
+    return np.linalg.inv(np.linalg.cholesky(S))
 
 
-def _step_length(F: list[np.ndarray], D: list[np.ndarray]) -> float:
-    """Largest alpha with M_b + alpha*D_b >= 0 for every block, given the
-    factors F = _factor(M) of the stacks M (inf when no block limits the
-    step).
+def _step_lengths(F, dX, dZ) -> tuple[float, float]:
+    """Largest alpha_p, alpha_d with X + alpha_p*dX >= 0 and Z + alpha_d*dZ
+    >= 0 in every block (inf when no block limits the step), given per block
+    dimension the factor F = _factor([X; Z]) of the stacked X and Z blocks.
 
-    Per stack two batched triangular solves and one eigvalsh; the 1x1
-    blocks take the ratio x/(-d) where d < 0.
+    Per dimension two batched products W = F [dX; dZ] F^H and one eigvalsh:
+    a block limits the step at -1/lambda_min(W) when lambda_min < -1e-14.
     """
-    best = np.inf
-    for f, d in zip(F, D):
-        if f.ndim == 1:
-            dv = d[:, 0, 0].real
-            neg = dv < 0
-            if neg.any():
-                best = min(best, (f[neg] / -dv[neg]).min())
-            continue
-        w = np.linalg.solve(f, d)
-        w = np.linalg.solve(f, w.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
-        lam = np.linalg.eigvalsh(_herm(w)).min(axis=1)
-        lam = lam[~(lam >= -1e-14)]
-        if lam.size:
-            best = min(best, (-1.0 / lam).min())
-    return best
+    alpha = [np.inf, np.inf]
+    for f, dx, dz in zip(F, dX, dZ):
+        w = f @ np.concatenate([dx, dz]) @ f.conj().transpose(0, 2, 1)
+        lam = np.linalg.eigvalsh(w).min(axis=1)
+        for side, ls in enumerate((lam[:len(dx)], lam[len(dx):])):
+            ls = ls[~(ls >= -1e-14)]
+            if ls.size:
+                alpha[side] = min(alpha[side], (-1.0 / ls).min())
+    return alpha[0], alpha[1]
 
 
 def _lin_solve(a: np.ndarray, rhs: np.ndarray):
     """Solve a*x = rhs.  Returns (x, fell_back): when the system turns
-    singular near a degenerate optimum, x comes from least squares, the
-    event is logged at DEBUG and fell_back is True."""
+    singular near a degenerate optimum (LU fails, or its x is not finite or
+    worse than x = 0), x comes from least squares, the event is logged at
+    DEBUG and fell_back is True."""
     try:
         x = np.linalg.solve(a, rhs)
-        if np.all(np.isfinite(x)):
+        if np.all(np.isfinite(x)) and np.abs(a @ x - rhs).max() <= np.abs(rhs).max():
             return x, False
     except np.linalg.LinAlgError:
         pass
@@ -387,15 +408,12 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     Ek = c.E
     bk = c.b
     Cg = c.stack(c.C)
-    eyes = [np.tile(np.eye(g.d, dtype=complex), (len(g.blocks), 1, 1)) for g in c.groups]
-    sizes: dict[int, list[int]] = {}
-    for i, g in enumerate(c.groups):
-        sizes.setdefault(g.d, []).append(i)
+    eyes = [np.tile(np.eye(cg.shape[1], dtype=complex), (len(cg), 1, 1)) for cg in Cg]
+    aug = np.zeros((m + nf, m + nf))  # Newton matrix [[B, -E], [E', 0]]
+    aug[:m, m:] = -Ek
+    aug[m:, :m] = Ek.T
 
-    def by_size(S):  # step lengths stack the groups of one block size
-        return [np.concatenate([S[i] for i in ix]) for ix in sizes.values()]
-
-    def inner(P, Q):  # sum_b Re tr(P_b Q_b) over Hermitian per-group stacks
+    def inner(P, Q):  # sum_b Re tr(P_b Q_b) over Hermitian stacks
         return sum(np.vdot(pg, qg).real for pg, qg in zip(P, Q))
 
     # starting point: identity-scaled interior iterates
@@ -446,11 +464,9 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             break
 
         try:
-            Zi = [np.linalg.inv(zg) for zg in Z]
-            LX, LZ = _factor(by_size(X)), _factor(by_size(Z))
-            aug = c.schur(X, Zi)
-            if nf:
-                aug = np.block([[aug, -Ek], [Ek.T, np.zeros((nf, nf))]])
+            F = [_factor(np.concatenate([xg, zg])) for xg, zg in zip(X, Z)]
+            Zi = [f[len(xg):].conj().transpose(0, 2, 1) @ f[len(xg):] for f, xg in zip(F, X)]
+            aug[:m, :m] = c.schur(X, Zi)
             Xrd = [xg @ rd for xg, rd in zip(X, r_d)]
 
             def hkm_direction(R):
@@ -466,8 +482,7 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             # predictor (affine scaling)
             R_aff = [-(xg @ zg) for xg, zg in zip(X, Z)]
             dX_a, ds_a, dy_a, dZ_a = hkm_direction(R_aff)
-            ap = min(1.0, _step_length(LX, by_size(dX_a)))
-            ad = min(1.0, _step_length(LZ, by_size(dZ_a)))
+            ap, ad = (min(1.0, a) for a in _step_lengths(F, dX_a, dZ_a))
             mu_aff = inner(
                 [xg + ap * dx for xg, dx in zip(X, dX_a)],
                 [zg + ad * dz for zg, dz in zip(Z, dZ_a)],
@@ -485,9 +500,7 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             message = f"linear algebra failure: {exc}"
             break
 
-        tau = opts.step_frac
-        ap = min(1.0, tau * _step_length(LX, by_size(dX)))
-        ad = min(1.0, tau * _step_length(LZ, by_size(dZ)))
+        ap, ad = (min(1.0, opts.step_frac * a) for a in _step_lengths(F, dX, dZ))
         if ap < 1e-12 and ad < 1e-12:
             message = "step sizes collapsed"
             break

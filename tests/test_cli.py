@@ -190,6 +190,19 @@ def test_exit_codes(tmp_path, capsys):
                "--sdp-iters", "1")[0] == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("robustness", "--sdp-iters", "0"), "--sdp-iters must be at least 1, got 0"),
+    (("robustness", "--sdp-iters", "-1"), "--sdp-iters must be at least 1, got -1"),
+    (("classify", "--n", "2", "--samples", "-3"), "--samples must be at least 0, got -3"),
+    (("classify", "--n", "2", "--jobs", "-2"), "--jobs must be at least 1, got -2"),
+])
+def test_count_flags_out_of_range_exit_2(capsys, argv, message):
+    builtin = "sigma-xz-sharp" if argv[0] == "robustness" else "fully-compressible"
+    code, rep, err = run(capsys, *argv, "--builtin", builtin)
+    assert code == 2 and rep is None
+    assert err == f"error: {message}\n"  # one line naming the flag, no traceback
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):

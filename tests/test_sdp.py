@@ -328,6 +328,24 @@ def test_lstsq_fallback_is_counted_and_logged(monkeypatch, caplog):
     assert len(caplog.records) == sol.lstsq_fallbacks
 
 
+def test_lin_solve_never_returns_a_solution_worse_than_zero():
+    # rhs along the null direction of a rank-deficient matrix: LU meets a
+    # pivot at rounding level and returns x ~ 1e13, whose residual mostly
+    # exceeds rhs itself; such a solve falls back to least squares (x ~ 0)
+    falls = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        u, v = (np.linalg.qr(rng.standard_normal((6, 6)))[0] for _ in range(2))
+        a = u @ np.diag([1e3, 1e2, 10, 1, 1e-1, 0.0]) @ v.T
+        x, fell_back = sdp._lin_solve(a, u[:, 5])
+        if fell_back:
+            falls += 1
+            assert np.abs(x).max() < 1e-9
+        else:
+            assert np.abs(a @ x - u[:, 5]).max() <= np.abs(u[:, 5]).max()
+    assert falls > 0
+
+
 def test_corpus_robustness_solves_take_no_lstsq_fallback():
     for k in corpus.builtin_keys():
         if corpus.kind_of(k) == "assemblage":
@@ -415,22 +433,129 @@ def _max_step(x, d):
     return np.inf if lam >= -1e-14 else -1.0 / lam
 
 
+def _step_ref(x, d):
+    """Per-block step length by the shared-factor formula of the solver."""
+    f = np.linalg.inv(np.linalg.cholesky(x))
+    lam = np.linalg.eigvalsh(f @ d @ f.conj().T).min()
+    return np.inf if lam >= -1e-14 else -1.0 / lam
+
+
 def test_batched_step_length_equals_per_block_minimum_bitwise():
     rng = np.random.default_rng(5)
     dims = [4, 1, 2, 4, 1, 3, 2, 1, 4]
 
-    def stacks(mats):  # per-group stacks, one group per block size
+    def stacks(mats):  # one stack per block size
         return [np.stack([x for x, d in zip(mats, dims) if d == n]) for n in sorted(set(dims))]
 
     for trial in range(40):
-        M = [_random_pd(rng, d) for d in dims]
-        D = [_random_sym(rng, d) for d in dims]
+        MX, MZ = ([_random_pd(rng, d) for d in dims] for _ in range(2))
+        DX, DZ = ([_random_sym(rng, d) for d in dims] for _ in range(2))
         if trial % 4 == 0:  # only a few blocks limit the step
-            D = [dd @ dd + np.eye(len(dd)) if b % 3 else dd for b, dd in enumerate(D)]
-        ref = min(_max_step(x, d) for x, d in zip(M, D))
-        assert sdp._step_length(sdp._factor(stacks(M)), stacks(D)) == ref
+            DX, DZ = ([dd @ dd + np.eye(len(dd)) if b % 3 else dd for b, dd in enumerate(D)]
+                      for D in (DX, DZ))
+        F = [sdp._factor(np.concatenate([x, z])) for x, z in zip(stacks(MX), stacks(MZ))]
+        got = sdp._step_lengths(F, stacks(DX), stacks(DZ))
+        for alpha, M, D in zip(got, (MX, MZ), (DX, DZ)):
+            assert alpha == min(_step_ref(x, d) for x, d in zip(M, D))
+            ref = min(_max_step(x, d) for x, d in zip(M, D))
+            assert abs(alpha - ref) <= 1e-12 * ref
     psd = stacks([_random_pd(rng, d) for d in dims])
-    assert sdp._step_length(sdp._factor(psd), psd) == np.inf
+    F = [sdp._factor(np.concatenate([x, x])) for x in psd]
+    assert sdp._step_lengths(F, psd, psd) == (np.inf, np.inf)
+
+
+def test_shared_factor_gives_the_inverse_of_z():
+    # the solver factors [X; Z] per block size and takes Z^-1 = F_Z^H F_Z
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3, 5):
+        X = np.array([_random_hpd(rng, d) for _ in range(3)])
+        Z = np.array([_random_hpd(rng, d) for _ in range(4)])
+        fz = sdp._factor(np.concatenate([X, Z]))[len(X):]
+        ref = np.linalg.inv(Z)
+        assert np.abs(fz.conj().transpose(0, 2, 1) @ fz - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_several_free_variables_reach_the_recorded_optimum():
+    # min <C,X> + c's with three free variables from a constructed optimal
+    # pair, as in test_complex_sdp_native_and_embedded_reach_the_same_optimum;
+    # RECORDED is this solve's optimum with the Newton matrix, border
+    # [[B, -E], [E', 0]] included, assembled anew in every iteration
+    RECORDED = -3.6939622066024786
+    rng = np.random.default_rng(51)
+    dims, m, nf = (3, 2, 1, 1), 9, 3
+    xs, zs = [], []
+    for d in dims:
+        q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        lam_x = np.array([1.0] * (d - 1) + [0.0]) if d > 1 else np.array([0.0])
+        xs.append(q @ np.diag(lam_x) @ q.conj().T)
+        zs.append(q @ np.diag((1.0 - np.sign(lam_x)) * (1 + rng.random(d))) @ q.conj().T)
+    ystar, sstar = rng.standard_normal(m), rng.standard_normal(nf)
+    e = rng.standard_normal((m, nf))
+    cons = []
+    for k in range(m):
+        bc = {b: _random_herm(rng, d) for b, d in enumerate(dims)}
+        rhs = sum(np.trace(a @ x).real for a, x in zip(bc.values(), xs)) + e[k] @ sstar
+        cons.append((bc, {j: float(e[k, j]) for j in range(nf)}, float(rhs)))
+    cmat = [sum(ystar[k] * cons[k][0][b] for k in range(m)) + zs[b] for b in range(len(dims))]
+    cfree = e.T @ ystar
+    target = sum(np.trace(c @ x).real for c, x in zip(cmat, xs)) + cfree @ sstar
+    p = sdp.SdpProblem(
+        blocks=list(dims), n_free=nf, constraints=cons, sense="min",
+        objective=(dict(enumerate(cmat)), {j: float(v) for j, v in enumerate(cfree)}),
+    )
+    sol = sdp.solve(p)
+    assert sol.status == sdp.STATUS_OPTIMAL
+    assert abs(sol.primal_value - RECORDED) <= 1e-9
+    assert abs(sol.primal_value - target) <= 1e-6 * (1 + abs(target))
+    assert np.abs(sol.scalar_vars - sstar).max() <= 1e-3
+
+
+def test_presolve_panels_match_the_mgs_reference():
+    # rows over more than two panels: dependent rows in later panels than
+    # the rows they combine, zero and inconsistent rows at the first and at
+    # the last position of a panel; 83 columns, so the last rows depend on
+    # earlier ones as well
+    P = sdp._PANEL
+    rng = np.random.default_rng(61)
+    dims, nf, m = (8, 4, 1), 2, 3 * P + 5
+    point = [_random_hpd(rng, d) for d in dims], rng.standard_normal(nf)
+
+    def row():  # random coefficients, rhs consistent with the point
+        bc = {b: _random_herm(rng, dims[b]) for b in range(len(dims)) if b == 0 or rng.random() < 0.6}
+        fc = {j: float(rng.standard_normal()) for j in range(nf) if rng.random() < 0.5}
+        rhs = sum(np.trace(a @ point[0][b]).real for b, a in bc.items())
+        return bc, fc, float(rhs + sum(v * point[1][j] for j, v in fc.items()))
+
+    def combo(cons, ks, ws, shift=0.0):
+        bc, fc = {}, {}
+        for k, w in zip(ks, ws):
+            for b, a in cons[k][0].items():
+                bc[b] = bc.get(b, 0.0) + w * a
+            for j, v in cons[k][1].items():
+                fc[j] = fc.get(j, 0.0) + w * v
+        return bc, fc, sum(w * cons[k][2] for k, w in zip(ks, ws)) + shift
+
+    base = [row() for _ in range(m)]
+    base[P + 5] = combo(base, [2, 7], [0.5, -1.5])
+    base[2 * P + 3] = combo(base, [1, P + 2, 2 * P], [1.0, 2.0, -0.25])
+    base[P] = base[2 * P - 1] = ({}, {}, 0.0)
+    # large and dependent up to 1e-5: dropped, as 1e-5 < 1e-10*|row|
+    big = combo(base + [row()], [4, 40, m], [1e6, -2e6, 1e-5])
+    cases = [(base[:2 * P + 10] + [big] + base[2 * P + 11:], None)]
+    for k in (P, 2 * P - 1):
+        cases.append((base[:k] + [({}, {}, 3.0)] + base[k + 1:], f"row {k} is 0 = 3"))
+        bad = combo(base, [0, 3], [1.0, 1.0], shift=1.0)
+        cases.append((base[:k] + [bad] + base[k + 1:], f"inconsistent affine constraints (row {k},"))
+    for cons, message in cases:
+        c = sdp._Compiled(sdp.SdpProblem(blocks=list(dims), n_free=nf, constraints=cons))
+        rows, b = c.row_vectors(), c.b.copy()
+        got = sdp._presolve(c, 1e-8)
+        assert got == _presolve_mgs(rows, b, 1e-8)
+        if message is None:
+            assert len(got[0]) == rows.shape[1] < m - 4
+            assert not {P, P + 5, 2 * P - 1, 2 * P + 3, 2 * P + 10} & set(got[0])
+        else:
+            assert got[0] is None and got[1].startswith(message)
 
 
 def test_robustness_of_a_fourier_mub_pair_at_d5():
