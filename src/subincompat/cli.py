@@ -257,6 +257,10 @@ def _cmd_coexistence(args) -> int:
 
 
 def _cmd_seesaw(args) -> int:
+    _at_least("--dim", args.dim, 1)
+    for m in args.outcomes:
+        _at_least("--outcomes", m, 1)
+    _at_least("--seeds", args.seeds, 0)
     hits = coexist.seesaw(
         args.dim, args.outcomes[0], args.outcomes[1], args.seeds, args.max_iters,
         _options(args),
@@ -370,17 +374,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_steering_lhs(args) -> int:
     sa, _, inputs = _load(args, ("state_assemblage",))
-    feasible, slack, cert, bld, strategies, svars = steering._lhs_solve(
-        sa, _options(args)
-    )
-    model = None
-    if feasible and cert is not None:
-        model = [
-            {"strategy": list(vec), "state": jsonio.matrix_to_json(bld.extract(cert, svars[vec]))}
-            for vec in strategies
-        ]
+    feasible, slack, model = steering._lhs_solve(sa, _options(args))
+    if model is not None:
+        model = [{"strategy": list(vec), "state": jsonio.matrix_to_json(s)} for vec, s in model]
     rep = jsonio.report_skeleton("steering-lhs", None, inputs)
-    rep["results"] = {"unsteerable": bool(feasible), "slack": float(slack), "model": model}
+    rep["results"] = {"unsteerable": feasible, "slack": slack, "model": model}
     verdict = "unsteerable" if feasible else "steerable"
     return _emit(args, rep, f"{verdict}  (LHS slack = {slack:.3e})")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import incompat, linalg, sdp
+from . import incompat, linalg, povm, sdp
 from .povm import Assemblage, ParentPovm, Povm, random_povm
 
 log = logging.getLogger(__name__)
@@ -71,6 +71,10 @@ class BinarisationLabeling:
     def d_b(self, subset, lam) -> int:
         return self._d(self._idx_b, self.m_b, self.ka, subset, lam)
 
+    def row(self, d_fn, subset) -> np.ndarray:
+        """Kernel row D(S|lam) over all labels, for d_fn = d_a or d_b."""
+        return np.array([d_fn(subset, lam) for lam in self.labels], dtype=float)
+
 
 @dataclass(eq=False)
 class CoexistenceResult:
@@ -96,19 +100,6 @@ def _nonzero_outcomes(m: Povm) -> list[int]:
     return [i for i in range(m.n_outcomes) if not m.is_zero_element(i)]
 
 
-def _clean_povm(d: int, elements: list[np.ndarray]) -> Povm:
-    """Clip eigenvalues and renormalise by S^(-1/2) so invariants hold."""
-    fixed = []
-    for e in elements:
-        vals, vecs = np.linalg.eigh(e)
-        vals = np.clip(vals, 0.0, None)
-        fixed.append(vecs @ np.diag(vals) @ vecs.conj().T)
-    s = sum(fixed)
-    vals, vecs = np.linalg.eigh(s)
-    isq = vecs @ np.diag(1.0 / np.sqrt(np.clip(vals, 1e-14, None))) @ vecs.conj().T
-    return Povm(d, [linalg.hermitianize(isq @ e @ isq) for e in fixed])
-
-
 def _coexist_enumeration(a1: Povm, a2: Povm, options) -> CoexistenceResult:
     """Feasibility over all deterministic complement-respecting labelings:
     exist G_lam >= 0 with sum_lam D(S|lam) G_lam = sum_{i in S} E_i for every
@@ -116,23 +107,16 @@ def _coexist_enumeration(a1: Povm, a2: Povm, options) -> CoexistenceResult:
     d = a1.dim
     keep_a, keep_b = _nonzero_outcomes(a1), _nonzero_outcomes(a2)
     lab = BinarisationLabeling(len(keep_a), len(keep_b))
-    bld = sdp.Builder()
-    gvars = [bld.cblock(d) for _ in lab.labels]
-    for s in lab.subsets_a:
-        terms = [(gvars[k], 1.0) for k, lam in enumerate(lab.labels) if lab.d_a(s, lam)]
-        rhs = sum(a1.elements[keep_a[i]] for i in s)
-        bld.eq_matrix(terms, rhs)
-    for s in lab.subsets_b:
-        terms = [(gvars[k], 1.0) for k, lam in enumerate(lab.labels) if lab.d_b(s, lam)]
-        rhs = sum(a2.elements[keep_b[j]] for j in s)
-        bld.eq_matrix(terms, rhs)
-    bld.eq_matrix([(g, 1.0) for g in gvars], np.eye(d))
+    kernel = [lab.row(lab.d_a, s) for s in lab.subsets_a]
+    kernel += [lab.row(lab.d_b, s) for s in lab.subsets_b]
+    rhs = [sum(a1.elements[keep_a[i]] for i in s) for s in lab.subsets_a]
+    rhs += [sum(a2.elements[keep_b[j]] for j in s) for s in lab.subsets_b]
+    bld = incompat.parent_program(d, kernel + [np.ones(len(lab.labels))], rhs + [np.eye(d)])
     feasible, slack, cert = bld.feasibility(options)
     parent = None
     if feasible and cert is not None:
-        blocks = [bld.extract(cert, g) for g in gvars]
-        cleaned = _clean_povm(d, blocks)
-        parent = ParentPovm(d, lab.labels, cleaned.elements, (2,) * (lab.ka + lab.kb))
+        blocks = [bld.extract(cert, k) for k in range(len(lab.labels))]
+        parent = ParentPovm(d, lab.labels, povm.repair(blocks), (2,) * (lab.ka + lab.kb))
     return CoexistenceResult(bool(feasible), float(slack), "enumeration", parent=parent)
 
 
@@ -211,40 +195,25 @@ def coexistent_parent(
 def _seesaw_sdp2(dim, lab: BinarisationLabeling, xs, ys, options):
     """Maximise the witness functional over parents G_lam subject to the
     coexistence structure; the POVM pair is read off the singleton subsets."""
-    bld = sdp.Builder()
-    gvars = [bld.cblock(dim) for _ in lab.labels]
-    bld.eq_matrix([(g, 1.0) for g in gvars], np.eye(dim))
-    zero = np.zeros((dim, dim))
+    kernel = [np.ones(len(lab.labels))]  # the parent sums to the identity
     for m, d_fn in ((lab.m_a, lab.d_a), (lab.m_b, lab.d_b)):
+        single = [lab.row(d_fn, (i,)) for i in range(m)]
         for s in canonical_subsets(m):
-            if len(s) == 1:
-                continue
-            # additivity: the subset effect equals the sum of its singletons
-            terms = []
-            for k, lam in enumerate(lab.labels):
-                c = d_fn(s, lam) - sum(d_fn((i,), lam) for i in s)
-                if c:
-                    terms.append((gvars[k], float(c)))
-            if terms:
-                bld.eq_matrix(terms, zero)
-        # singleton effects form a normalised POVM
-        terms = []
-        for k, lam in enumerate(lab.labels):
-            c = sum(d_fn((i,), lam) for i in range(m)) - 1
-            if c:
-                terms.append((gvars[k], float(c)))
-        if terms:
-            bld.eq_matrix(terms, zero)
+            if len(s) > 1:  # additivity: the subset effect equals the sum of its singletons
+                kernel.append(lab.row(d_fn, s) - sum(single[i] for i in s))
+        kernel.append(sum(single) - 1)  # singleton effects form a normalised POVM
+    zero = np.zeros((dim, dim))
+    bld = incompat.parent_program(dim, kernel, [np.eye(dim)] + [zero] * (len(kernel) - 1))
     obj = []
     for k, lam in enumerate(lab.labels):
         c = sum(lab.d_a((i,), lam) * xs[i] for i in range(lab.m_a))
         c = c + sum(lab.d_b((j,), lam) * ys[j] for j in range(lab.m_b))
-        obj.append((gvars[k], c))
+        obj.append((k, c))
     bld.objective(block_terms=obj, sense="max")
     sol = bld.solve(options)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"seesaw parent SDP: {sol.status} ({sol.message})")
-    blocks = [bld.extract(sol.primal_blocks, g) for g in gvars]
+    blocks = [bld.extract(sol.primal_blocks, k) for k in range(len(lab.labels))]
     els_a = [
         sum(b for b, lam in zip(blocks, lab.labels) if lab.d_a((i,), lam))
         for i in range(lab.m_a)
@@ -253,7 +222,7 @@ def _seesaw_sdp2(dim, lab: BinarisationLabeling, xs, ys, options):
         sum(b for b, lam in zip(blocks, lab.labels) if lab.d_b((j,), lam))
         for j in range(lab.m_b)
     ]
-    return _clean_povm(dim, els_a), _clean_povm(dim, els_b), float(sol.primal_value)
+    return Povm(dim, povm.repair(els_a)), Povm(dim, povm.repair(els_b)), float(sol.primal_value)
 
 
 def seesaw(
@@ -329,11 +298,9 @@ def qubit_counterexample() -> tuple[Povm, Povm, Povm, dict]:
     (v) robustness of the coarse-grained variant (first two outcomes of B~
     merged), plus the same for every other pairing of B~'s outcomes.
     """
-    from . import povm as povm_mod
-
     asm, psi0, psi1 = _qutrit_pair()
     p2 = linalg.projector_from_basis([psi0, psi1])
-    trunc = povm_mod.truncate(asm, p2)
+    trunc = povm.truncate(asm, p2)
     at, bt = trunc.measurements
     report: dict = {}
 
@@ -362,7 +329,7 @@ def qubit_counterexample() -> tuple[Povm, Povm, Povm, dict]:
     coarse = None
     for j, k in itertools.combinations(range(bt.n_outcomes), 2):
         cells = [(j, k)] + [(i,) for i in range(bt.n_outcomes) if i not in (j, k)]
-        merged = povm_mod.coarse_grain(bt, cells)
+        merged = povm.coarse_grain(bt, cells)
         r = incompat.depolarising_robustness(Assemblage(2, [at, merged]))
         pairings[f"{j},{k}"] = {"eta": r.eta, "verdict": r.verdict}
         if (j, k) == (0, 1):

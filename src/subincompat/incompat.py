@@ -1,6 +1,9 @@
-"""Joint-measurability SDPs: parent-POVM feasibility, depolarising
-robustness with verdict margins, the two-measurement incompatibility
-witness, and the incompressibility bound."""
+"""Joint-measurability SDPs: the parent program (``parent_program``: PSD
+blocks G_lam whose kernel-weighted sums equal given Hermitian matrices,
+optionally up to depolarising noise eta), which JM, robustness, LHS
+steering and coexistence all instantiate; parent-POVM feasibility,
+depolarising robustness with verdict margins, the two-measurement
+incompatibility witness, and the incompressibility bound."""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, sdp
+from . import povm, sdp
 from .povm import Assemblage, ParentPovm, Povm
 
 JOINT_OUTCOME_GUARD = 4096
@@ -74,55 +77,65 @@ def _joint_labels(a: Assemblage) -> list[tuple[int, ...]]:
 
 
 def _parent_from_blocks(a: Assemblage, labels, blocks) -> ParentPovm:
-    """Assemble a ParentPovm over the full label product, clipping tiny
-    negative eigenvalues and reinserting zero blocks for dropped labels."""
+    """Assemble a repaired ParentPovm over the full label product,
+    reinserting zero blocks for dropped labels."""
     d = a.dim
-    got = dict(zip(labels, blocks))
+    got = dict(zip(labels, povm.repair(blocks)))
     full = list(itertools.product(*[range(m.n_outcomes) for m in a.measurements]))
-    els = []
-    for lab in full:
-        g = got.get(lab)
-        if g is None:
-            els.append(np.zeros((d, d), dtype=complex))
-            continue
-        vals, vecs = np.linalg.eigh(g)
-        vals = np.clip(vals, 0.0, None)
-        els.append(linalg.hermitianize(vecs @ np.diag(vals) @ vecs.conj().T))
-    total = sum(els)
-    # absorb the PSD-clipping drift so the elements sum to the identity
-    vals, vecs = np.linalg.eigh(total)
-    isq = vecs @ np.diag(1.0 / np.sqrt(np.clip(vals, 1e-14, None))) @ vecs.conj().T
-    els = [linalg.hermitianize(isq @ g @ isq) for g in els]
+    els = [got[lab] if lab in got else np.zeros((d, d), dtype=complex) for lab in full]
     return ParentPovm(d, full, els, tuple(m.n_outcomes for m in a.measurements))
 
 
-def _marginal_rows(bld: sdp.Builder, a: Assemblage, labels, gvars, rhs_fn):
-    """One matrix row per (setting, nonzero outcome):
-    sum_{labels with a_x = a} G_label = rhs_fn(x, a)."""
-    for x, m in enumerate(a.measurements):
-        for out in range(m.n_outcomes):
-            if m.is_zero_element(out):
-                continue
-            terms = [(gvars[lab], 1.0) for lab in labels if lab[x] == out]
-            rhs_mat, free_terms = rhs_fn(x, out)
-            bld.eq_matrix(terms, rhs_mat, free_terms=free_terms)
+def parent_program(d: int, kernel, rhs, noise=None) -> sdp.Builder:
+    """The parent program: one d x d block G_lam >= 0 per kernel column
+    (block index lam) and, per kernel row r,
+    sum_lam kernel[r, lam] G_lam = rhs[r] + eta * noise[r].
+
+    Rows without a nonzero kernel entry are skipped (callers give them a
+    zero right-hand side).  Without noise there is
+    no eta and no objective (a feasibility program).  With noise, eta is free
+    variable 0, a slack block after the G blocks adds eta <= 1, and the
+    objective is max eta.
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    bld = sdp.Builder()
+    for _ in range(kernel.shape[1]):
+        bld.cblock(d)
+    if noise is not None:
+        eta, slack = bld.free(), bld.rblock()
+    for r, row in enumerate(kernel):
+        cols = np.flatnonzero(row).tolist()
+        if cols:
+            free_terms = [(eta, -noise[r])] if noise is not None else ()
+            bld.eq_matrix([(k, float(row[k])) for k in cols], rhs[r], free_terms=free_terms)
+    if noise is not None:
+        bld.eq_scalar(block_terms=[(slack, 1.0)], free_terms=[(eta, 1.0)], rhs=1.0)
+        bld.objective(free_terms=[(eta, 1.0)], sense="max")
+    return bld
+
+
+def marginal_kernel(labels, rows) -> np.ndarray:
+    """Deterministic post-processing: row (x, a) weighs label lam by [lam_x = a]."""
+    k = [[float(lab[x] == a) for lab in labels] for x, a in rows]
+    return np.array(k).reshape(len(rows), len(labels))
+
+
+def _outcome_rows(a: Assemblage) -> list[tuple[int, int]]:
+    """(setting, outcome) pairs of the nonzero elements, in order."""
+    return [(x, out) for x, m in enumerate(a.measurements)
+            for out in range(m.n_outcomes) if not m.is_zero_element(out)]
 
 
 def jm_parent(a: Assemblage, options: sdp.SolveOptions | None = None) -> JmResult:
     """Decide joint measurability by parent-POVM feasibility."""
     labels = _joint_labels(a)
-    d = a.dim
-    bld = sdp.Builder()
-    gvars = {lab: bld.cblock(d) for lab in labels}
-
-    def rhs(x, out):
-        return a.measurements[x].elements[out], []
-
-    _marginal_rows(bld, a, labels, gvars, rhs)
+    rows = _outcome_rows(a)
+    rhs = [a.measurements[x].elements[out] for x, out in rows]
+    bld = parent_program(a.dim, marginal_kernel(labels, rows), rhs)
     feasible, slack, cert = bld.feasibility(options)
     parent = None
     if feasible and cert is not None:
-        blocks = [bld.extract(cert, gvars[lab]) for lab in labels]
+        blocks = [bld.extract(cert, k) for k in range(len(labels))]
         parent = _parent_from_blocks(a, labels, blocks)
     return JmResult(feasible, slack, parent)
 
@@ -137,27 +150,20 @@ def depolarising_robustness(
     the optimal eta (for a compatible assemblage, the assemblage itself).
     """
     labels = _joint_labels(a)
+    rows = _outcome_rows(a)
     d = a.dim
-    bld = sdp.Builder()
-    gvars = {lab: bld.cblock(d) for lab in labels}
-    eta = bld.free()
-    slack = bld.rblock()
-
-    def rhs(x, out):
+    rhs, noise = [], []
+    for x, out in rows:  # sum G = t*1 + eta*(E - t*1) with t = tr(E)/d
         e = a.measurements[x].elements[out]
         t = np.trace(e).real / d
-        f = e - t * np.eye(d)
-        # sum G = t*1 + eta*f, i.e. free term enters with coefficient -f
-        return t * np.eye(d), [(eta, -f)]
-
-    _marginal_rows(bld, a, labels, gvars, rhs)
-    bld.eq_scalar(block_terms=[(slack, 1.0)], free_terms=[(eta, 1.0)], rhs=1.0)
-    bld.objective(free_terms=[(eta, 1.0)], sense="max")
+        rhs.append(t * np.eye(d))
+        noise.append(e - t * np.eye(d))
+    bld = parent_program(d, marginal_kernel(labels, rows), rhs, noise)
     sol = bld.solve(options)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"robustness SDP did not solve: {sol.status} ({sol.message})")
     eta_val = float(sol.scalar_vars[0])
-    blocks = [bld.extract(sol.primal_blocks, gvars[lab]) for lab in labels]
+    blocks = [bld.extract(sol.primal_blocks, k) for k in range(len(labels))]
     parent = _parent_from_blocks(a, labels, blocks)
     return RobustnessResult(eta_val, parent, verdict_from_eta(eta_val), sol)
 

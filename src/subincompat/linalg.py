@@ -3,13 +3,11 @@
 Everything downstream (POVM validation, the SDP modelling layer, Haar
 sampling of subspaces) sits on the helpers in this module.  Matrices are plain complex
 numpy arrays; Hermiticity is validated, not assumed.  Eigenvectors, which
-feed results (Kraus-like decompositions, subspace bases, projector ranges),
-come from ``eig_hermitian``: a cyclic Jacobi iteration on the real symmetric
-embedding with a fixed sweep order, exact enough for the small dense
-operators used here (d <= ~50).  PSD checks need only the smallest
-eigenvalue and take it from LAPACK (``numpy.linalg.eigvalsh``), as the SDP
-solver does for its own linear algebra; both paths are deterministic for
-identical inputs.
+feed results (Kraus-like decompositions, subspace bases),
+come from ``eig_hermitian`` (LAPACK ``numpy.linalg.eigh``, descending);
+PSD checks need only the smallest eigenvalue and take it from
+``numpy.linalg.eigvalsh``, as the SDP solver does for its own linear
+algebra.  Both are deterministic for identical inputs.
 
 Random subspaces are drawn with ``numpy.random.default_rng`` (PCG64); every
 stochastic routine takes an explicit integer seed.
@@ -74,106 +72,15 @@ def unembed(w) -> np.ndarray:
     return (w11 + w22) / 2 + 1j * (w21 - w12) / 2
 
 
-def _jacobi_sym(s: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
-    """Cyclic Jacobi diagonalisation of a real symmetric matrix.
-
-    Returns (eigenvalues, eigenvector columns), unsorted.  Deterministic:
-    fixed sweep order, no pivot heuristics.
-    """
-    a = np.array(s, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-    scale = max(1.0, np.abs(np.diag(a)).max())
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2 * apq)
-                if abs(theta) > 1e150:  # theta**2 would overflow; use 1/2theta
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
-                if theta == 0:
-                    t = 1.0
-                c = 1 / np.sqrt(t * t + 1)
-                sn = t * c
-                # rotate columns p, q of a (and rows, by symmetry), then v
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - sn * aq
-                a[:, q] = sn * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - sn * aq
-                a[q, :] = sn * ap + c * aq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    return np.diag(a).copy(), v
-
-
 def eig_hermitian(m):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 
     Returns (eigenvalues, eigenvectors): eigenvalues sorted descending,
     eigenvectors as orthonormal columns of a complex matrix, with
     m = V diag(w) V† within 1e-10.
-
-    Runs Jacobi on the real embedding; each eigenvalue of m appears twice
-    there, and the doubled eigenvectors are mapped back to complex vectors
-    (top half + i * bottom half) with a Gram-Schmidt pass selecting one
-    complex representative per doubled pair.
     """
-    a = check_hermitian(m)
-    d = a.shape[0]
-    emb = real_embedding(a)
-    w2, v2 = _jacobi_sym(emb)
-    order = np.argsort(-w2, kind="stable")
-    w2 = w2[order]
-    v2 = v2[:, order]
-    # embedded eigenvalues come in equal pairs; average consecutive pairs
-    vals = (w2[0::2] + w2[1::2]) / 2
-    scale = max(1.0, np.abs(vals).max())
-    # cluster nearby eigenvalues, then pick d complex vectors cluster by cluster
-    vecs = np.zeros((d, d), dtype=complex)
-    col = 0
-    i = 0
-    while i < d:
-        j = i + 1
-        while j < d and vals[j - 1] - vals[j] <= 1e-11 * scale:
-            j += 1
-        k = j - i  # complex multiplicity of this cluster
-        cand = v2[:, 2 * i : 2 * j]
-        zs = cand[:d, :] + 1j * cand[d:, :]
-        kept: list[np.ndarray] = []
-        resid: list[tuple[float, np.ndarray]] = []
-        for t in range(zs.shape[1]):
-            z = zs[:, t].copy()
-            for u in kept:
-                z -= u * (u.conj() @ z)
-            nz = np.linalg.norm(z)
-            resid.append((nz, z))
-            if nz > 1e-6 and len(kept) < k:
-                kept.append(z / nz)
-        while len(kept) < k:  # numerical fallback: take largest residuals
-            resid.sort(key=lambda rz: -rz[0])
-            nz, z = resid.pop(0)
-            for u in kept:
-                z -= u * (u.conj() @ z)
-            kept.append(z / np.linalg.norm(z))
-        for u in kept:
-            vecs[:, col] = u
-            col += 1
-        i = j
-    return vals, vecs
+    vals, vecs = np.linalg.eigh(check_hermitian(m))
+    return vals[::-1], vecs[:, ::-1]
 
 
 def min_eigenvalue(m) -> float:
@@ -243,14 +150,6 @@ def projector_from_basis(vectors) -> Projector:
     b = np.column_stack(vs)
     p = b @ b.conj().T
     return Projector(dim=d, rank=len(vs), matrix=hermitianize(p), basis=b)
-
-
-def projector_from_matrix(p) -> Projector:
-    """Build a Projector (with recovered basis) from an idempotent matrix."""
-    a = check_hermitian(p, tol=1e-10)
-    vals, vecs = eig_hermitian(a)
-    rank = int(np.sum(vals > 0.5))
-    return Projector(dim=a.shape[0], rank=rank, matrix=a, basis=vecs[:, :rank])
 
 
 def _mgs(columns: np.ndarray) -> np.ndarray:

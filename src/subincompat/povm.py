@@ -221,13 +221,28 @@ def from_basis(vectors) -> Povm:
     return Povm(d, [np.outer(v, v.conj()) for v in vs])
 
 
+def renormalise(elements: list[np.ndarray]) -> list[np.ndarray]:
+    """S^(-1/2) E S^(-1/2) for every element E, with S the elements' sum
+    (its eigenvalues floored at 1e-14): the result sums to the identity."""
+    vals, vecs = np.linalg.eigh(sum(elements))
+    isq = vecs @ np.diag(1.0 / np.sqrt(np.clip(vals, 1e-14, None))) @ vecs.conj().T
+    return [linalg.hermitianize(isq @ e @ isq) for e in elements]
+
+
+def repair(elements: list[np.ndarray]) -> list[np.ndarray]:
+    """Make solver output a POVM: clip each element's negative eigenvalues
+    to zero, then renormalise so the elements sum to the identity."""
+    clipped = []
+    for e in elements:
+        vals, vecs = np.linalg.eigh(e)
+        clipped.append(vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.conj().T)
+    return renormalise(clipped)
+
+
 def random_povm(d: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
     """Random POVM: Ginibre blocks G_i = W_i W_i† renormalised by S^(-1/2)."""
     gs = []
     for _ in range(n_outcomes):
         w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         gs.append(w @ w.conj().T)
-    s = sum(gs)
-    vals, vecs = np.linalg.eigh(s)
-    isq = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.conj().T
-    return Povm(d, [linalg.hermitianize(isq @ g @ isq) for g in gs])
+    return Povm(d, renormalise(gs))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, povm, sdp
+from . import incompat, linalg, povm, sdp
 from .povm import Assemblage, Povm
 
 STATE_PSD_TOL = 1e-9
@@ -97,6 +97,9 @@ def assemblage_from_state(rho: BipartiteState, alice: Assemblage) -> StateAssemb
 
 
 def _lhs_solve(sa: StateAssemblage, options):
+    """The local-hidden-state parent program: one block per deterministic
+    strategy.  Returns (feasible, slack, model), the model as
+    [(strategy, local hidden state)] when feasible with a certificate."""
     counts = sa.outcome_counts()
     total = 1
     for k in counts:
@@ -104,15 +107,15 @@ def _lhs_solve(sa: StateAssemblage, options):
     if total > LHS_GUARD:
         raise ValueError(f"strategy count {total} exceeds guard {LHS_GUARD}")
     strategies = list(itertools.product(*[range(k) for k in counts]))
-    bld = sdp.Builder()
-    svars = {vec: bld.cblock(sa.dB) for vec in strategies}
-    for x in range(sa.n_settings):
-        for a in range(counts[x]):
-            terms = [(svars[vec], 1.0) for vec in strategies if vec[x] == a]
-            bld.eq_matrix(terms, sa.sigmas[x][a])
-    bld.eq_matrix([(svars[vec], 1.0) for vec in strategies], sa.reduced)
+    rows = [(x, a) for x in range(sa.n_settings) for a in range(counts[x])]
+    kernel = np.vstack([incompat.marginal_kernel(strategies, rows), np.ones(len(strategies))])
+    rhs = [sa.sigmas[x][a] for x, a in rows] + [sa.reduced]
+    bld = incompat.parent_program(sa.dB, kernel, rhs)
     feasible, slack, cert = bld.feasibility(options)
-    return feasible, slack, cert, bld, strategies, svars
+    model = None
+    if feasible and cert is not None:
+        model = [(vec, bld.extract(cert, k)) for k, vec in enumerate(strategies)]
+    return bool(feasible), float(slack), model
 
 
 def lhs_feasible(sa: StateAssemblage, options: sdp.SolveOptions | None = None):
@@ -124,17 +127,14 @@ def lhs_feasible(sa: StateAssemblage, options: sdp.SolveOptions | None = None):
     Returns (unsteerable, model): the model lists (strategy, local hidden
     state) pairs when one exists.
     """
-    feasible, slack, cert, bld, strategies, svars = _lhs_solve(sa, options)
-    model = None
-    if feasible and cert is not None:
-        model = [(vec, bld.extract(cert, svars[vec])) for vec in strategies]
-    return bool(feasible), model
+    feasible, _, model = _lhs_solve(sa, options)
+    return feasible, model
 
 
 def lhs_slack(sa: StateAssemblage, options: sdp.SolveOptions | None = None) -> float:
     """Optimal uniform slack of the local-hidden-state SDP; negative beyond
     tolerance certifies steerability (used for scan certificates)."""
-    return float(_lhs_solve(sa, options)[1])
+    return _lhs_solve(sa, options)[1]
 
 
 def _support_isqrt(reduced: np.ndarray):

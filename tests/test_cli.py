@@ -195,10 +195,16 @@ def test_exit_codes(tmp_path, capsys):
     (("robustness", "--sdp-iters", "-1"), "--sdp-iters must be at least 1, got -1"),
     (("classify", "--n", "2", "--samples", "-3"), "--samples must be at least 0, got -3"),
     (("classify", "--n", "2", "--jobs", "-2"), "--jobs must be at least 1, got -2"),
+    (("seesaw", "--dim", "3", "--outcomes", "2", "3", "--seeds", "-1"),
+     "--seeds must be at least 0, got -1"),
+    (("seesaw", "--dim", "0", "--outcomes", "2", "3"), "--dim must be at least 1, got 0"),
+    (("seesaw", "--dim", "3", "--outcomes", "0", "3"), "--outcomes must be at least 1, got 0"),
+    (("seesaw", "--dim", "3", "--outcomes", "2", "-1"), "--outcomes must be at least 1, got -1"),
 ])
 def test_count_flags_out_of_range_exit_2(capsys, argv, message):
-    builtin = "sigma-xz-sharp" if argv[0] == "robustness" else "fully-compressible"
-    code, rep, err = run(capsys, *argv, "--builtin", builtin)
+    builtin = {"robustness": ("--builtin", "sigma-xz-sharp"),
+               "classify": ("--builtin", "fully-compressible")}.get(argv[0], ())
+    code, rep, err = run(capsys, *argv, *builtin)
     assert code == 2 and rep is None
     assert err == f"error: {message}\n"  # one line naming the flag, no traceback
 

@@ -7,11 +7,14 @@ from subincompat import linalg
 def test_eig_hermitian_descending_and_reconstructs():
     rng = np.random.default_rng(0)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = (g + g.conj().T) / 2
-    vals, vecs = linalg.eig_hermitian(m)
-    assert np.all(np.diff(vals) <= 1e-12)  # descending
-    assert np.abs(vecs.conj().T @ vecs - np.eye(4)).max() < 1e-12
-    assert np.abs(vecs @ np.diag(vals) @ vecs.conj().T - m).max() < 1e-12
+    v = g[:, 0] / np.linalg.norm(g[:, 0])
+    degenerate = np.eye(4) + 0.5 * np.outer(v, v.conj())  # eigenvalue 1, three times
+    for m in ((g + g.conj().T) / 2, degenerate):
+        vals, vecs = linalg.eig_hermitian(m)
+        assert np.all(np.diff(vals) <= 1e-12)  # descending
+        assert np.abs(vecs.conj().T @ vecs - np.eye(4)).max() < 1e-12
+        assert np.abs(vecs @ np.diag(vals) @ vecs.conj().T - m).max() < 1e-12
+    assert np.allclose(vals, [1.5, 1.0, 1.0, 1.0])
 
 
 def test_eig_hermitian_pauli_z():

@@ -12,6 +12,7 @@ from subincompat.povm import (
     from_basis,
     post_process,
     random_povm,
+    repair,
     truncate,
     validate,
 )
@@ -149,6 +150,19 @@ def test_random_povm_valid_and_deterministic():
     assert np.abs(sum(m1.elements) - np.eye(3)).max() < 1e-12
     for e in m1.elements:
         assert linalg.min_eigenvalue(e) > -1e-12
+
+
+def test_repair_clips_and_renormalises():
+    # a slightly non-PSD element and a sum of (1 + 1e-9) * identity, as a
+    # solver may return them
+    u = from_basis([np.array([1, 1j]) / np.sqrt(2), np.array([1, -1j]) / np.sqrt(2)])
+    p0, p1 = u.elements
+    e0 = -1e-12 * p0 + 0.3 * p1
+    els = repair([e0, (1 + 1e-9) * np.eye(2) - e0])
+    for e in els:
+        assert np.abs(e - e.conj().T).max() == 0.0
+        assert linalg.min_eigenvalue(e) >= -1e-15  # PSD up to rounding
+    assert np.abs(sum(els) - np.eye(2)).max() <= 1e-12
 
 
 def test_zero_element_detection():
