@@ -261,8 +261,9 @@ def _cmd_seesaw(args) -> int:
     for m in args.outcomes:
         _at_least("--outcomes", m, 1)
     _at_least("--seeds", args.seeds, 0)
+    max_iters = _at_least("--max-iters", args.max_iters, 1)
     hits = coexist.seesaw(
-        args.dim, args.outcomes[0], args.outcomes[1], args.seeds, args.max_iters,
+        args.dim, args.outcomes[0], args.outcomes[1], args.seeds, max_iters,
         _options(args),
     )
     rep = jsonio.report_skeleton("seesaw", None, {})

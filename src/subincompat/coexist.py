@@ -111,11 +111,11 @@ def _coexist_enumeration(a1: Povm, a2: Povm, options) -> CoexistenceResult:
     kernel += [lab.row(lab.d_b, s) for s in lab.subsets_b]
     rhs = [sum(a1.elements[keep_a[i]] for i in s) for s in lab.subsets_a]
     rhs += [sum(a2.elements[keep_b[j]] for j in s) for s in lab.subsets_b]
-    bld = incompat.parent_program(d, kernel + [np.ones(len(lab.labels))], rhs + [np.eye(d)])
-    feasible, slack, cert = bld.feasibility(options)
+    prog = incompat.parent_program(d, kernel + [np.ones(len(lab.labels))], rhs + [np.eye(d)])
+    feasible, slack, cert = sdp.feasibility(prog, options)
     parent = None
     if feasible and cert is not None:
-        blocks = [bld.extract(cert, k) for k in range(len(lab.labels))]
+        blocks = [linalg.hermitianize(g) for g in cert[:len(lab.labels)]]
         parent = ParentPovm(d, lab.labels, povm.repair(blocks), (2,) * (lab.ka + lab.kb))
     return CoexistenceResult(bool(feasible), float(slack), "enumeration", parent=parent)
 
@@ -203,17 +203,16 @@ def _seesaw_sdp2(dim, lab: BinarisationLabeling, xs, ys, options):
                 kernel.append(lab.row(d_fn, s) - sum(single[i] for i in s))
         kernel.append(sum(single) - 1)  # singleton effects form a normalised POVM
     zero = np.zeros((dim, dim))
-    bld = incompat.parent_program(dim, kernel, [np.eye(dim)] + [zero] * (len(kernel) - 1))
-    obj = []
+    obj = {}
     for k, lam in enumerate(lab.labels):
         c = sum(lab.d_a((i,), lam) * xs[i] for i in range(lab.m_a))
-        c = c + sum(lab.d_b((j,), lam) * ys[j] for j in range(lab.m_b))
-        obj.append((k, c))
-    bld.objective(block_terms=obj, sense="max")
-    sol = bld.solve(options)
+        obj[k] = c + sum(lab.d_b((j,), lam) * ys[j] for j in range(lab.m_b))
+    rhs = [np.eye(dim)] + [zero] * (len(kernel) - 1)
+    prog = incompat.parent_program(dim, kernel, rhs, objective=obj)
+    sol = sdp.solve(prog, options)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"seesaw parent SDP: {sol.status} ({sol.message})")
-    blocks = [bld.extract(sol.primal_blocks, k) for k in range(len(lab.labels))]
+    blocks = [linalg.hermitianize(g) for g in sol.primal_blocks[:len(lab.labels)]]
     els_a = [
         sum(b for b, lam in zip(blocks, lab.labels) if lab.d_a((i,), lam))
         for i in range(lab.m_a)

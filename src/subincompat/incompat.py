@@ -8,11 +8,13 @@ incompatibility witness, and the incompressibility bound."""
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import povm, sdp
+from . import linalg, povm, sdp
 from .povm import Assemblage, ParentPovm, Povm
 
 JOINT_OUTCOME_GUARD = 4096
@@ -86,18 +88,9 @@ def _parent_from_blocks(a: Assemblage, labels, blocks) -> ParentPovm:
     return ParentPovm(d, full, els, tuple(m.n_outcomes for m in a.measurements))
 
 
-def parent_program(d: int, kernel, rhs, noise=None) -> sdp.Builder:
-    """The parent program: one d x d block G_lam >= 0 per kernel column
-    (block index lam) and, per kernel row r,
-    sum_lam kernel[r, lam] G_lam = rhs[r] + eta * noise[r].
-
-    Rows without a nonzero kernel entry are skipped (callers give them a
-    zero right-hand side).  Without noise there is
-    no eta and no objective (a feasibility program).  With noise, eta is free
-    variable 0, a slack block after the G blocks adds eta <= 1, and the
-    objective is max eta.
-    """
-    kernel = np.asarray(kernel, dtype=float)
+def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.SdpProblem:
+    """The parent program written out in full: every row, as the Builder
+    expands it (the row layout of ``parent_program``)."""
     bld = sdp.Builder()
     for _ in range(kernel.shape[1]):
         bld.cblock(d)
@@ -111,7 +104,93 @@ def parent_program(d: int, kernel, rhs, noise=None) -> sdp.Builder:
     if noise is not None:
         bld.eq_scalar(block_terms=[(slack, 1.0)], free_terms=[(eta, 1.0)], rhs=1.0)
         bld.objective(free_terms=[(eta, 1.0)], sense="max")
-    return bld
+    return bld.prob
+
+
+def _independent_rows(k: np.ndarray):
+    """Greedy row basis of k in row order: (kept, deps) with deps the
+    (row, weights) of every other row, row = weights @ k[kept]."""
+    kept, deps = [], []
+    for r, row in enumerate(k):
+        if kept:
+            w = np.linalg.lstsq(k[kept].T, row, rcond=None)[0]
+            if np.linalg.norm(w @ k[kept] - row) <= 1e-10 * max(1.0, np.linalg.norm(row)):
+                deps.append((r, w))
+                continue
+        kept.append(r)
+    return kept, [(r, np.pad(w, (0, len(kept) - len(w)))) for r, w in deps]
+
+
+# A compiled parent structure: the program bound to zero data, the kernel
+# rows with a nonzero entry (``rows``), the positions in ``rows`` of the
+# independent ones (``keep``) and the (position, weights) of the others.
+_ParentStructure = namedtuple("_ParentStructure", "program rows keep deps")
+
+
+@lru_cache(maxsize=32)
+def _parent_structure(d: int, shape: tuple, kernel_bytes: bytes, kind: str) -> _ParentStructure:
+    kernel = np.frombuffer(kernel_bytes).reshape(shape)
+    rows = [r for r, row in enumerate(kernel) if row.any()]
+    keep, deps = _independent_rows(kernel[rows])
+    zeros = [np.zeros((d, d))] * len(kernel)
+    p = _parent_problem(d, kernel, zeros, zeros if kind == "noise" else None)
+    if kind == "feasibility":
+        p = sdp.with_slack(p)
+    n = d * d
+    kept = [i * n + k for i in keep for k in range(n)] + ([len(rows) * n] if kind == "noise" else [])
+    return _ParentStructure(sdp.compile_program(p, kept), rows, keep, deps)
+
+
+def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Program:
+    """The parent program: one d x d block G_lam >= 0 per kernel column
+    (block index lam) and, per kernel row r,
+    sum_lam kernel[r, lam] G_lam = rhs[r] + eta * noise[r].
+
+    Rows without a nonzero kernel entry are skipped (callers give them a
+    zero right-hand side).  With noise, eta is free variable 0, a slack
+    block after the G blocks adds eta <= 1, and the objective is max eta;
+    noise must obey the kernel's row relations (depolarising noise does).
+    With an objective {lam: Hermitian matrix}, the program maximises
+    sum_lam <objective[lam], G_lam>.  With neither it is the feasibility
+    program of ``sdp.with_slack``, to be answered by ``sdp.feasibility``.
+
+    The structure, everything that depends only on (d, kernel, kind), is
+    compiled once and cached; a call binds its data to it.  Kernel rows
+    that combine earlier rows are left out of the structure (for marginal
+    kernels: one outcome row per setting after the first, and an all-ones
+    row), and the solve checks that their rhs still match.
+    """
+    kernel = np.ascontiguousarray(kernel, dtype=float)
+    kind = "noise" if noise is not None else "objective" if objective is not None else "feasibility"
+    s = _parent_structure(d, kernel.shape, kernel.tobytes(), kind)
+    n = d * d
+
+    def coords(mats):
+        out = []
+        for r in s.rows:
+            t = linalg.check_hermitian(mats[r], tol=1e-9)
+            if t.shape != (d, d):
+                raise ValueError("block dimension mismatch in matrix equality")
+            out.append(sdp.hvec(t))
+        return np.array(out).reshape(len(s.rows), n)
+
+    R = coords(rhs)
+    b = R[s.keep].ravel()
+    ids = tuple(i * n + k for i, _ in s.deps for k in range(n))
+    residual = np.array([R[i] - w @ R[s.keep] for i, w in s.deps]).ravel()
+    data = {}
+    scale = 1.0 + np.abs(R).max(initial=0.0)
+    if kind == "noise":
+        N = coords([-x for x in noise]) + 0.0  # a zero coefficient is +0, as in the Builder's rows
+        off = np.array([N[i] - w @ N[s.keep] for i, w in s.deps])
+        if np.abs(off).max(initial=0.0) > 10 * sdp.SolveOptions.feas_tol * (1.0 + np.abs(N).max()):
+            raise ValueError("noise does not obey the kernel's row relations")
+        b = np.append(b, 1.0)
+        data["E"] = np.append(N[s.keep].ravel(), 1.0).reshape(-1, 1)
+        scale = max(scale, 2.0)
+    elif kind == "objective":
+        data["C"] = dict(objective)
+    return s.program.bind(b=b, dropped=ids, residual=residual, scale=scale, **data)
 
 
 def marginal_kernel(labels, rows) -> np.ndarray:
@@ -131,11 +210,11 @@ def jm_parent(a: Assemblage, options: sdp.SolveOptions | None = None) -> JmResul
     labels = _joint_labels(a)
     rows = _outcome_rows(a)
     rhs = [a.measurements[x].elements[out] for x, out in rows]
-    bld = parent_program(a.dim, marginal_kernel(labels, rows), rhs)
-    feasible, slack, cert = bld.feasibility(options)
+    prog = parent_program(a.dim, marginal_kernel(labels, rows), rhs)
+    feasible, slack, cert = sdp.feasibility(prog, options)
     parent = None
     if feasible and cert is not None:
-        blocks = [bld.extract(cert, k) for k in range(len(labels))]
+        blocks = [linalg.hermitianize(g) for g in cert[:len(labels)]]
         parent = _parent_from_blocks(a, labels, blocks)
     return JmResult(feasible, slack, parent)
 
@@ -158,12 +237,11 @@ def depolarising_robustness(
         t = np.trace(e).real / d
         rhs.append(t * np.eye(d))
         noise.append(e - t * np.eye(d))
-    bld = parent_program(d, marginal_kernel(labels, rows), rhs, noise)
-    sol = bld.solve(options)
+    sol = sdp.solve(parent_program(d, marginal_kernel(labels, rows), rhs, noise), options)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"robustness SDP did not solve: {sol.status} ({sol.message})")
     eta_val = float(sol.scalar_vars[0])
-    blocks = [bld.extract(sol.primal_blocks, k) for k in range(len(labels))]
+    blocks = [linalg.hermitianize(g) for g in sol.primal_blocks[:len(labels)]]
     parent = _parent_from_blocks(a, labels, blocks)
     return RobustnessResult(eta_val, parent, verdict_from_eta(eta_val), sol)
 
@@ -179,31 +257,30 @@ def witness(
     """
     if a1.dim != a2.dim:
         raise ValueError("witness requires POVMs on the same space")
-    d = a1.dim
-    bld = sdp.Builder()
-    xs = [bld.cblock(d) for _ in a1.elements]
-    ys = [bld.cblock(d) for _ in a2.elements]
-    nn = bld.cblock(d)
-    ss = {}
-    zero = np.zeros((d, d))
-    for i in range(len(xs)):
-        for j in range(len(ys)):
-            s = bld.cblock(d)
-            ss[i, j] = s
-            bld.eq_matrix([(xs[i], 1.0), (ys[j], 1.0), (s, 1.0), (nn, -1.0)], zero)
-    bld.eq_scalar(block_terms=[(nn, np.eye(d))], rhs=1.0)
-    obj = [(xs[i], a1.elements[i]) for i in range(len(xs))]
-    obj += [(ys[j], a2.elements[j]) for j in range(len(ys))]
-    bld.objective(block_terms=obj, sense="max")
-    sol = bld.solve(options)
+    na, nb = len(a1.elements), len(a2.elements)
+    obj = dict(enumerate(a1.elements + a2.elements))
+    sol = sdp.solve(_witness_structure(a1.dim, na, nb).bind(C=obj), options)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"witness SDP did not solve: {sol.status} ({sol.message})")
-    return Witness(
-        X=[bld.extract(sol.primal_blocks, x) for x in xs],
-        Y=[bld.extract(sol.primal_blocks, y) for y in ys],
-        N=bld.extract(sol.primal_blocks, nn),
-        value=float(sol.primal_value),
-    )
+    blocks = [linalg.hermitianize(x) for x in sol.primal_blocks[:na + nb + 1]]
+    return Witness(X=blocks[:na], Y=blocks[na:na + nb], N=blocks[-1], value=float(sol.primal_value))
+
+
+@lru_cache(maxsize=8)
+def _witness_structure(d: int, na: int, nb: int) -> sdp.Program:
+    """The witness program for na and nb outcomes, compiled with a zero
+    objective: blocks X_0..X_na-1, Y_0..Y_nb-1, N, then the slacks S_ij
+    of X_i + Y_j + S_ij = N."""
+    bld = sdp.Builder()
+    xs = [bld.cblock(d) for _ in range(na)]
+    ys = [bld.cblock(d) for _ in range(nb)]
+    nn = bld.cblock(d)
+    zero = np.zeros((d, d))
+    for x in xs:
+        for y in ys:
+            bld.eq_matrix([(x, 1.0), (y, 1.0), (bld.cblock(d), 1.0), (nn, -1.0)], zero)
+    bld.eq_scalar(block_terms=[(nn, np.eye(d))], rhs=1.0)
+    return sdp.compile_program(bld.prob)
 
 
 def incompressibility_bound(d: int, n: int) -> float:

@@ -22,10 +22,18 @@ reorthogonalisation (BCGS2, Barlow & Smoktunowicz).  Everything is plain
 numpy and fully deterministic: identical inputs produce identical iterate
 sequences.
 
+Compile and solve are separate steps.  ``compile_program`` turns a
+problem's structure (block dimensions and block coefficients of the kept
+rows) into a read-only ``_Compiled`` and binds the problem's data to it as
+a ``Program``; ``Program.bind`` swaps in another call's data (rhs, free
+columns, objective) without compiling again, so a caller that caches a
+structure solves many programs of one shape for the cost of their data.
+``solve`` accepts an ``SdpProblem``, compiled on the spot, or a Program.
+
 ``Builder`` declares Hermitian variables and expands each d x d matrix
 equality in the Hermitian basis into d^2 real rows.  Feasibility questions
 are answered by ``feasibility``, which maximises a uniform slack t with
-every block shifted to X - t*I >= 0.
+every block shifted to X - t*I >= 0 (the rewrite ``with_slack``).
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -178,53 +186,64 @@ def _herm(w: np.ndarray) -> np.ndarray:
 # stack number ``size``.
 _Group = namedtuple("_Group", "idx A size sl")
 
+# A problem's rows as dense data: ``H`` one row of hvec coordinates per
+# constraint (block b in columns off[b]:off[b+1]), ``mentions`` which blocks
+# each row mentions, free coefficients ``E``, rhs ``b``, per-block objective
+# matrices ``C`` and free objective ``c`` (both times ``sign``: the solver
+# maximises).
+_Dense = namedtuple("_Dense", "H mentions E b C c sign off")
+
+
+def _dense(p: SdpProblem) -> _Dense:
+    coeffs = p.validate()
+    m, nf = len(p.constraints), p.n_free
+    sign = 1.0 if p.sense == "max" else -1.0
+    dims = np.array(p.blocks, dtype=np.intp)
+    off = np.concatenate([[0], np.cumsum(dims * dims)])
+    H = np.zeros((m, off[-1]))
+    mentions = np.zeros((m, len(dims)), dtype=bool)
+    C = [np.zeros((d, d), dtype=complex) for d in p.blocks]
+    for d, (ks, bs, mats) in coeffs.items():
+        for b, mat in zip(bs[ks < 0], mats[ks < 0]):
+            C[b] = sign * mat
+        ks, bs, mats = ks[ks >= 0], bs[ks >= 0], mats[ks >= 0]
+        H[ks[:, None], off[bs][:, None] + np.arange(d * d)] = hvec(mats)
+        mentions[ks, bs] = True
+    E = np.zeros((m, nf))
+    b = np.zeros(m)
+    for k, (_, fc, rhs) in enumerate(p.constraints):
+        for j, v in fc.items():
+            E[k, j] = v
+        b[k] = rhs
+    c = np.zeros(nf)
+    for j, v in p.objective[1].items():
+        c[j] = sign * v
+    return _Dense(H, mentions, E, b, C, c, sign, off)
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.setflags(write=False)
+    return a
+
 
 class _Compiled:
-    """Compact problem data: one dense row of hvec coordinates per
-    constraint (block b in columns off[b]:off[b+1]) and, after ``restrict``,
-    the blocks grouped into ``_Group``s.  Iterates are stacks of the blocks
-    ``order[i]`` of one dimension; rows that never mention a block cost
-    nothing in any product over it.
+    """A program's structure: its blocks grouped into ``_Group``s over the
+    rows ``kept`` (ids in the full program, ascending, renumbered 0..m-1),
+    by (dimension, row count) in order of first block.  Iterates are stacks
+    of the blocks ``order[i]`` of one dimension; rows that never mention a
+    block cost nothing in any product over it.  The dense rows it was built
+    from are not kept, and every array is read-only, so one structure
+    serves any number of solves.
     """
 
-    def __init__(self, p: SdpProblem):
-        coeffs = p.validate()
+    def __init__(self, p: SdpProblem, dense: _Dense, kept):
         self.blocks = list(p.blocks)
         self.nf = p.n_free
-        m = len(p.constraints)
-        self.m = m
-        self.sign = sign = 1.0 if p.sense == "max" else -1.0
-        dims = np.array(self.blocks, dtype=np.intp)
-        self.off = np.concatenate([[0], np.cumsum(dims * dims)])
-        self.H = np.zeros((m, self.off[-1]))
-        self.mentions = np.zeros((m, len(dims)), dtype=bool)
-        self.C = [np.zeros((d, d), dtype=complex) for d in self.blocks]
-        for d, (ks, bs, mats) in coeffs.items():
-            for b, mat in zip(bs[ks < 0], mats[ks < 0]):
-                self.C[b] = sign * mat
-            ks, bs, mats = ks[ks >= 0], bs[ks >= 0], mats[ks >= 0]
-            self.H[ks[:, None], self.off[bs][:, None] + np.arange(d * d)] = hvec(mats)
-            self.mentions[ks, bs] = True
-        self.E = np.zeros((m, self.nf))
-        self.b = np.zeros(m)
-        for k, (_, fc, rhs) in enumerate(p.constraints):
-            for j, v in fc.items():
-                self.E[k, j] = v
-            self.b[k] = rhs
-        self.c = np.zeros(self.nf)
-        for j, v in p.objective[1].items():
-            self.c[j] = sign * v
-
-    def row_vectors(self) -> np.ndarray:
-        """Constraints as fresh dense rows [hvec(A_k1)|...|E_k] for presolve."""
-        return np.hstack([self.H, self.E])
-
-    def restrict(self, kept) -> None:
-        """Keep only the rows ``kept`` (ascending), renumbered 0..len-1, and
-        group the blocks by (dimension, row count), in order of first block."""
-        kept = np.asarray(kept, dtype=np.intp)
-        H, men = self.H[kept], self.mentions[kept]
-        self.E, self.b, self.m = self.E[kept], self.b[kept], len(kept)
+        self.sign = dense.sign
+        self.kept = _frozen(np.array(kept, dtype=np.intp))
+        self.m = m = len(self.kept)
+        H, men = dense.H[self.kept], dense.mentions[self.kept]
         keys: dict[tuple[int, int], list[int]] = {}
         for b, key in enumerate(zip(self.blocks, men.sum(axis=0).tolist())):
             keys.setdefault(key, []).append(b)
@@ -236,14 +255,15 @@ class _Compiled:
             stack.extend(bs)
             bs = np.array(bs, dtype=np.intp)
             idx = np.nonzero(men[:, bs].T)[1].reshape(len(bs), r)
-            a = H[idx[:, :, None], (self.off[bs][:, None] + np.arange(d * d))[:, None, :]]
-            self.groups.append(_Group(idx, a, list(order).index(d), sl))
+            a = H[idx[:, :, None], (dense.off[bs][:, None] + np.arange(d * d))[:, None, :]]
+            self.groups.append(_Group(_frozen(idx), _frozen(a), list(order).index(d), sl))
         self.order = list(order.values())
-        m = self.m
-        self.apply_at = np.concatenate([g.idx.ravel() for g in self.groups])
-        self.schur_at = np.concatenate(
+        self.eyes = [_frozen(np.tile(np.eye(self.blocks[bs[0]], dtype=complex), (len(bs), 1, 1)))
+                     for bs in self.order]
+        self.apply_at = _frozen(np.concatenate([g.idx.ravel() for g in self.groups]))
+        self.schur_at = _frozen(np.concatenate(
             [(g.idx[:, :, None] * m + g.idx[:, None, :]).ravel() for g in self.groups]
-        )
+        ))
 
     def stack(self, mats) -> list[np.ndarray]:
         """Per-block d x d matrices -> per-dimension (nb, d, d) complex stacks."""
@@ -296,27 +316,27 @@ class _Compiled:
 _PANEL = 32  # presolve rows projected together by matrix products
 
 
-def _presolve(c: _Compiled, feas_tol: float):
+def _presolve(rows: np.ndarray, b: np.ndarray, feas_tol: float):
     """Gram-Schmidt row reduction with rhs companion.
 
     Rows are scanned in order; row k is kept when its residual against the
     rows kept so far exceeds 1e-10*max(1, |row k|).  Residuals come from two
     GEMM passes per panel of _PANEL rows against the rows kept before it,
     then two passes per row against those kept inside the panel (BCGS2).
+    ``rows`` (the dense rows [hvec(A_k1)|...|E_k]) is overwritten.
     Returns (kept_row_indices, None) or (None, message) when the affine
     system is inconsistent (a vanishing row combination with nonzero rhs).
     """
-    rows = c.row_vectors()
     m, ncols = rows.shape
-    scale = 1.0 + np.abs(c.b).max(initial=0.0)
+    scale = 1.0 + np.abs(b).max(initial=0.0)
     Q = np.empty((min(m, ncols), ncols))
     betas = np.empty(len(Q))
     n = 0
     kept: list[int] = []
     for p0 in range(0, m, _PANEL):
-        panel = rows[p0:p0 + _PANEL]  # a view: rows is a fresh copy
+        panel = rows[p0:p0 + _PANEL]  # a view, projected in place
         nrm0 = np.sqrt(np.einsum("ij,ij->i", panel, panel))
-        beta = c.b[p0:p0 + _PANEL].copy()
+        beta = b[p0:p0 + _PANEL].copy()
         n0 = n
         for _ in range(2):
             coef = panel @ Q[:n0].T
@@ -340,6 +360,73 @@ def _presolve(c: _Compiled, feas_tol: float):
             elif abs(bk) > feas_tol * scale * 10:
                 return None, f"inconsistent affine constraints (row {k}, residual {bk:g})"
     return kept, None
+
+
+@dataclass(frozen=True)
+class Program:
+    """A compiled structure bound to one call's data: what ``solve`` runs.
+
+    ``b`` and ``E`` are the rhs and free coefficients of the kept rows,
+    ``C`` the objective's block coefficients as per-dimension stacks and
+    ``c`` its free coefficients (both times the structure's sign), and
+    ``message`` an inconsistency the presolve found.  Rows a structure
+    leaves out as combinations of its kept rows are checked per solve:
+    ``dropped`` holds their ids, ``residual`` their rhs minus that
+    combination, and ``solve`` reports the first residual beyond
+    10*feas_tol*``scale`` as the presolve would (scale = 1 + max |rhs| over
+    all rows).
+    """
+
+    structure: _Compiled
+    b: np.ndarray
+    E: np.ndarray
+    C: list
+    c: np.ndarray
+    message: str = ""
+    dropped: tuple = ()
+    residual: tuple = ()
+    scale: float = 1.0
+
+    @property
+    def blocks(self) -> list[int]:
+        return self.structure.blocks
+
+    @property
+    def constraints(self) -> np.ndarray:
+        """One entry per row the solver sees: its right-hand side."""
+        return self.b
+
+    def bind(self, b=None, E=None, C=None, dropped=(), residual=(), scale=1.0) -> Program:
+        """This structure with new data (None keeps this program's): ``b``
+        and ``E`` for the kept rows, ``C`` the objective's block
+        coefficients as {block: Hermitian matrix} (other blocks 0), and the
+        check of the dropped rows."""
+        data = {k: v for k, v in (("b", b), ("E", E)) if v is not None}
+        if C is not None:
+            st = self.structure
+            mats = [np.zeros((d, d), dtype=complex) for d in st.blocks]
+            for blk, mat in C.items():
+                mats[blk] = st.sign * linalg.check_hermitian(mat, tol=1e-9)
+            data["C"] = st.stack(mats)
+        return replace(self, **data, dropped=dropped, residual=residual, scale=scale)
+
+
+def compile_program(p: SdpProblem, kept=None, feas_tol: float = SolveOptions.feas_tol) -> Program:
+    """Compile p's structure and bind p's own data to it.
+
+    ``kept``: ascending ids of rows known to span all of p's rows, whose
+    data the caller keeps consistent; None runs the presolve, which finds
+    them and checks p's data with tolerance ``feas_tol``.
+    """
+    dense = _dense(p)
+    message = ""
+    if kept is None:
+        kept, bad = _presolve(np.hstack([dense.H, dense.E]), dense.b, feas_tol)
+        if bad is not None:
+            kept, message = [], bad
+    c = _Compiled(p, dense, kept)
+    return Program(c, _frozen(dense.b[c.kept]), _frozen(dense.E[c.kept]),
+                   [_frozen(x) for x in c.stack(dense.C)], _frozen(dense.c), message)
 
 
 def _factor(S: np.ndarray) -> np.ndarray:
@@ -383,12 +470,19 @@ def _lin_solve(a: np.ndarray, rhs: np.ndarray):
     return x, True
 
 
-def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
-    """Solve an SdpProblem with the interior-point method described above."""
+def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolution:
+    """Solve an SdpProblem (compiled here, presolve included) or a Program
+    with the interior-point method described above."""
     opts = opts or SolveOptions()
-    c = _Compiled(p)
-    kept, bad = _presolve(c, opts.feas_tol)
-    if bad is not None:
+    if isinstance(p, SdpProblem):
+        p = compile_program(p, feas_tol=opts.feas_tol)
+    c = p.structure
+    message = p.message
+    bad = np.flatnonzero(np.abs(p.residual) > opts.feas_tol * p.scale * 10)
+    if bad.size:
+        k = bad[0]
+        message = f"inconsistent affine constraints (row {p.dropped[k]}, residual {p.residual[k]:g})"
+    if message:
         return SdpSolution(
             status=STATUS_PRIMAL_INFEASIBLE,
             primal_blocks=[np.zeros((d, d), dtype=complex) for d in c.blocks],
@@ -399,16 +493,15 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             iterations=0,
             residual_primal=np.inf,
             residual_dual=np.inf,
-            message=bad,
+            message=message,
         )
-    c.restrict(kept)
     m = c.m
     nf = c.nf
     nu = float(sum(c.blocks))
-    Ek = c.E
-    bk = c.b
-    Cg = c.stack(c.C)
-    eyes = [np.tile(np.eye(cg.shape[1], dtype=complex), (len(cg), 1, 1)) for cg in Cg]
+    Ek = p.E
+    bk = p.b
+    Cg = p.C
+    eyes = c.eyes
     aug = np.zeros((m + nf, m + nf))  # Newton matrix [[B, -E], [E', 0]]
     aug[:m, m:] = -Ek
     aug[m:, :m] = Ek.T
@@ -418,7 +511,7 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 
     # starting point: identity-scaled interior iterates
     bscale = 1.0 + np.abs(bk).max(initial=0.0)
-    cscale = 1.0 + max([np.abs(cg).max(initial=0.0) for cg in Cg] + [np.abs(c.c).max(initial=0.0)])
+    cscale = 1.0 + max([np.abs(cg).max(initial=0.0) for cg in Cg] + [np.abs(p.c).max(initial=0.0)])
     X = [max(10.0, bscale) * e for e in eyes]
     Z = [max(10.0, cscale) * e for e in eyes]
     y = np.zeros(m)
@@ -433,9 +526,9 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     for it in range(1, opts.max_iters + 1):
         r_p = bk - (c.apply(X) + Ek @ s)
         r_d = [cg + zg - ag for cg, zg, ag in zip(Cg, Z, c.adjoint(y))]
-        r_f = c.c - Ek.T @ y
+        r_f = p.c - Ek.T @ y
         mu = inner(X, Z) / nu
-        pv = inner(Cg, X) + c.c @ s
+        pv = inner(Cg, X) + p.c @ s
         dv = bk @ y
         gap = abs(pv - dv)
         rp_inf = np.abs(r_p).max(initial=0.0)
@@ -530,14 +623,10 @@ def solve(p: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     )
 
 
-def feasibility(p: SdpProblem, opts: SolveOptions | None = None):
-    """Maximise a uniform slack t with every block shifted: X - t*I >= 0.
-
-    Returns (feasible, slack, certificate_blocks).  The problem's objective is
-    ignored.  feasible <=> optimal slack >= -1e-7; the certificate blocks are
-    the unshifted variables X = X~ + t*I, which satisfy the affine rows
-    exactly and are PSD up to the reported slack.
-    """
+def with_slack(p: SdpProblem) -> SdpProblem:
+    """The feasibility program of p: maximise a uniform slack t, a new last
+    free variable, with every block shifted, X - t*I >= 0 (each row gains t
+    times the trace of its block coefficients).  p's objective is ignored."""
     q = SdpProblem(
         blocks=list(p.blocks),
         n_free=p.n_free + 1,
@@ -551,10 +640,25 @@ def feasibility(p: SdpProblem, opts: SolveOptions | None = None):
         if tr != 0.0:
             fc2[p.n_free] = fc2.get(p.n_free, 0.0) + tr
         q.constraints.append((bc, fc2, rhs))
-    sol = solve(q, opts)
+    return q
+
+
+def feasibility(p: SdpProblem | Program, opts: SolveOptions | None = None):
+    """Maximise a uniform slack t with every block shifted: X - t*I >= 0.
+
+    p is an SdpProblem (its objective is ignored), or a Program compiled
+    from ``with_slack`` of one, t its last free variable.  Returns
+    (feasible, slack, certificate_blocks).  feasible <=> optimal slack >=
+    -1e-7; the certificate blocks are the unshifted variables X = X~ + t*I,
+    which satisfy the affine rows exactly and are PSD up to the reported
+    slack.
+    """
+    if isinstance(p, SdpProblem):
+        p = with_slack(p)
+    sol = solve(p, opts)
     if sol.status == STATUS_PRIMAL_INFEASIBLE:
         return False, -np.inf, None
-    t = float(sol.scalar_vars[p.n_free])
+    t = float(sol.scalar_vars[-1])
     if sol.status not in (STATUS_OPTIMAL, STATUS_DUAL_INFEASIBLE):
         # Degenerate optima can stall the iteration; the best iterate may
         # still decide the question.  A near-feasible primal point with

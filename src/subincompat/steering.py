@@ -110,11 +110,11 @@ def _lhs_solve(sa: StateAssemblage, options):
     rows = [(x, a) for x in range(sa.n_settings) for a in range(counts[x])]
     kernel = np.vstack([incompat.marginal_kernel(strategies, rows), np.ones(len(strategies))])
     rhs = [sa.sigmas[x][a] for x, a in rows] + [sa.reduced]
-    bld = incompat.parent_program(sa.dB, kernel, rhs)
-    feasible, slack, cert = bld.feasibility(options)
+    prog = incompat.parent_program(sa.dB, kernel, rhs)
+    feasible, slack, cert = sdp.feasibility(prog, options)
     model = None
     if feasible and cert is not None:
-        model = [(vec, bld.extract(cert, k)) for k, vec in enumerate(strategies)]
+        model = [(vec, linalg.hermitianize(cert[k])) for k, vec in enumerate(strategies)]
     return bool(feasible), float(slack), model
 
 

@@ -200,6 +200,10 @@ def test_exit_codes(tmp_path, capsys):
     (("seesaw", "--dim", "0", "--outcomes", "2", "3"), "--dim must be at least 1, got 0"),
     (("seesaw", "--dim", "3", "--outcomes", "0", "3"), "--outcomes must be at least 1, got 0"),
     (("seesaw", "--dim", "3", "--outcomes", "2", "-1"), "--outcomes must be at least 1, got -1"),
+    (("seesaw", "--dim", "3", "--outcomes", "2", "3", "--max-iters", "0"),
+     "--max-iters must be at least 1, got 0"),
+    (("seesaw", "--dim", "3", "--outcomes", "2", "3", "--max-iters", "-1"),
+     "--max-iters must be at least 1, got -1"),
 ])
 def test_count_flags_out_of_range_exit_2(capsys, argv, message):
     builtin = {"robustness": ("--builtin", "sigma-xz-sharp"),

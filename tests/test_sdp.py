@@ -1,10 +1,11 @@
+import itertools
 import logging
 
 import numpy as np
 import pytest
 
-from subincompat import corpus, incompat, linalg, sdp
-from subincompat.povm import Assemblage, depolarise, from_basis
+from subincompat import coexist, corpus, incompat, linalg, sdp, steering
+from subincompat.povm import Assemblage, depolarise, from_basis, random_povm
 
 from helpers import sigma_xz_pair
 
@@ -169,9 +170,8 @@ def _dense_stacks(p, rows):
 def test_schur_per_block_matches_dense_einsum():
     rng = np.random.default_rng(11)
     p = _random_problem(rng)
-    c = sdp._Compiled(p)
-    kept = [k for k in range(c.m) if k % 3]  # drop every third row
-    c.restrict(kept)
+    kept = [k for k in range(len(p.constraints)) if k % 3]  # drop every third row
+    c = sdp.compile_program(p, kept).structure
     X = [_random_pd(rng, d) for d in p.blocks]
     Zi = [np.linalg.inv(_random_pd(rng, d)) for d in p.blocks]
     ref = np.zeros((len(kept), len(kept)))
@@ -237,9 +237,8 @@ def test_complex_kernels_match_the_real_embedding():
     # iterates X~ = emb(X) and Z~^-1 = 2 emb(Z^-1)
     rng = np.random.default_rng(12)
     p = _random_complex_problem(rng)
-    c = sdp._Compiled(p)
-    kept = [k for k in range(c.m) if k % 4 != 1]
-    c.restrict(kept)
+    kept = [k for k in range(len(p.constraints)) if k % 4 != 1]
+    c = sdp.compile_program(p, kept).structure
     X = [_random_hpd(rng, d) for d in p.blocks]
     Zi = [linalg.hermitianize(np.linalg.inv(_random_hpd(rng, d))) for d in p.blocks]
     emb = [np.zeros((len(kept), 2 * d, 2 * d)) for d in p.blocks]
@@ -352,6 +351,12 @@ def test_corpus_robustness_solves_take_no_lstsq_fallback():
             assert incompat.depolarising_robustness(corpus.build(k)).solution.lstsq_fallbacks == 0
 
 
+def _rows(p):
+    """Fresh presolve input of p: its dense rows [hvec(A_k1)|...|E_k] and rhs."""
+    dense = sdp._dense(p)
+    return np.hstack([dense.H, dense.E]), dense.b
+
+
 def _presolve_mgs(rows, b, feas_tol):
     """Row-by-row modified Gram-Schmidt presolve, the reference for the
     stacked CGS2 presolve: same acceptance rule and messages."""
@@ -386,16 +391,16 @@ def _fourier_pair(d):
 
 
 def test_presolve_keeps_the_rows_of_the_mgs_reference(monkeypatch):
+    # the robustness programs written out in full, every row
     seen = []
-    real = sdp._presolve
+    real = incompat.parent_program
 
-    def recording(c, feas_tol):
-        rows, b = c.row_vectors(), c.b.copy()
-        out = real(c, feas_tol)
-        seen.append((out, _presolve_mgs(rows, b, feas_tol)))
-        return out
+    def recording(d, kernel, rhs, noise=None, objective=None):
+        p = incompat._parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
+        seen.append((sdp._presolve(*_rows(p), 1e-8), _presolve_mgs(*_rows(p), 1e-8)))
+        return real(d, kernel, rhs, noise, objective)
 
-    monkeypatch.setattr(sdp, "_presolve", recording)
+    monkeypatch.setattr(incompat, "parent_program", recording)
     targets = [corpus.build(k) for k in corpus.builtin_keys() if corpus.kind_of(k) == "assemblage"]
     for a in targets + [_fourier_pair(5)]:
         incompat.depolarising_robustness(a)
@@ -418,8 +423,7 @@ def test_presolve_reports_both_inconsistencies():
     sol = sdp.solve(clash)
     assert sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
     assert sol.message.startswith("inconsistent affine constraints (row 1, residual")
-    c = sdp._Compiled(clash)
-    assert sdp._presolve(c, 1e-8) == _presolve_mgs(c.row_vectors(), c.b, 1e-8)
+    assert sdp._presolve(*_rows(clash), 1e-8) == _presolve_mgs(*_rows(clash), 1e-8)
 
 
 def _max_step(x, d):
@@ -547,9 +551,9 @@ def test_presolve_panels_match_the_mgs_reference():
         bad = combo(base, [0, 3], [1.0, 1.0], shift=1.0)
         cases.append((base[:k] + [bad] + base[k + 1:], f"inconsistent affine constraints (row {k},"))
     for cons, message in cases:
-        c = sdp._Compiled(sdp.SdpProblem(blocks=list(dims), n_free=nf, constraints=cons))
-        rows, b = c.row_vectors(), c.b.copy()
-        got = sdp._presolve(c, 1e-8)
+        prob = sdp.SdpProblem(blocks=list(dims), n_free=nf, constraints=cons)
+        rows, b = _rows(prob)
+        got = sdp._presolve(*_rows(prob), 1e-8)
         assert got == _presolve_mgs(rows, b, 1e-8)
         if message is None:
             assert len(got[0]) == rows.shape[1] < m - 4
@@ -574,3 +578,102 @@ def test_robustness_of_a_fourier_mub_pair_at_d5():
     assert again.eta == res.eta
     assert again.solution.iterations == res.solution.iterations
     assert all(np.array_equal(g, h) for g, h in zip(res.parent.elements, again.parent.elements))
+
+
+def _parent_args(settings, noisy):
+    """(d, kernel, rhs, noise) of the JM (noisy=False) or robustness parent
+    program of the given settings' elements, built as incompat builds them."""
+    d = settings[0][0].shape[0]
+    labels = list(itertools.product(*[range(len(els)) for els in settings]))
+    rows = [(x, k) for x, els in enumerate(settings) for k in range(len(els))]
+    kernel = incompat.marginal_kernel(labels, rows)
+    els = [settings[x][k] for x, k in rows]
+    if not noisy:
+        return d, kernel, els, None
+    rhs = [np.trace(e).real / d * np.eye(d) for e in els]
+    return d, kernel, rhs, [e - t for e, t in zip(els, rhs)]
+
+
+def _full_program(d, kernel, rhs, noise=None, objective=None):
+    """A parent program written out in full, as the presolve sees it."""
+    p = incompat._parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
+    return sdp.with_slack(p) if noise is None and objective is None else p
+
+
+def test_cached_and_cold_solves_are_bitwise_equal():
+    rng = np.random.default_rng(71)
+    a, b = (Assemblage(3, [random_povm(3, 3, rng) for _ in range(2)]) for _ in range(2))
+
+    def run(x):
+        r = incompat.depolarising_robustness(x)
+        j = incompat.jm_parent(x)
+        w = incompat.witness(*x.measurements)
+        return (r.eta.hex(), r.solution.iterations, r.solution.scalar_vars.tobytes(),
+                b"".join(g.tobytes() for g in r.solution.primal_blocks + r.parent.elements),
+                j.feasible, j.slack.hex(), w.value.hex(),
+                b"".join(g.tobytes() for g in w.X + w.Y + [w.N]))
+
+    first, other, third = run(a), run(b), run(a)
+    assert third == first and other != first
+    incompat._parent_structure.cache_clear()
+    incompat._witness_structure.cache_clear()
+    assert run(a) == first
+    # one structure per shape, shared by every call, and nothing in it writable
+    prog, other = (incompat.parent_program(*_parent_args([m.elements for m in x.measurements], False))
+                   for x in (a, b))
+    assert other.structure is prog.structure
+    st = prog.structure
+    for arr in (st.kept, st.apply_at, st.schur_at, st.eyes[0], st.groups[0].idx, st.groups[0].A,
+                prog.E, prog.C[0], prog.c):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+def test_dropped_rows_are_checked_per_call():
+    # setting 0 sums to the identity, setting 1 to 1.01 times it
+    z0, z1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    x0, x1 = np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])
+    good, bad = [[z0, z1], [x0, x1]], [[z0, z1], [1.01 * x0, 1.01 * x1]]
+    for noisy in (False, True):
+        ok = sdp.solve(incompat.parent_program(*_parent_args(good, noisy)))
+        assert ok.status == sdp.STATUS_OPTIMAL
+        sol = sdp.solve(incompat.parent_program(*_parent_args(bad, noisy)))
+        ref = sdp.solve(_full_program(*_parent_args(bad, noisy)))
+        assert ref.status == sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
+        assert ref.message.startswith("inconsistent affine constraints (row 12, residual")
+        assert sol.message.split(", residual")[0] == ref.message.split(", residual")[0]
+    assert sdp.feasibility(incompat.parent_program(*_parent_args(bad, False))) == (False, -np.inf, None)
+    # noise that breaks the row relations would make a dropped row independent
+    d, kernel, rhs, noise = _parent_args(good, True)
+    with pytest.raises(ValueError, match="row relations"):
+        incompat.parent_program(d, kernel, rhs, noise[:-1] + [2 * noise[-1]])
+
+
+def test_parent_programs_emit_full_rank_rows(monkeypatch):
+    # the rows a parent program leaves out are those the presolve drops
+    # from the program written out in full
+    seen = []
+    real = incompat.parent_program
+
+    def recording(*args, **kwargs):
+        prog = real(*args, **kwargs)
+        seen.append((_full_program(*args, **kwargs), prog))
+        return prog
+
+    monkeypatch.setattr(incompat, "parent_program", recording)
+    for k in corpus.builtin_keys():
+        if corpus.kind_of(k) == "assemblage":
+            incompat.depolarising_robustness(corpus.build(k))
+            incompat.jm_parent(corpus.build(k))
+    rho, _ = steering.peres_state(0.2, 0.4)
+    steering.lhs_feasible(steering.assemblage_from_state(rho, steering.peres_mubs()))
+    coexist.coexistent_parent(*corpus.build("sigma-xz-sharp").measurements)
+    coexist.seesaw(3, 2, 3, 1)
+    dropped = []
+    for full, prog in seen:
+        kept, message = sdp._presolve(*_rows(full), 1e-8)
+        assert message is None
+        assert prog.structure.kept.tolist() == kept
+        dropped.append(len(full.constraints) - len(kept))
+    n = 2 * len([k for k in corpus.builtin_keys() if corpus.kind_of(k) == "assemblage"])
+    assert all(dropped[:n]) and dropped[n] == 2 * 9  # a setting's last row and the all-ones row
