@@ -12,23 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import incompat, linalg, povm, sdp
-from .povm import Assemblage, ParentPovm, Povm, random_povm
+from .povm import Assemblage, ParentPovm, Povm, canonical_subsets, random_povm
 
 log = logging.getLogger(__name__)
 
 LABELING_GUARD = 4096
 WITNESS_HIT_MARGIN = 1e-5
 SEESAW_OBJ_TOL = 1e-7
-
-
-def canonical_subsets(m: int) -> list[tuple[int, ...]]:
-    """Nonempty proper subsets of range(m) containing outcome 0, one per
-    complementary pair; ordered by size then lexicographically."""
-    out = []
-    for r in range(0, m - 1):
-        for rest in itertools.combinations(range(1, m), r):
-            out.append((0,) + rest)
-    return out
 
 
 class BinarisationLabeling:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -107,38 +107,28 @@ def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.SdpProblem:
     return bld.prob
 
 
-def _independent_rows(k: np.ndarray):
-    """Greedy row basis of k in row order: (kept, deps) with deps the
-    (row, weights) of every other row, row = weights @ k[kept]."""
-    kept, deps = [], []
-    for r, row in enumerate(k):
-        if kept:
-            w = np.linalg.lstsq(k[kept].T, row, rcond=None)[0]
-            if np.linalg.norm(w @ k[kept] - row) <= 1e-10 * max(1.0, np.linalg.norm(row)):
-                deps.append((r, w))
-                continue
-        kept.append(r)
-    return kept, [(r, np.pad(w, (0, len(kept) - len(w)))) for r, w in deps]
-
-
 # A compiled parent structure: the program bound to zero data, the kernel
 # rows with a nonzero entry (``rows``), the positions in ``rows`` of the
-# independent ones (``keep``) and the (position, weights) of the others.
-_ParentStructure = namedtuple("_ParentStructure", "program rows keep deps")
+# independent ones (``keep``) and of the others (``deps``), and the weights
+# that combine the others from the independent ones (deps ~ weights @ keep).
+_ParentStructure = namedtuple("_ParentStructure", "program rows keep deps weights")
 
 
 @lru_cache(maxsize=32)
 def _parent_structure(d: int, shape: tuple, kernel_bytes: bytes, kind: str) -> _ParentStructure:
     kernel = np.frombuffer(kernel_bytes).reshape(shape)
     rows = [r for r, row in enumerate(kernel) if row.any()]
-    keep, deps = _independent_rows(kernel[rows])
+    kr = kernel[rows]
+    keep, _ = sdp._presolve(kr.copy(), np.zeros(len(rows)), sdp.FEAS_TOL)
+    deps = [i for i in range(len(rows)) if i not in keep]
+    weights = np.linalg.lstsq(kr[keep].T, kr[deps].T, rcond=None)[0].T
     zeros = [np.zeros((d, d))] * len(kernel)
     p = _parent_problem(d, kernel, zeros, zeros if kind == "noise" else None)
     if kind == "feasibility":
         p = sdp.with_slack(p)
     n = d * d
     kept = [i * n + k for i in keep for k in range(n)] + ([len(rows) * n] if kind == "noise" else [])
-    return _ParentStructure(sdp.compile_program(p, kept), rows, keep, deps)
+    return _ParentStructure(sdp.compile_program(p, kept), rows, keep, deps, weights)
 
 
 def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Program:
@@ -158,7 +148,8 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
     compiled once and cached; a call binds its data to it.  Kernel rows
     that combine earlier rows are left out of the structure (for marginal
     kernels: one outcome row per setting after the first, and an all-ones
-    row), and the solve checks that their rhs still match.
+    row).  Binding checks that their rhs still match, as the presolve
+    would, and a mismatch becomes the program's message.
     """
     kernel = np.ascontiguousarray(kernel, dtype=float)
     kind = "noise" if noise is not None else "objective" if objective is not None else "feasibility"
@@ -176,21 +167,25 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
 
     R = coords(rhs)
     b = R[s.keep].ravel()
-    ids = tuple(i * n + k for i, _ in s.deps for k in range(n))
-    residual = np.array([R[i] - w @ R[s.keep] for i, w in s.deps]).ravel()
     data = {}
     scale = 1.0 + np.abs(R).max(initial=0.0)
     if kind == "noise":
         N = coords([-x for x in noise]) + 0.0  # a zero coefficient is +0, as in the Builder's rows
-        off = np.array([N[i] - w @ N[s.keep] for i, w in s.deps])
-        if np.abs(off).max(initial=0.0) > 10 * sdp.SolveOptions.feas_tol * (1.0 + np.abs(N).max()):
+        off = N[s.deps] - s.weights @ N[s.keep]
+        if np.abs(off).max(initial=0.0) > 10 * sdp.FEAS_TOL * (1.0 + np.abs(N).max()):
             raise ValueError("noise does not obey the kernel's row relations")
         b = np.append(b, 1.0)
         data["E"] = np.append(N[s.keep].ravel(), 1.0).reshape(-1, 1)
         scale = max(scale, 2.0)
     elif kind == "objective":
         data["C"] = dict(objective)
-    return s.program.bind(b=b, dropped=ids, residual=residual, scale=scale, **data)
+    prog = s.program.bind(b=b, **data)
+    residual = (R[s.deps] - s.weights @ R[s.keep]).ravel()
+    bad = np.flatnonzero(np.abs(residual) > 10 * sdp.FEAS_TOL * scale)
+    if bad.size:  # first inconsistent left-out row, numbered as in the full program
+        i, k = divmod(int(bad[0]), n)
+        prog = replace(prog, message=sdp.INCONSISTENT.format(s.deps[i] * n + k, residual[bad[0]]))
+    return prog
 
 
 def marginal_kernel(labels, rows) -> np.ndarray:

@@ -50,6 +50,8 @@ class Assemblage:
     measurements: list[Povm]
 
     def __post_init__(self):
+        if not self.measurements:
+            raise ValueError("an assemblage needs at least one measurement, got none")
         for x, m in enumerate(self.measurements):
             if m.dim != self.dim:
                 raise ValueError(f"measurement {x} dimension {m.dim} != {self.dim}")
@@ -147,6 +149,16 @@ def truncate(a: Assemblage, p: linalg.Projector) -> Assemblage:
     return Assemblage(p.rank, out)
 
 
+def canonical_subsets(m: int) -> list[tuple[int, ...]]:
+    """Nonempty proper subsets of range(m) containing outcome 0, one per
+    complementary pair; ordered by size then lexicographically."""
+    out = []
+    for r in range(0, m - 1):
+        for rest in itertools.combinations(range(1, m), r):
+            out.append((0,) + rest)
+    return out
+
+
 def binarisations(m: Povm) -> list[tuple[tuple[int, ...], Povm]]:
     """All two-outcome coarse-grainings (S, complement), S ∋ outcome 0.
 
@@ -154,15 +166,10 @@ def binarisations(m: Povm) -> list[tuple[tuple[int, ...], Povm]]:
     subset is the one containing the smallest outcome index.  A k-outcome
     POVM has 2^(k-1) - 1 binarisations.
     """
-    k = m.n_outcomes
-    if k < 2:
-        return []
     out = []
-    for r in range(0, k - 1):
-        for rest in itertools.combinations(range(1, k), r):
-            subset = (0,) + rest
-            e = sum(m.elements[i] for i in subset)
-            out.append((subset, Povm(m.dim, [e, np.eye(m.dim) - e])))
+    for subset in canonical_subsets(m.n_outcomes):
+        e = sum(m.elements[i] for i in subset)
+        out.append((subset, Povm(m.dim, [e, np.eye(m.dim) - e])))
     return out
 
 

@@ -17,10 +17,11 @@ assembled over those rows only (the row-sparse formula of Fujisawa, Kojima
 & Nakata).  Per iteration and dimension one factor F = inv(cholesky([X; Z]))
 gives Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of F D F^H
 each).  A presolve drops rows dependent on earlier ones, and detects
-inconsistent systems, by blocked classical Gram-Schmidt with
-reorthogonalisation (BCGS2, Barlow & Smoktunowicz).  Everything is plain
-numpy and fully deterministic: identical inputs produce identical iterate
-sequences.
+inconsistent systems, by classical Gram-Schmidt with reorthogonalisation
+(CGS2), one row at a time.  Everything is plain numpy and fully
+deterministic: identical inputs produce identical iterate sequences.
+The tolerances are the module constants below; ``SolveOptions`` holds only
+the iteration cap.
 
 Compile and solve are separate steps.  ``compile_program`` turns a
 problem's structure (block dimensions and block coefficients of the kept
@@ -54,17 +55,20 @@ STATUS_DUAL_INFEASIBLE = "DualInfeasible"
 STATUS_NUMERICAL_FAILURE = "NumericalFailure"
 
 FEAS_SLACK_TOL = 1e-7  # feasibility margin: feasible <=> slack >= -1e-7
+FEAS_TOL = 1e-8  # residual bound of an optimal iterate; rhs tolerance of the presolve
+GAP_TOL = 1e-8  # relative duality gap of an optimal iterate
+STEP_FRAC = 0.98  # share of the largest feasible step taken
+UNBOUNDED_CUTOFF = 1e10  # |objective| beyond which a side is taken to diverge
+
+# the presolve's report of a row whose rhs contradicts earlier rows
+INCONSISTENT = "inconsistent affine constraints (row {}, residual {:g})"
 
 _log = logging.getLogger(__name__)
 
 
 @dataclass
 class SolveOptions:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
     max_iters: int = 200
-    step_frac: float = 0.98
-    unbounded_cutoff: float = 1e10
 
 
 @dataclass
@@ -313,17 +317,13 @@ class _Compiled:
         return np.bincount(self.schur_at, np.concatenate(parts), minlength=m * m).reshape(m, m)
 
 
-_PANEL = 32  # presolve rows projected together by matrix products
-
-
 def _presolve(rows: np.ndarray, b: np.ndarray, feas_tol: float):
     """Gram-Schmidt row reduction with rhs companion.
 
     Rows are scanned in order; row k is kept when its residual against the
-    rows kept so far exceeds 1e-10*max(1, |row k|).  Residuals come from two
-    GEMM passes per panel of _PANEL rows against the rows kept before it,
-    then two passes per row against those kept inside the panel (BCGS2).
-    ``rows`` (the dense rows [hvec(A_k1)|...|E_k]) is overwritten.
+    rows kept so far exceeds 1e-10*max(1, |row k|).  The residual comes from
+    two classical Gram-Schmidt passes (CGS2) against those rows.  ``rows``
+    (the dense rows [hvec(A_k1)|...|E_k]) is overwritten.
     Returns (kept_row_indices, None) or (None, message) when the affine
     system is inconsistent (a vanishing row combination with nonzero rhs).
     """
@@ -331,34 +331,25 @@ def _presolve(rows: np.ndarray, b: np.ndarray, feas_tol: float):
     scale = 1.0 + np.abs(b).max(initial=0.0)
     Q = np.empty((min(m, ncols), ncols))
     betas = np.empty(len(Q))
-    n = 0
     kept: list[int] = []
-    for p0 in range(0, m, _PANEL):
-        panel = rows[p0:p0 + _PANEL]  # a view, projected in place
-        nrm0 = np.sqrt(np.einsum("ij,ij->i", panel, panel))
-        beta = b[p0:p0 + _PANEL].copy()
-        n0 = n
+    for k, (r, bk) in enumerate(zip(rows, b)):
+        nk = np.linalg.norm(r)
+        if nk == 0.0:
+            if abs(bk) > feas_tol * scale:
+                return None, f"row {k} is 0 = {bk:g}"
+            continue
+        n = len(kept)
         for _ in range(2):
-            coef = panel @ Q[:n0].T
-            panel -= coef @ Q[:n0]
-            beta -= coef @ betas[:n0]
-        for k, r, bk, nk in zip(range(p0, m), panel, beta, nrm0):
-            if nk == 0.0:
-                if abs(bk) > feas_tol * scale:
-                    return None, f"row {k} is 0 = {bk:g}"
-                continue
-            for _ in range(2):
-                coef = Q[n0:n] @ r
-                r -= coef @ Q[n0:n]
-                bk -= coef @ betas[n0:n]
-            nrm = np.linalg.norm(r)
-            if nrm > 1e-10 * max(1.0, nk):
-                Q[n] = r / nrm
-                betas[n] = bk / nrm
-                n += 1
-                kept.append(k)
-            elif abs(bk) > feas_tol * scale * 10:
-                return None, f"inconsistent affine constraints (row {k}, residual {bk:g})"
+            coef = Q[:n] @ r
+            r -= coef @ Q[:n]
+            bk -= coef @ betas[:n]
+        nrm = np.linalg.norm(r)
+        if nrm > 1e-10 * max(1.0, nk):
+            Q[n] = r / nrm
+            betas[n] = bk / nrm
+            kept.append(k)
+        elif abs(bk) > feas_tol * scale * 10:
+            return None, INCONSISTENT.format(k, bk)
     return kept, None
 
 
@@ -369,12 +360,9 @@ class Program:
     ``b`` and ``E`` are the rhs and free coefficients of the kept rows,
     ``C`` the objective's block coefficients as per-dimension stacks and
     ``c`` its free coefficients (both times the structure's sign), and
-    ``message`` an inconsistency the presolve found.  Rows a structure
-    leaves out as combinations of its kept rows are checked per solve:
-    ``dropped`` holds their ids, ``residual`` their rhs minus that
-    combination, and ``solve`` reports the first residual beyond
-    10*feas_tol*``scale`` as the presolve would (scale = 1 + max |rhs| over
-    all rows).
+    ``message`` an inconsistency found in the data when it was bound (by
+    the presolve, or by a caller that checks the rows it left out), which
+    ``solve`` reports as PrimalInfeasible without iterating.
     """
 
     structure: _Compiled
@@ -383,9 +371,6 @@ class Program:
     C: list
     c: np.ndarray
     message: str = ""
-    dropped: tuple = ()
-    residual: tuple = ()
-    scale: float = 1.0
 
     @property
     def blocks(self) -> list[int]:
@@ -396,11 +381,10 @@ class Program:
         """One entry per row the solver sees: its right-hand side."""
         return self.b
 
-    def bind(self, b=None, E=None, C=None, dropped=(), residual=(), scale=1.0) -> Program:
+    def bind(self, b=None, E=None, C=None) -> Program:
         """This structure with new data (None keeps this program's): ``b``
-        and ``E`` for the kept rows, ``C`` the objective's block
-        coefficients as {block: Hermitian matrix} (other blocks 0), and the
-        check of the dropped rows."""
+        and ``E`` for the kept rows and ``C`` the objective's block
+        coefficients as {block: Hermitian matrix} (other blocks 0)."""
         data = {k: v for k, v in (("b", b), ("E", E)) if v is not None}
         if C is not None:
             st = self.structure
@@ -408,20 +392,20 @@ class Program:
             for blk, mat in C.items():
                 mats[blk] = st.sign * linalg.check_hermitian(mat, tol=1e-9)
             data["C"] = st.stack(mats)
-        return replace(self, **data, dropped=dropped, residual=residual, scale=scale)
+        return replace(self, **data)
 
 
-def compile_program(p: SdpProblem, kept=None, feas_tol: float = SolveOptions.feas_tol) -> Program:
+def compile_program(p: SdpProblem, kept=None) -> Program:
     """Compile p's structure and bind p's own data to it.
 
     ``kept``: ascending ids of rows known to span all of p's rows, whose
     data the caller keeps consistent; None runs the presolve, which finds
-    them and checks p's data with tolerance ``feas_tol``.
+    them and checks p's data with tolerance FEAS_TOL.
     """
     dense = _dense(p)
     message = ""
     if kept is None:
-        kept, bad = _presolve(np.hstack([dense.H, dense.E]), dense.b, feas_tol)
+        kept, bad = _presolve(np.hstack([dense.H, dense.E]), dense.b, FEAS_TOL)
         if bad is not None:
             kept, message = [], bad
     c = _Compiled(p, dense, kept)
@@ -475,14 +459,9 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
     with the interior-point method described above."""
     opts = opts or SolveOptions()
     if isinstance(p, SdpProblem):
-        p = compile_program(p, feas_tol=opts.feas_tol)
+        p = compile_program(p)
     c = p.structure
-    message = p.message
-    bad = np.flatnonzero(np.abs(p.residual) > opts.feas_tol * p.scale * 10)
-    if bad.size:
-        k = bad[0]
-        message = f"inconsistent affine constraints (row {p.dropped[k]}, residual {p.residual[k]:g})"
-    if message:
+    if p.message:
         return SdpSolution(
             status=STATUS_PRIMAL_INFEASIBLE,
             primal_blocks=[np.zeros((d, d), dtype=complex) for d in c.blocks],
@@ -493,7 +472,7 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
             iterations=0,
             residual_primal=np.inf,
             residual_dual=np.inf,
-            message=message,
+            message=p.message,
         )
     m = c.m
     nf = c.nf
@@ -539,19 +518,19 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
             best_err = err
             best = (X, s, pv, dv, gap, rp_inf, rd_inf)
         if (
-            rp_inf <= opts.feas_tol
-            and rd_inf <= opts.feas_tol
-            and rf_inf <= opts.feas_tol
-            and gap <= opts.gap_tol * (1.0 + abs(pv))
+            rp_inf <= FEAS_TOL
+            and rd_inf <= FEAS_TOL
+            and rf_inf <= FEAS_TOL
+            and gap <= GAP_TOL * (1.0 + abs(pv))
         ):
             status = STATUS_OPTIMAL
             message = ""
             break
-        if pv > opts.unbounded_cutoff and rp_inf <= 1e-6:
+        if pv > UNBOUNDED_CUTOFF and rp_inf <= 1e-6:
             status = STATUS_DUAL_INFEASIBLE
             message = "primal objective diverging: dual infeasible"
             break
-        if dv < -opts.unbounded_cutoff and rd_inf <= 1e-6:
+        if dv < -UNBOUNDED_CUTOFF and rd_inf <= 1e-6:
             status = STATUS_PRIMAL_INFEASIBLE
             message = "dual objective diverging: primal infeasible"
             break
@@ -593,7 +572,7 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
             message = f"linear algebra failure: {exc}"
             break
 
-        ap, ad = (min(1.0, opts.step_frac * a) for a in _step_lengths(F, dX, dZ))
+        ap, ad = (min(1.0, STEP_FRAC * a) for a in _step_lengths(F, dX, dZ))
         if ap < 1e-12 and ad < 1e-12:
             message = "step sizes collapsed"
             break

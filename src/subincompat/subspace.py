@@ -62,9 +62,9 @@ def _probe_projectors(a: Assemblage, n: int) -> list[tuple[str, linalg.Projector
     for combo in itertools.combinations(range(len(pool)), n):
         if len(probes) >= PROBE_CAP:
             break
-        vs = [pool[i] for i in combo]
-        q = linalg._mgs(np.column_stack(vs))
-        if q.shape[1] < n:  # linearly dependent span, no n-dim subspace
+        try:
+            q = linalg._mgs(np.column_stack([pool[i] for i in combo]))
+        except ValueError:  # linearly dependent span, no n-dim subspace
             continue
         probes.append((f"eigenspan{list(combo)}", linalg.projector_from_basis(q.T)))
     return probes

@@ -188,6 +188,11 @@ def test_exit_codes(tmp_path, capsys):
     # a solver pushed into failure exits 3
     assert run(capsys, "robustness", "--builtin", "sigma-xz-sharp",
                "--sdp-iters", "1")[0] == 3
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"dim": 2, "measurements": []}')
+    code, _, err = run(capsys, "robustness", "--input", str(empty))
+    assert code == 2
+    assert err == "error: an assemblage needs at least one measurement, got none\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -515,11 +515,11 @@ def test_several_free_variables_reach_the_recorded_optimum():
 
 
 def test_presolve_panels_match_the_mgs_reference():
-    # rows over more than two panels: dependent rows in later panels than
-    # the rows they combine, zero and inconsistent rows at the first and at
-    # the last position of a panel; 83 columns, so the last rows depend on
+    # rows over more than three blocks of 32: dependent rows in later blocks
+    # than the rows they combine, zero and inconsistent rows at the first and
+    # at the last position of a block; 83 columns, so the last rows depend on
     # earlier ones as well
-    P = sdp._PANEL
+    P = 32
     rng = np.random.default_rng(61)
     dims, nf, m = (8, 4, 1), 2, 3 * P + 5
     point = [_random_hpd(rng, d) for d in dims], rng.standard_normal(nf)
@@ -637,7 +637,9 @@ def test_dropped_rows_are_checked_per_call():
     for noisy in (False, True):
         ok = sdp.solve(incompat.parent_program(*_parent_args(good, noisy)))
         assert ok.status == sdp.STATUS_OPTIMAL
-        sol = sdp.solve(incompat.parent_program(*_parent_args(bad, noisy)))
+        prog = incompat.parent_program(*_parent_args(bad, noisy))
+        assert prog.message.startswith("inconsistent affine constraints (row 12, residual")
+        sol = sdp.solve(prog)
         ref = sdp.solve(_full_program(*_parent_args(bad, noisy)))
         assert ref.status == sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
         assert ref.message.startswith("inconsistent affine constraints (row 12, residual")

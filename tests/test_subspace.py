@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subincompat import coexist, corpus, subspace
+from subincompat.povm import Assemblage, from_basis
 
 from helpers import compatible_pair
 
@@ -53,6 +54,18 @@ def test_classify_parallel_matches_serial():
     r2 = subspace.classify(a, 2, 4, seed=9, jobs=2)
     assert r1.verdict == r2.verdict
     assert [rec["eta"] for rec in r1.records] == [rec["eta"] for rec in r2.records]
+
+
+def test_classify_skips_probes_with_a_dependent_span():
+    # e0, e1 and (e0+e1)/sqrt2 are all element eigenvectors, and they span
+    # only two dimensions: that probe is skipped, not an error
+    e = np.eye(4, dtype=complex)
+    rotated = [(e[0] + e[1]) / np.sqrt(2), (e[0] - e[1]) / np.sqrt(2), e[2], e[3]]
+    a = Assemblage(4, [from_basis(list(e)), from_basis(rotated)])
+    rep = subspace.classify(a, 3, 2, seed=0)
+    assert rep.verdict == subspace.VERDICT_PARTLY_COMPRESSIBLE  # incompatible on span{e0, e1, .}
+    names = [r["name"] for r in rep.records if r["kind"] == "probe"]
+    assert "eigenspan[0, 2, 3]" in names and "eigenspan[0, 1, 4]" not in names
 
 
 def test_classify_validates_n():
