@@ -90,26 +90,6 @@ def _nonzero_outcomes(m: Povm) -> list[int]:
     return [i for i in range(m.n_outcomes) if not m.is_zero_element(i)]
 
 
-def _coexist_enumeration(a1: Povm, a2: Povm, options) -> CoexistenceResult:
-    """Feasibility over all deterministic complement-respecting labelings:
-    exist G_lam >= 0 with sum_lam D(S|lam) G_lam = sum_{i in S} E_i for every
-    canonical subset S of either measurement and sum_lam G_lam = identity."""
-    d = a1.dim
-    keep_a, keep_b = _nonzero_outcomes(a1), _nonzero_outcomes(a2)
-    lab = BinarisationLabeling(len(keep_a), len(keep_b))
-    kernel = [lab.row(lab.d_a, s) for s in lab.subsets_a]
-    kernel += [lab.row(lab.d_b, s) for s in lab.subsets_b]
-    rhs = [sum(a1.elements[keep_a[i]] for i in s) for s in lab.subsets_a]
-    rhs += [sum(a2.elements[keep_b[j]] for j in s) for s in lab.subsets_b]
-    prog = incompat.parent_program(d, kernel + [np.ones(len(lab.labels))], rhs + [np.eye(d)])
-    feasible, slack, cert = sdp.feasibility(prog, options)
-    parent = None
-    if feasible and cert is not None:
-        blocks = [linalg.hermitianize(g) for g in cert[:len(lab.labels)]]
-        parent = ParentPovm(d, lab.labels, povm.repair(blocks), (2,) * (lab.ka + lab.kb))
-    return CoexistenceResult(bool(feasible), float(slack), "enumeration", parent=parent)
-
-
 def _binarisation_effects(m: Povm) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Deduplicated binarisation effects E_S over nonzero outcomes."""
     keep = _nonzero_outcomes(m)
@@ -120,32 +100,50 @@ def _binarisation_effects(m: Povm) -> list[tuple[tuple[int, ...], np.ndarray]]:
     return out
 
 
+def _coexist_enumeration(a1: Povm, a2: Povm, options) -> CoexistenceResult:
+    """Feasibility over all deterministic complement-respecting labelings:
+    exist G_lam >= 0 with sum_lam D(S|lam) G_lam = sum_{i in S} E_i for every
+    canonical subset S of either measurement and sum_lam G_lam = identity."""
+    d = a1.dim
+    lab = BinarisationLabeling(len(_nonzero_outcomes(a1)), len(_nonzero_outcomes(a2)))
+    kernel = [lab.row(lab.d_a, s) for s in lab.subsets_a]
+    kernel += [lab.row(lab.d_b, s) for s in lab.subsets_b]
+    rhs = [eff for _, eff in _binarisation_effects(a1) + _binarisation_effects(a2)]
+    prog = incompat.parent_program(d, kernel + [np.ones(len(lab.labels))], rhs + [np.eye(d)])
+    feasible, slack, cert = sdp.feasibility(prog, options)
+    parent = None
+    if feasible and cert is not None:
+        blocks = [linalg.hermitianize(g) for g in cert[:len(lab.labels)]]
+        parent = ParentPovm(d, lab.labels, povm.repair(blocks), (2,) * (lab.ka + lab.kb))
+    return CoexistenceResult(bool(feasible), float(slack), "enumeration", parent=parent)
+
+
 def _coexist_candidate(a1: Povm, a2: Povm, candidate: Povm, options) -> CoexistenceResult:
     """Sufficient certificate: every binarisation effect of both POVMs is a
     [0,1]-combination sum_lam p_lam G_lam of the candidate parent's elements.
 
+    Per effect E_S this is the parent program with 1 x 1 blocks p_lam, q_lam
+    >= 0, kernel [[I, I], [C, 0]] with C[k, lam] = hvec(G_lam)[k], and rhs
+    [1, ..., 1, hvec(E_S)]: p_lam + q_lam = 1 and sum_lam p_lam G_lam = E_S.
     Feasible kernels extend to one deterministic complement-respecting
     parent on the product of the candidate's outcomes with one bit per
     binarisation, so success certifies coexistence; failure is inconclusive.
     """
-    gs = candidate.elements
-    coords = sdp.hvec(np.array(gs)).T.tolist()  # row k: hvec(G_lam)[k] over lam
+    g = candidate.n_outcomes
+    coords = sdp.hvec(np.array(candidate.elements)).T  # row k: hvec(G_lam)[k] over lam
+    eye = np.eye(g)
+    kernel = np.block([[eye, eye], [coords, np.zeros_like(coords)]])
+    ones = [np.ones((1, 1))] * g
     kernels = {}
     min_slack = float("inf")
     for side, m in (("a", a1), ("b", a2)):
         for orig, eff in _binarisation_effects(m):
-            bld = sdp.Builder()
-            ps = [bld.rblock() for _ in gs]
-            qs = [bld.rblock() for _ in gs]
-            for p, q in zip(ps, qs):
-                bld.eq_scalar(block_terms=[(p, 1.0), (q, 1.0)], rhs=1.0)
-            for row, rhs in zip(coords, sdp.hvec(eff).tolist()):
-                bld.eq_scalar(block_terms=list(zip(ps, row)), rhs=rhs)
-            feasible, slack, cert = bld.feasibility(options)
+            rhs = ones + [np.array([[v]]) for v in sdp.hvec(eff)]
+            feasible, slack, cert = sdp.feasibility(incompat.parent_program(1, kernel, rhs), options)
             min_slack = min(min_slack, slack)
             if not feasible:
                 return CoexistenceResult(None, float(slack), "candidate")
-            kernels[(side, orig)] = np.array([bld.extract(cert, p) for p in ps])
+            kernels[(side, orig)] = np.array([p[0, 0].real for p in cert[:g]])
     return CoexistenceResult(True, float(min_slack), "candidate", kernels=kernels)
 
 

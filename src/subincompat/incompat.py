@@ -95,40 +95,38 @@ def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.SdpProblem:
     for _ in range(kernel.shape[1]):
         bld.cblock(d)
     if noise is not None:
-        eta, slack = bld.free(), bld.rblock()
+        eta, slack = bld.free(), bld.cblock(1)
     for r, row in enumerate(kernel):
+        free_terms = [(eta, -noise[r])] if noise is not None else ()
         cols = np.flatnonzero(row).tolist()
-        if cols:
-            free_terms = [(eta, -noise[r])] if noise is not None else ()
-            bld.eq_matrix([(k, float(row[k])) for k in cols], rhs[r], free_terms=free_terms)
+        bld.eq_matrix([(k, float(row[k])) for k in cols], rhs[r], free_terms=free_terms)
     if noise is not None:
-        bld.eq_scalar(block_terms=[(slack, 1.0)], free_terms=[(eta, 1.0)], rhs=1.0)
+        bld.eq_scalar(block_terms=[(slack, np.eye(1))], free_terms=[(eta, 1.0)], rhs=1.0)
         bld.objective(free_terms=[(eta, 1.0)], sense="max")
     return bld.prob
 
 
-# A compiled parent structure: the program bound to zero data, the kernel
-# rows with a nonzero entry (``rows``), the positions in ``rows`` of the
-# independent ones (``keep``) and of the others (``deps``), and the weights
-# that combine the others from the independent ones (deps ~ weights @ keep).
-_ParentStructure = namedtuple("_ParentStructure", "program rows keep deps weights")
+# A compiled parent structure: the program bound to zero data, the
+# positions of the independent kernel rows (``keep``) and of the others
+# (``deps``: rows that combine earlier ones, zero rows among them), and the
+# weights that combine the others from the independent ones
+# (deps ~ weights @ keep; 0 for a zero row).
+_ParentStructure = namedtuple("_ParentStructure", "program keep deps weights")
 
 
 @lru_cache(maxsize=32)
 def _parent_structure(d: int, shape: tuple, kernel_bytes: bytes, kind: str) -> _ParentStructure:
     kernel = np.frombuffer(kernel_bytes).reshape(shape)
-    rows = [r for r, row in enumerate(kernel) if row.any()]
-    kr = kernel[rows]
-    keep, _ = sdp._presolve(kr.copy(), np.zeros(len(rows)), sdp.FEAS_TOL)
-    deps = [i for i in range(len(rows)) if i not in keep]
-    weights = np.linalg.lstsq(kr[keep].T, kr[deps].T, rcond=None)[0].T
+    keep, _ = sdp._presolve(kernel.copy(), np.zeros(len(kernel)), sdp.FEAS_TOL)
+    deps = [i for i in range(len(kernel)) if i not in keep]
+    weights = np.linalg.lstsq(kernel[keep].T, kernel[deps].T, rcond=None)[0].T
     zeros = [np.zeros((d, d))] * len(kernel)
     p = _parent_problem(d, kernel, zeros, zeros if kind == "noise" else None)
     if kind == "feasibility":
         p = sdp.with_slack(p)
     n = d * d
-    kept = [i * n + k for i in keep for k in range(n)] + ([len(rows) * n] if kind == "noise" else [])
-    return _ParentStructure(sdp.compile_program(p, kept), rows, keep, deps, weights)
+    kept = [i * n + k for i in keep for k in range(n)] + ([len(kernel) * n] if kind == "noise" else [])
+    return _ParentStructure(sdp.compile_program(p, kept), keep, deps, weights)
 
 
 def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Program:
@@ -136,20 +134,20 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
     (block index lam) and, per kernel row r,
     sum_lam kernel[r, lam] G_lam = rhs[r] + eta * noise[r].
 
-    Rows without a nonzero kernel entry are skipped (callers give them a
-    zero right-hand side).  With noise, eta is free variable 0, a slack
-    block after the G blocks adds eta <= 1, and the objective is max eta;
-    noise must obey the kernel's row relations (depolarising noise does).
-    With an objective {lam: Hermitian matrix}, the program maximises
+    With noise, eta is free variable 0, a 1 x 1 slack block after the G
+    blocks adds eta <= 1, and the objective is max eta; noise must obey the
+    kernel's row relations (depolarising noise does).  With an objective
+    {lam: Hermitian matrix}, the program maximises
     sum_lam <objective[lam], G_lam>.  With neither it is the feasibility
     program of ``sdp.with_slack``, to be answered by ``sdp.feasibility``.
 
     The structure, everything that depends only on (d, kernel, kind), is
     compiled once and cached; a call binds its data to it.  Kernel rows
-    that combine earlier rows are left out of the structure (for marginal
-    kernels: one outcome row per setting after the first, and an all-ones
-    row).  Binding checks that their rhs still match, as the presolve
-    would, and a mismatch becomes the program's message.
+    that combine earlier rows, and rows without a nonzero entry, are left
+    out of the structure (for marginal kernels: one outcome row per setting
+    after the first, and an all-ones row).  Binding checks that their rhs
+    still match, as the presolve would, and a mismatch becomes the
+    program's message.
     """
     kernel = np.ascontiguousarray(kernel, dtype=float)
     kind = "noise" if noise is not None else "objective" if objective is not None else "feasibility"
@@ -158,12 +156,12 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
 
     def coords(mats):
         out = []
-        for r in s.rows:
-            t = linalg.check_hermitian(mats[r], tol=1e-9)
+        for m in mats:
+            t = linalg.check_hermitian(m, tol=1e-9)
             if t.shape != (d, d):
                 raise ValueError("block dimension mismatch in matrix equality")
             out.append(sdp.hvec(t))
-        return np.array(out).reshape(len(s.rows), n)
+        return np.array(out).reshape(len(kernel), n)
 
     R = coords(rhs)
     b = R[s.keep].ravel()
@@ -180,11 +178,16 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
     elif kind == "objective":
         data["C"] = dict(objective)
     prog = s.program.bind(b=b, **data)
-    residual = (R[s.deps] - s.weights @ R[s.keep]).ravel()
-    bad = np.flatnonzero(np.abs(residual) > 10 * sdp.FEAS_TOL * scale)
+    # the presolve's thresholds: FEAS_TOL*scale on a zero row, ten times that otherwise
+    zero = ~kernel[s.deps].any(axis=1)
+    residual = R[s.deps] - s.weights @ R[s.keep]
+    tol = np.where(zero, 1.0, 10.0)[:, None] * sdp.FEAS_TOL * scale
+    bad = np.flatnonzero(np.abs(residual) > tol)
     if bad.size:  # first inconsistent left-out row, numbered as in the full program
         i, k = divmod(int(bad[0]), n)
-        prog = replace(prog, message=sdp.INCONSISTENT.format(s.deps[i] * n + k, residual[bad[0]]))
+        row, r = s.deps[i] * n + k, residual.flat[bad[0]]
+        message = sdp.ZERO_ROW.format(row, r) if zero[i] else sdp.INCONSISTENT.format(row, r)
+        prog = replace(prog, message=message)
     return prog
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from typing import Any
 
 import numpy as np
@@ -43,10 +44,32 @@ def povm_to_json(m: Povm) -> dict:
     return {"dim": m.dim, "elements": [matrix_to_json(e) for e in m.elements]}
 
 
+def _json_type(v) -> str:
+    """The JSON type of a loaded value, or the number itself."""
+    names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+             type(None): "null"}
+    return names.get(type(v), repr(v))
+
+
+def _dimension(j: dict, key: str, where: str) -> int:
+    """j[key] as an int: a JSON number >= 1 without a fractional part."""
+    v = j[key]
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) and float(v).is_integer() and v >= 1:
+        return int(v)
+    raise ValueError(f"{where} field {key!r} must be a positive integer, got {_json_type(v)}")
+
+
+def _array(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be an array, got {_json_type(v)}")
+    return v
+
+
 def povm_from_json(j: dict) -> Povm:
     if not isinstance(j, dict) or "dim" not in j or "elements" not in j:
         raise ValueError("povm JSON must have 'dim' and 'elements'")
-    return Povm(int(j["dim"]), [matrix_from_json(e) for e in j["elements"]])
+    els = _array(j["elements"], "povm field 'elements'")
+    return Povm(_dimension(j, "dim", "povm"), [matrix_from_json(e) for e in els])
 
 
 def assemblage_to_json(a: Assemblage) -> dict:
@@ -61,12 +84,15 @@ def assemblage_to_json(a: Assemblage) -> dict:
 def assemblage_from_json(j: dict) -> Assemblage:
     if not isinstance(j, dict) or "dim" not in j or "measurements" not in j:
         raise ValueError("assemblage JSON must have 'dim' and 'measurements'")
-    d = int(j["dim"])
+    d = _dimension(j, "dim", "assemblage")
     ms = []
-    for k, mj in enumerate(j["measurements"]):
+    for k, mj in enumerate(_array(j["measurements"], "assemblage field 'measurements'")):
+        if not isinstance(mj, dict):
+            raise ValueError(f"measurement {k} must be an object, got {_json_type(mj)}")
         if "elements" not in mj:
             raise ValueError(f"measurement {k} lacks 'elements'")
-        ms.append(Povm(d, [matrix_from_json(e) for e in mj["elements"]]))
+        els = _array(mj["elements"], f"measurement {k} field 'elements'")
+        ms.append(Povm(d, [matrix_from_json(e) for e in els]))
     return Assemblage(d, ms)
 
 
@@ -85,7 +111,8 @@ def state_to_json(s: BipartiteState) -> dict:
 def state_from_json(j: dict) -> BipartiteState:
     if not isinstance(j, dict) or not {"dA", "dB", "matrix"} <= set(j):
         raise ValueError("state JSON must have 'dA', 'dB' and 'matrix'")
-    return BipartiteState(int(j["dA"]), int(j["dB"]), matrix_from_json(j["matrix"]))
+    return BipartiteState(_dimension(j, "dA", "state"), _dimension(j, "dB", "state"),
+                          matrix_from_json(j["matrix"]))
 
 
 def state_assemblage_to_json(sa: StateAssemblage) -> dict:
@@ -99,9 +126,10 @@ def state_assemblage_to_json(sa: StateAssemblage) -> dict:
 def state_assemblage_from_json(j: dict) -> StateAssemblage:
     if not isinstance(j, dict) or not {"dB", "sigmas", "reduced"} <= set(j):
         raise ValueError("state assemblage JSON must have 'dB', 'sigmas' and 'reduced'")
+    rows = _array(j["sigmas"], "state assemblage field 'sigmas'")
     return StateAssemblage(
-        int(j["dB"]),
-        [[matrix_from_json(s) for s in row] for row in j["sigmas"]],
+        _dimension(j, "dB", "state assemblage"),
+        [[matrix_from_json(s) for s in _array(row, f"sigmas row {x}")] for x, row in enumerate(rows)],
         matrix_from_json(j["reduced"]),
     )
 

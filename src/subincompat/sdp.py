@@ -31,8 +31,9 @@ columns, objective) without compiling again, so a caller that caches a
 structure solves many programs of one shape for the cost of their data.
 ``solve`` accepts an ``SdpProblem``, compiled on the spot, or a Program.
 
-``Builder`` declares Hermitian variables and expands each d x d matrix
-equality in the Hermitian basis into d^2 real rows.  Feasibility questions
+``Builder`` declares Hermitian variables, one block kind (a nonnegative
+scalar is a 1 x 1 block), and expands each d x d matrix equality in the
+Hermitian basis into d^2 real rows.  Feasibility questions
 are answered by ``feasibility``, which maximises a uniform slack t with
 every block shifted to X - t*I >= 0 (the rewrite ``with_slack``).
 """
@@ -60,7 +61,9 @@ GAP_TOL = 1e-8  # relative duality gap of an optimal iterate
 STEP_FRAC = 0.98  # share of the largest feasible step taken
 UNBOUNDED_CUTOFF = 1e10  # |objective| beyond which a side is taken to diverge
 
-# the presolve's report of a row whose rhs contradicts earlier rows
+# the presolve's reports of a zero row with nonzero rhs, and of a row whose
+# rhs contradicts earlier rows
+ZERO_ROW = "row {} is 0 = {:g}"
 INCONSISTENT = "inconsistent affine constraints (row {}, residual {:g})"
 
 _log = logging.getLogger(__name__)
@@ -336,7 +339,7 @@ def _presolve(rows: np.ndarray, b: np.ndarray, feas_tol: float):
         nk = np.linalg.norm(r)
         if nk == 0.0:
             if abs(bk) > feas_tol * scale:
-                return None, f"row {k} is 0 = {bk:g}"
+                return None, ZERO_ROW.format(k, bk)
             continue
         n = len(kept)
         for _ in range(2):
@@ -663,31 +666,24 @@ class SolverError(RuntimeError):
 
 
 class Builder:
-    """Assemble SDPs over complex Hermitian blocks and real scalars.
+    """Assemble SDPs over complex Hermitian blocks.
 
     A Hermitian variable of dimension d is a d x d solver block, and its
-    coefficients are the Hermitian matrices themselves.  Matrix equalities
-    are expanded against the orthonormal basis ``_hermitian_basis(d)``, so
-    each d x d constraint contributes d^2 real rows, row k taking the
-    coordinates hvec(T)[k] of the right-hand side.
+    coefficients are the Hermitian matrices themselves (a nonnegative
+    scalar is a 1 x 1 block).  Matrix equalities are expanded against the
+    orthonormal basis ``_hermitian_basis(d)``, so each d x d constraint
+    contributes d^2 real rows, row k taking the coordinates hvec(T)[k] of
+    the right-hand side.  ``prob`` is the assembled ``SdpProblem``, for
+    ``solve`` or ``feasibility``.
     """
 
     def __init__(self):
         self.prob = SdpProblem(blocks=[], n_free=0)
-        self._cdim: dict[int, int] = {}  # block index -> dimension of a Hermitian block
 
     def cblock(self, d: int) -> int:
         """New complex Hermitian PSD variable of dimension d."""
-        idx = len(self.prob.blocks)
         self.prob.blocks.append(d)
-        self._cdim[idx] = d
-        return idx
-
-    def rblock(self) -> int:
-        """New scalar variable constrained nonnegative (1x1 block)."""
-        idx = len(self.prob.blocks)
-        self.prob.blocks.append(1)
-        return idx
+        return len(self.prob.blocks) - 1
 
     def free(self) -> int:
         """New free scalar variable."""
@@ -697,9 +693,7 @@ class Builder:
 
     def _expand(self, terms, free_terms, rhs_mat, d):
         for blk, _ in terms:
-            if blk not in self._cdim:
-                raise ValueError("matrix equality over a scalar block")
-            if self._cdim[blk] != d:
+            if self.prob.blocks[blk] != d:
                 raise ValueError("block dimension mismatch in matrix equality")
         rhs = hvec(rhs_mat).tolist()
         fvecs = [(j, hvec(f).tolist()) for j, f in free_terms]
@@ -727,20 +721,14 @@ class Builder:
         fts = [(j, linalg.check_hermitian(f, tol=1e-9)) for j, f in free_terms]
         self.prob.constraints.extend(self._expand(terms, fts, t, d))
 
-    def _coef(self, blk, k) -> np.ndarray:
-        if blk in self._cdim:
-            return linalg.check_hermitian(k, tol=1e-9)
-        return np.array([[float(k)]])
-
     def eq_scalar(self, block_terms=(), free_terms=(), rhs=0.0):
         """Add sum_v <K_v, X_v> + sum_j c_j s_j = rhs (one real row).
 
-        block_terms: [(block, K)] with K Hermitian for cblocks, a float for
-        scalar blocks.
+        block_terms: [(block, Hermitian K)].
         """
         bc = {}
         for blk, k in block_terms:
-            mat = self._coef(blk, k)
+            mat = linalg.check_hermitian(k, tol=1e-9)
             bc[blk] = bc[blk] + mat if blk in bc else mat
         fc = {}
         for j, v in free_terms:
@@ -749,20 +737,11 @@ class Builder:
 
     def objective(self, block_terms=(), free_terms=(), sense="max"):
         """Set objective sum_v <O_v, X_v> + sum_j c_j s_j."""
-        bo = {blk: self._coef(blk, o) for blk, o in block_terms}
+        bo = {blk: linalg.check_hermitian(o, tol=1e-9) for blk, o in block_terms}
         fo = {j: float(v) for j, v in free_terms}
         self.prob.objective = (bo, fo)
         self.prob.sense = sense
 
     def extract(self, blocks: list[np.ndarray], blk: int) -> np.ndarray:
-        """Complex Hermitian matrix (or scalar) from solver blocks."""
-        w = blocks[blk]
-        if blk in self._cdim:
-            return linalg.hermitianize(w)
-        return float(w[0, 0].real)
-
-    def solve(self, opts: SolveOptions | None = None) -> SdpSolution:
-        return solve(self.prob, opts)
-
-    def feasibility(self, opts: SolveOptions | None = None):
-        return feasibility(self.prob, opts)
+        """Complex Hermitian matrix of block blk from solver blocks."""
+        return linalg.hermitianize(blocks[blk])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import incompat, linalg, povm, sdp
-from .povm import Assemblage, Povm, from_basis, truncate
+from .povm import Assemblage, from_basis, truncate
 
 VERDICT_INCOMPRESSIBLE = "Incompressible"
 VERDICT_FULLY_COMPRESSIBLE = "FullyCompressible"
@@ -43,11 +43,11 @@ class SubspaceReport:
 def _probe_projectors(a: Assemblage, n: int) -> list[tuple[str, linalg.Projector]]:
     """Deterministic probes: coordinate subspaces first, then spans of
     eigenvectors pooled from every POVM element (the natural non-generic
-    witnesses), capped to keep runtime bounded."""
+    witnesses), at most PROBE_CAP in all to keep runtime bounded."""
     d = a.dim
     probes: list[tuple[str, linalg.Projector]] = []
     eye = np.eye(d, dtype=complex)
-    for combo in itertools.combinations(range(d), n):
+    for combo in itertools.islice(itertools.combinations(range(d), n), PROBE_CAP):
         basis = [eye[:, i] for i in combo]
         probes.append((f"coordinate{list(combo)}", linalg.projector_from_basis(basis)))
     pool: list[np.ndarray] = []
@@ -70,15 +70,7 @@ def _probe_projectors(a: Assemblage, n: int) -> list[tuple[str, linalg.Projector
     return probes
 
 
-def _classify_one(args):
-    (a_raw, d, n, kind, seed_or_basis) = args
-    a = Assemblage(d, [Povm(d, list(m)) for m in a_raw])
-    if kind == "haar":
-        p = linalg.haar_subspace(d, n, int(seed_or_basis))
-        label: int | str = int(seed_or_basis)
-    else:
-        p = linalg.projector_from_basis(seed_or_basis)
-        label = kind
+def _classify_one(a: Assemblage, label, p: linalg.Projector):
     r = incompat.depolarising_robustness(truncate(a, p))
     return label, p, r.eta, r.verdict
 
@@ -116,19 +108,14 @@ def classify(
             "of its parent is a parent for the truncated assemblage",
         )
 
-    tasks = []
-    a_raw = tuple(tuple(m.elements) for m in a.measurements)
-    for name, p in _probe_projectors(a, n):
-        tasks.append((a_raw, a.dim, n, name, [p.basis[:, k] for k in range(n)]))
-    sample_seeds = np.random.SeedSequence(seed).generate_state(samples)
-    for s in sample_seeds:
-        tasks.append((a_raw, a.dim, n, "haar", int(s)))
-
+    tasks = _probe_projectors(a, n)
+    for s in np.random.SeedSequence(seed).generate_state(samples):
+        tasks.append((int(s), linalg.haar_subspace(a.dim, n, int(s))))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_classify_one, tasks))
+            results = list(ex.map(_classify_one, itertools.repeat(a), *zip(*tasks)))
     else:
-        results = [_classify_one(t) for t in tasks]
+        results = [_classify_one(a, label, p) for label, p in tasks]
 
     records = []
     witnesses: dict = {}

@@ -232,3 +232,19 @@ def test_wrong_kind_for_alice(capsys):
     code, _, err = run(capsys, "steering", "choi", "--builtin", "peres-steerable-state",
                        "--alice-builtin", "peres-steerable-state")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, data, field", [
+    (("robustness",), {"dim": 2, "measurements": [5]}, "measurement 0"),
+    (("robustness",), {"dim": None, "measurements": []}, "'dim'"),
+    (("robustness",), {"dim": 2, "measurements": [{"elements": 3}]}, "'elements'"),
+    (("steering", "choi", "--alice-builtin", "peres-mubs"),
+     {"dA": 3, "dB": [1], "matrix": [[[1.0, 0.0]]]}, "'dB'"),
+])
+def test_json_fields_of_the_wrong_type_exit_2(tmp_path, capsys, argv, data, field):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, rep, err = run(capsys, *argv, "--input", str(path))
+    assert code == 2 and rep is None
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+    assert field in err

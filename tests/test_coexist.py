@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subincompat import coexist, incompat, linalg
+from subincompat import coexist, incompat, linalg, sdp
 from subincompat.povm import Assemblage, Povm, random_povm, truncate
 
 from helpers import compatible_pair, sigma_xz_pair
@@ -67,6 +67,46 @@ def test_explicit_candidate_route():
     assert res.coexistent
     assert res.method == "candidate"
     assert res.kernels is not None
+
+
+def test_candidate_that_cannot_reach_an_effect_is_inconclusive():
+    # sigma_z's elements span only diagonal matrices, so no mixture of them
+    # reaches a sigma_y effect: the off-diagonal rows are 0 = nonzero
+    eye = np.eye(2)
+    sy, sz = np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])
+    ys, zs = (Povm(2, [(eye + s) / 2, (eye - s) / 2]) for s in (sy, sz))
+    res = coexist.coexistent_parent(ys, zs, candidate=zs)
+    assert res.coexistent is None
+    assert res.slack == -np.inf
+    assert res.method == "candidate"
+
+
+def test_counterexample_candidate_checks_share_one_structure(monkeypatch):
+    # the 18 binarisations of the qubit counterexample bind their data to
+    # one compiled candidate structure instead of presolving 18 programs
+    calls, inside, kernels = [], [False], []
+    real_presolve, real_coexist = sdp._presolve, coexist.coexistent_parent
+
+    def presolve(*args):
+        calls.append(inside[0])
+        return real_presolve(*args)
+
+    def coexistent_parent(*args, **kwargs):
+        inside[0] = True
+        try:
+            res = real_coexist(*args, **kwargs)
+        finally:
+            inside[0] = False
+        kernels.append(res.kernels)
+        return res
+
+    incompat._parent_structure.cache_clear()
+    monkeypatch.setattr(sdp, "_presolve", presolve)
+    monkeypatch.setattr(coexist, "coexistent_parent", coexistent_parent)
+    _, _, _, report = coexist.qubit_counterexample()
+    assert report["coexistent"]["coexistent"] is True
+    assert len(kernels) == 1 and len(kernels[0]) == 18
+    assert sum(calls) <= 1
 
 
 def test_relabelling_invariance():

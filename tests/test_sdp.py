@@ -13,10 +13,10 @@ from helpers import sigma_xz_pair
 def test_trivial_lp_max_x_below_one():
     bld = sdp.Builder()
     x = bld.free()
-    s = bld.rblock()
-    bld.eq_scalar([(s, 1.0)], [(x, 1.0)], 1.0)  # x + s = 1, s >= 0
+    s = bld.cblock(1)
+    bld.eq_scalar([(s, np.eye(1))], [(x, 1.0)], 1.0)  # x + s = 1, s >= 0
     bld.objective([], [(x, 1.0)], "max")
-    sol = bld.solve()
+    sol = sdp.solve(bld.prob)
     assert sol.status == "Optimal"
     assert abs(sol.primal_value - 1.0) < 1e-7
 
@@ -30,7 +30,7 @@ def test_largest_eigenvalue_sdp():
     x = bld.cblock(3)
     bld.eq_scalar([(x, np.eye(3, dtype=complex))], [], 1.0)
     bld.objective([(x, m)], [], "max")
-    sol = bld.solve()
+    sol = sdp.solve(bld.prob)
     top = np.linalg.eigvalsh(m).max()
     assert sol.status == "Optimal"
     assert abs(sol.primal_value - top) < 1e-7
@@ -73,7 +73,7 @@ def test_inconsistent_rows_detected_infeasible():
     y = bld.cblock(2)
     bld.eq_scalar([(y, np.eye(2, dtype=complex))], [], 1.0)
     bld.eq_scalar([(y, np.eye(2, dtype=complex))], [], 2.0)
-    feasible, slack, cert = bld.feasibility()
+    feasible, slack, cert = sdp.feasibility(bld.prob)
     assert feasible is False
     assert cert is None
 
@@ -83,7 +83,7 @@ def test_feasibility_positive_slack_certificate():
     bld = sdp.Builder()
     x = bld.cblock(2)
     bld.eq_scalar([(x, np.eye(2, dtype=complex))], [], 2.0)
-    feasible, slack, cert = bld.feasibility()
+    feasible, slack, cert = sdp.feasibility(bld.prob)
     assert feasible and slack > 0.1
     xm = bld.extract(cert, x)
     assert abs(np.trace(xm).real - 2.0) < 1e-6
@@ -100,7 +100,7 @@ def test_eq_matrix_with_free_terms():
     t = bld.free()
     bld.eq_matrix([(x, 1.0)], t_mat, free_terms=[(t, f)])
     bld.objective([], [(t, 1.0)], "max")
-    sol = bld.solve()
+    sol = sdp.solve(bld.prob)
     assert abs(sol.primal_value - 1.0) < 1e-6  # limited by the smaller eigenvalue
 
 
@@ -127,7 +127,7 @@ def test_complex_hermitian_block_round_trip():
     bld = sdp.Builder()
     x = bld.cblock(2)
     bld.eq_matrix([(x, 1.0)], h)
-    feasible, slack, cert = bld.feasibility()
+    feasible, slack, cert = sdp.feasibility(bld.prob)
     assert feasible
     xm = bld.extract(cert, x)
     assert np.abs(xm - h).max() < 1e-7
@@ -321,7 +321,7 @@ def test_lstsq_fallback_is_counted_and_logged(monkeypatch, caplog):
         x = bld.cblock(2)
         bld.eq_scalar([(x, np.eye(2))], [], 1.0)
         bld.objective([(x, np.diag([2.0, 1.0]))], [], "max")
-        sol = bld.solve()
+        sol = sdp.solve(bld.prob)
     assert sol.status == sdp.STATUS_OPTIMAL
     assert sol.lstsq_fallbacks == 2 * (sol.iterations - 1) > 0
     assert len(caplog.records) == sol.lstsq_fallbacks
@@ -651,6 +651,23 @@ def test_dropped_rows_are_checked_per_call():
         incompat.parent_program(d, kernel, rhs, noise[:-1] + [2 * noise[-1]])
 
 
+def test_zero_kernel_rows_are_checked_like_any_other():
+    # G0 + G1 = 1, 0 = Z, G0 = diag(3/4, 1/4): a zero row with nonzero rhs is
+    # infeasible, as the presolve reports it; with rhs 0 it changes nothing
+    kernel = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+    eye, g0 = np.eye(2), np.diag([0.75, 0.25])
+    bad = [eye, np.diag([0.0, 0.5]), g0]
+    prog = incompat.parent_program(2, kernel, bad)
+    sol = sdp.solve(prog)
+    assert sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
+    assert sol.message == "row 5 is 0 = 0.5" == sdp.solve(_full_program(2, kernel, bad)).message
+    assert sdp.feasibility(prog) == (False, -np.inf, None)
+    with_row = sdp.feasibility(incompat.parent_program(2, kernel, [eye, np.zeros((2, 2)), g0]))
+    without = sdp.feasibility(incompat.parent_program(2, kernel[[0, 2]], [eye, g0]))
+    assert with_row[:2] == without[:2]
+    assert with_row[0] and abs(with_row[1] - 0.25) < 1e-6
+
+
 def test_parent_programs_emit_full_rank_rows(monkeypatch):
     # the rows a parent program leaves out are those the presolve drops
     # from the program written out in full
@@ -671,6 +688,8 @@ def test_parent_programs_emit_full_rank_rows(monkeypatch):
     steering.lhs_feasible(steering.assemblage_from_state(rho, steering.peres_mubs()))
     coexist.coexistent_parent(*corpus.build("sigma-xz-sharp").measurements)
     coexist.seesaw(3, 2, 3, 1)
+    qutrit = coexist._qutrit_pair()[0].measurements
+    coexist.coexistent_parent(*qutrit, candidate=qutrit[1])
     dropped = []
     for full, prog in seen:
         kept, message = sdp._presolve(*_rows(full), 1e-8)

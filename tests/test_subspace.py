@@ -4,7 +4,7 @@ import pytest
 from subincompat import coexist, corpus, subspace
 from subincompat.povm import Assemblage, from_basis
 
-from helpers import compatible_pair
+from helpers import compatible_pair, haar_basis
 
 
 def _e5_basis():
@@ -66,6 +66,17 @@ def test_classify_skips_probes_with_a_dependent_span():
     assert rep.verdict == subspace.VERDICT_PARTLY_COMPRESSIBLE  # incompatible on span{e0, e1, .}
     names = [r["name"] for r in rep.records if r["kind"] == "probe"]
     assert "eigenspan[0, 2, 3]" in names and "eigenspan[0, 1, 4]" not in names
+
+
+def test_probes_are_capped_in_total():
+    # C(12, 6) = 924 coordinate subspaces alone exceed the cap: the first
+    # PROBE_CAP of them are the probes, and no eigenvector span is reached
+    rng = np.random.default_rng(12)
+    a = Assemblage(12, [from_basis(_comp_basis(12)), from_basis(haar_basis(12, rng))])
+    probes = subspace._probe_projectors(a, 6)
+    assert len(probes) == subspace.PROBE_CAP
+    assert all(name.startswith("coordinate") for name, _ in probes)
+    assert probes[0][0] == "coordinate[0, 1, 2, 3, 4, 5]"
 
 
 def test_classify_validates_n():

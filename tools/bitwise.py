@@ -58,6 +58,16 @@ for k in corpus.builtin_keys():
     if c.parent is not None:
         print("coex-parent-hash", k, arr(np.array(c.parent.elements)))
 
+at, bt, _, _ = coexist.qubit_counterexample()
+qutrit = coexist._qutrit_pair()[0].measurements
+for name, (a, b, c) in (("qubit-counterexample/B~", (at, bt, bt)),
+                        ("qutrit-pair/B", (*qutrit, qutrit[1])),
+                        ("qutrit-pair/A", (*qutrit, qutrit[0]))):
+    r = coexist.coexistent_parent(a, b, candidate=c)
+    print("cand", name, r.coexistent, h(r.slack))
+    for key, kernel in (r.kernels or {}).items():
+        print("cand-kernel-hash", name, *key, arr(kernel))
+
 for hit in coexist.seesaw(3, 2, 3, 24):
     print("seesaw", hit.seed, hit.iterations, h(hit.witness_value),
           h(hit.coexistence_slack), h(hit.jm_slack),
