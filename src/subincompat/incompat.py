@@ -8,8 +8,7 @@ incompatibility witness, and the incompressibility bound."""
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -102,31 +101,29 @@ def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.SdpProblem:
         bld.eq_matrix([(k, float(row[k])) for k in cols], rhs[r], free_terms=free_terms)
     if noise is not None:
         bld.eq_scalar(block_terms=[(slack, np.eye(1))], free_terms=[(eta, 1.0)], rhs=1.0)
-        bld.objective(free_terms=[(eta, 1.0)], sense="max")
+        bld.objective(free_terms=[(eta, 1.0)])
     return bld.prob
 
 
-# A compiled parent structure: the program bound to zero data, the
-# positions of the independent kernel rows (``keep``) and of the others
-# (``deps``: rows that combine earlier ones, zero rows among them), and the
-# weights that combine the others from the independent ones
-# (deps ~ weights @ keep; 0 for a zero row).
-_ParentStructure = namedtuple("_ParentStructure", "program keep deps weights")
-
-
 @lru_cache(maxsize=32)
-def _parent_structure(d: int, shape: tuple, kernel_bytes: bytes, kind: str) -> _ParentStructure:
+def _parent_structure(d: int, shape: tuple, kernel_bytes: bytes, kind: str) -> sdp.Program:
+    """The parent program of (d, kernel, kind) compiled and bound to zero
+    data.  Its row basis is the kernel's, found on the small kernel and
+    lifted to the d^2 rows of each matrix equality (plus the kept eta <= 1
+    row with noise), so the full program is never presolved."""
     kernel = np.frombuffer(kernel_bytes).reshape(shape)
-    keep, _ = sdp._presolve(kernel.copy(), np.zeros(len(kernel)), sdp.FEAS_TOL)
-    deps = [i for i in range(len(kernel)) if i not in keep]
-    weights = np.linalg.lstsq(kernel[keep].T, kernel[deps].T, rcond=None)[0].T
+    keep, weights = sdp._presolve(kernel.copy())
     zeros = [np.zeros((d, d))] * len(kernel)
     p = _parent_problem(d, kernel, zeros, zeros if kind == "noise" else None)
     if kind == "feasibility":
         p = sdp.with_slack(p)
     n = d * d
-    kept = [i * n + k for i in keep for k in range(n)] + ([len(kernel) * n] if kind == "noise" else [])
-    return _ParentStructure(sdp.compile_program(p, kept), keep, deps, weights)
+    kept = [i * n + k for i in keep for k in range(n)]
+    weights = np.kron(weights, np.eye(n))
+    if kind == "noise":
+        kept.append(len(kernel) * n)
+        weights = np.hstack([weights, np.zeros((len(weights), 1))])
+    return sdp.compile_program(p, (kept, weights))
 
 
 def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Program:
@@ -142,17 +139,15 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
     program of ``sdp.with_slack``, to be answered by ``sdp.feasibility``.
 
     The structure, everything that depends only on (d, kernel, kind), is
-    compiled once and cached; a call binds its data to it.  Kernel rows
-    that combine earlier rows, and rows without a nonzero entry, are left
-    out of the structure (for marginal kernels: one outcome row per setting
-    after the first, and an all-ones row).  Binding checks that their rhs
-    still match, as the presolve would, and a mismatch becomes the
-    program's message.
+    compiled once and cached; a call binds its data to it, and
+    ``Program.bind`` checks that the kernel rows the structure leaves out
+    (rows that combine earlier rows, and rows without a nonzero entry; for
+    marginal kernels one outcome row per setting after the first, and an
+    all-ones row) still match.
     """
     kernel = np.ascontiguousarray(kernel, dtype=float)
     kind = "noise" if noise is not None else "objective" if objective is not None else "feasibility"
-    s = _parent_structure(d, kernel.shape, kernel.tobytes(), kind)
-    n = d * d
+    prog = _parent_structure(d, kernel.shape, kernel.tobytes(), kind)
 
     def coords(mats):
         out = []
@@ -161,34 +156,15 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
             if t.shape != (d, d):
                 raise ValueError("block dimension mismatch in matrix equality")
             out.append(sdp.hvec(t))
-        return np.array(out).reshape(len(kernel), n)
+        return np.array(out).reshape(len(kernel) * d * d)
 
-    R = coords(rhs)
-    b = R[s.keep].ravel()
-    data = {}
-    scale = 1.0 + np.abs(R).max(initial=0.0)
+    b = coords(rhs)
     if kind == "noise":
         N = coords([-x for x in noise]) + 0.0  # a zero coefficient is +0, as in the Builder's rows
-        off = N[s.deps] - s.weights @ N[s.keep]
-        if np.abs(off).max(initial=0.0) > 10 * sdp.FEAS_TOL * (1.0 + np.abs(N).max()):
-            raise ValueError("noise does not obey the kernel's row relations")
-        b = np.append(b, 1.0)
-        data["E"] = np.append(N[s.keep].ravel(), 1.0).reshape(-1, 1)
-        scale = max(scale, 2.0)
-    elif kind == "objective":
-        data["C"] = dict(objective)
-    prog = s.program.bind(b=b, **data)
-    # the presolve's thresholds: FEAS_TOL*scale on a zero row, ten times that otherwise
-    zero = ~kernel[s.deps].any(axis=1)
-    residual = R[s.deps] - s.weights @ R[s.keep]
-    tol = np.where(zero, 1.0, 10.0)[:, None] * sdp.FEAS_TOL * scale
-    bad = np.flatnonzero(np.abs(residual) > tol)
-    if bad.size:  # first inconsistent left-out row, numbered as in the full program
-        i, k = divmod(int(bad[0]), n)
-        row, r = s.deps[i] * n + k, residual.flat[bad[0]]
-        message = sdp.ZERO_ROW.format(row, r) if zero[i] else sdp.INCONSISTENT.format(row, r)
-        prog = replace(prog, message=message)
-    return prog
+        return prog.bind(b=np.append(b, 1.0), E=np.append(N, 1.0).reshape(-1, 1))
+    if kind == "objective":
+        return prog.bind(b=b, C=dict(objective))
+    return prog.bind(b=b)
 
 
 def marginal_kernel(labels, rows) -> np.ndarray:

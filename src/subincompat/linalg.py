@@ -55,23 +55,6 @@ def real_embedding(m) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
-def unembed(w) -> np.ndarray:
-    """Inverse of real_embedding on the invariant subspace.
-
-    For a general symmetric w the result is the Hermitian matrix whose
-    embedding is the J-invariant average of w (J the embedded multiplication
-    by i); for w = real_embedding(h) it returns h exactly.
-    """
-    w = np.asarray(w, dtype=float)
-    d2 = w.shape[0]
-    if d2 % 2:
-        raise ValueError("embedded matrix must have even dimension")
-    d = d2 // 2
-    w11, w12 = w[:d, :d], w[:d, d:]
-    w21, w22 = w[d:, :d], w[d:, d:]
-    return (w11 + w22) / 2 + 1j * (w21 - w12) / 2
-
-
 def eig_hermitian(m):
     """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 

@@ -91,45 +91,6 @@ class ParentPovm:
         return Povm(self.dim, els)
 
 
-def validate(measurements, dim: int | None = None) -> dict:
-    """Diagnostic report for raw measurement data; never raises.
-
-    measurements: an Assemblage, a Povm, or a list of lists of matrices.
-    Returns per-element minimum eigenvalues, Hermiticity deviations and
-    per-measurement normalisation residuals.
-    """
-    if isinstance(measurements, Assemblage):
-        raw = [m.elements for m in measurements.measurements]
-        dim = measurements.dim
-    elif isinstance(measurements, Povm):
-        raw = [measurements.elements]
-        dim = measurements.dim
-    else:
-        raw = [[np.asarray(e, dtype=complex) for e in m] for m in measurements]
-        dim = dim or raw[0][0].shape[0]
-    report: dict = {"dim": dim, "measurements": []}
-    ok = True
-    for mx in raw:
-        entry = {"min_eigenvalues": [], "hermiticity": [], "normalisation_residual": None}
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in mx:
-            herm = float(np.abs(e - e.conj().T).max())
-            entry["hermiticity"].append(herm)
-            he = linalg.hermitianize(e)
-            mev = linalg.min_eigenvalue(he)
-            entry["min_eigenvalues"].append(mev)
-            total += he
-            if herm > linalg.HERM_TOL or mev < -ELEMENT_PSD_TOL:
-                ok = False
-        resid = float(np.abs(total - np.eye(dim)).max())
-        entry["normalisation_residual"] = resid
-        if resid > NORMALISATION_TOL:
-            ok = False
-        report["measurements"].append(entry)
-    report["valid"] = ok
-    return report
-
-
 def truncate(a: Assemblage, p: linalg.Projector) -> Assemblage:
     """Conjugate every element by the projector and re-read on its range.
 

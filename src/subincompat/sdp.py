@@ -16,19 +16,22 @@ The Schur complement B[k,l] = sum_b Re tr(A_kb X_b A_lb Z_b^-1) is
 assembled over those rows only (the row-sparse formula of Fujisawa, Kojima
 & Nakata).  Per iteration and dimension one factor F = inv(cholesky([X; Z]))
 gives Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of F D F^H
-each).  A presolve drops rows dependent on earlier ones, and detects
-inconsistent systems, by classical Gram-Schmidt with reorthogonalisation
-(CGS2), one row at a time.  Everything is plain numpy and fully
-deterministic: identical inputs produce identical iterate sequences.
-The tolerances are the module constants below; ``SolveOptions`` holds only
-the iteration cap.
+each).  A presolve finds a row basis: it keeps the rows independent of
+earlier ones and gives the weights that build every other row from them,
+by classical Gram-Schmidt with reorthogonalisation (CGS2), one row at a
+time.  It looks at the rows only, never at their data.  Everything is
+plain numpy and fully deterministic: identical inputs produce identical
+iterate sequences.  The tolerances are the module constants below;
+``SolveOptions`` holds only the iteration cap.
 
 Compile and solve are separate steps.  ``compile_program`` turns a
-problem's structure (block dimensions and block coefficients of the kept
-rows) into a read-only ``_Compiled`` and binds the problem's data to it as
-a ``Program``; ``Program.bind`` swaps in another call's data (rhs, free
-columns, objective) without compiling again, so a caller that caches a
-structure solves many programs of one shape for the cost of their data.
+problem's structure (block dimensions, the row basis and the block
+coefficients of the kept rows) into a read-only ``_Compiled`` and binds
+the problem's data to it as a ``Program``; ``Program.bind`` swaps in
+another call's data (rhs, free columns, objective) without compiling
+again, so a caller that caches a structure solves many programs of one
+shape for the cost of their data.  Binding is the one place that checks
+data: the rows the structure leaves out must still match the kept rows.
 ``solve`` accepts an ``SdpProblem``, compiled on the spot, or a Program.
 
 ``Builder`` declares Hermitian variables, one block kind (a nonnegative
@@ -56,13 +59,13 @@ STATUS_DUAL_INFEASIBLE = "DualInfeasible"
 STATUS_NUMERICAL_FAILURE = "NumericalFailure"
 
 FEAS_SLACK_TOL = 1e-7  # feasibility margin: feasible <=> slack >= -1e-7
-FEAS_TOL = 1e-8  # residual bound of an optimal iterate; rhs tolerance of the presolve
+FEAS_TOL = 1e-8  # residual bound of an optimal iterate; tolerance of the data check
 GAP_TOL = 1e-8  # relative duality gap of an optimal iterate
 STEP_FRAC = 0.98  # share of the largest feasible step taken
 UNBOUNDED_CUTOFF = 1e10  # |objective| beyond which a side is taken to diverge
 
-# the presolve's reports of a zero row with nonzero rhs, and of a row whose
-# rhs contradicts earlier rows
+# the data check's reports of a zero row with nonzero rhs, and of a row
+# whose rhs contradicts the kept rows
 ZERO_ROW = "row {} is 0 = {:g}"
 INCONSISTENT = "inconsistent affine constraints (row {}, residual {:g})"
 
@@ -80,20 +83,18 @@ class SdpProblem:
 
     constraints: list of (block_coeffs, free_coeffs, rhs) with block_coeffs a
     dict {block index -> Hermitian coefficient matrix} and free_coeffs a dict
-    {free var index -> float}.  objective likewise: (block dict, free dict).
+    {free var index -> float}.  objective likewise, maximised: (block dict,
+    free dict).
     """
 
     blocks: list[int]
     n_free: int = 0
     objective: tuple[dict, dict] = field(default_factory=lambda: ({}, {}))
     constraints: list[tuple[dict, dict, float]] = field(default_factory=list)
-    sense: str = "max"
 
     def validate(self) -> dict:
         """Check the data.  Returns the block coefficients by dimension d:
         {d: (rows, blocks, (n, d, d) complex stack)}, row -1 the objective."""
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"bad sense {self.sense!r}")
         for b, dim in enumerate(self.blocks):
             if dim < 1:
                 raise ValueError(f"block {b} has dimension {dim}")
@@ -196,15 +197,13 @@ _Group = namedtuple("_Group", "idx A size sl")
 # A problem's rows as dense data: ``H`` one row of hvec coordinates per
 # constraint (block b in columns off[b]:off[b+1]), ``mentions`` which blocks
 # each row mentions, free coefficients ``E``, rhs ``b``, per-block objective
-# matrices ``C`` and free objective ``c`` (both times ``sign``: the solver
-# maximises).
-_Dense = namedtuple("_Dense", "H mentions E b C c sign off")
+# matrices ``C`` and free objective ``c``.
+_Dense = namedtuple("_Dense", "H mentions E b C c off")
 
 
 def _dense(p: SdpProblem) -> _Dense:
     coeffs = p.validate()
     m, nf = len(p.constraints), p.n_free
-    sign = 1.0 if p.sense == "max" else -1.0
     dims = np.array(p.blocks, dtype=np.intp)
     off = np.concatenate([[0], np.cumsum(dims * dims)])
     H = np.zeros((m, off[-1]))
@@ -212,7 +211,7 @@ def _dense(p: SdpProblem) -> _Dense:
     C = [np.zeros((d, d), dtype=complex) for d in p.blocks]
     for d, (ks, bs, mats) in coeffs.items():
         for b, mat in zip(bs[ks < 0], mats[ks < 0]):
-            C[b] = sign * mat
+            C[b] = mat
         ks, bs, mats = ks[ks >= 0], bs[ks >= 0], mats[ks >= 0]
         H[ks[:, None], off[bs][:, None] + np.arange(d * d)] = hvec(mats)
         mentions[ks, bs] = True
@@ -224,8 +223,8 @@ def _dense(p: SdpProblem) -> _Dense:
         b[k] = rhs
     c = np.zeros(nf)
     for j, v in p.objective[1].items():
-        c[j] = sign * v
-    return _Dense(H, mentions, E, b, C, c, sign, off)
+        c[j] = v
+    return _Dense(H, mentions, E, b, C, c, off)
 
 
 def _frozen(a) -> np.ndarray:
@@ -237,19 +236,24 @@ def _frozen(a) -> np.ndarray:
 class _Compiled:
     """A program's structure: its blocks grouped into ``_Group``s over the
     rows ``kept`` (ids in the full program, ascending, renumbered 0..m-1),
-    by (dimension, row count) in order of first block.  Iterates are stacks
-    of the blocks ``order[i]`` of one dimension; rows that never mention a
-    block cost nothing in any product over it.  The dense rows it was built
-    from are not kept, and every array is read-only, so one structure
-    serves any number of solves.
+    by (dimension, row count) in order of first block, and the row basis:
+    the other rows ``left_out`` (ascending) are ``weights @`` the kept rows
+    (a zero row's weights are 0).  Iterates are stacks of the blocks
+    ``order[i]`` of one dimension; rows that never mention a block cost
+    nothing in any product over it.  The dense rows it was built from are
+    not kept, and every array is read-only, so one structure serves any
+    number of solves.
     """
 
-    def __init__(self, p: SdpProblem, dense: _Dense, kept):
+    def __init__(self, p: SdpProblem, dense: _Dense, kept, weights):
         self.blocks = list(p.blocks)
         self.nf = p.n_free
-        self.sign = dense.sign
         self.kept = _frozen(np.array(kept, dtype=np.intp))
         self.m = m = len(self.kept)
+        out = np.ones(len(dense.b), dtype=bool)
+        out[self.kept] = False
+        self.left_out = _frozen(np.flatnonzero(out))
+        self.weights = _frozen(np.array(weights, dtype=float).reshape(len(self.left_out), m))
         H, men = dense.H[self.kept], dense.mentions[self.kept]
         keys: dict[tuple[int, int], list[int]] = {}
         for b, key in enumerate(zip(self.blocks, men.sum(axis=0).tolist())):
@@ -320,40 +324,38 @@ class _Compiled:
         return np.bincount(self.schur_at, np.concatenate(parts), minlength=m * m).reshape(m, m)
 
 
-def _presolve(rows: np.ndarray, b: np.ndarray, feas_tol: float):
-    """Gram-Schmidt row reduction with rhs companion.
+def _presolve(rows: np.ndarray):
+    """Gram-Schmidt row basis.
 
     Rows are scanned in order; row k is kept when its residual against the
     rows kept so far exceeds 1e-10*max(1, |row k|).  The residual comes from
     two classical Gram-Schmidt passes (CGS2) against those rows.  ``rows``
     (the dense rows [hvec(A_k1)|...|E_k]) is overwritten.
-    Returns (kept_row_indices, None) or (None, message) when the affine
-    system is inconsistent (a vanishing row combination with nonzero rhs).
+    Returns (kept, weights): the kept row ids, ascending, and per other row
+    in order the weights that build it from the kept rows, a
+    (rows - len(kept), len(kept)) array whose rows are 0 for zero rows.
     """
     m, ncols = rows.shape
-    scale = 1.0 + np.abs(b).max(initial=0.0)
     Q = np.empty((min(m, ncols), ncols))
-    betas = np.empty(len(Q))
+    T = np.zeros((len(Q), len(Q)))  # Q[:n] = T[:n, :n] @ (the kept rows)
+    W = np.zeros((m, len(Q)))  # row i: the weights of the i-th other row
     kept: list[int] = []
-    for k, (r, bk) in enumerate(zip(rows, b)):
+    for k, r in enumerate(rows):
         nk = np.linalg.norm(r)
-        if nk == 0.0:
-            if abs(bk) > feas_tol * scale:
-                return None, ZERO_ROW.format(k, bk)
-            continue
         n = len(kept)
+        coef = np.zeros(n)
         for _ in range(2):
-            coef = Q[:n] @ r
-            r -= coef @ Q[:n]
-            bk -= coef @ betas[:n]
+            c = Q[:n] @ r
+            r -= c @ Q[:n]
+            coef += c
         nrm = np.linalg.norm(r)
         if nrm > 1e-10 * max(1.0, nk):
             Q[n] = r / nrm
-            betas[n] = bk / nrm
+            T[n, :n], T[n, n] = -(coef @ T[:n, :n]) / nrm, 1.0 / nrm
             kept.append(k)
-        elif abs(bk) > feas_tol * scale * 10:
-            return None, INCONSISTENT.format(k, bk)
-    return kept, None
+        else:  # a zero row stays 0 and gets weights 0
+            W[k - n, :n] = coef @ T[:n, :n]
+    return kept, W[:m - len(kept), :len(kept)]
 
 
 @dataclass(frozen=True)
@@ -362,10 +364,9 @@ class Program:
 
     ``b`` and ``E`` are the rhs and free coefficients of the kept rows,
     ``C`` the objective's block coefficients as per-dimension stacks and
-    ``c`` its free coefficients (both times the structure's sign), and
-    ``message`` an inconsistency found in the data when it was bound (by
-    the presolve, or by a caller that checks the rows it left out), which
-    ``solve`` reports as PrimalInfeasible without iterating.
+    ``c`` its free coefficients, and ``message`` the first left-out row
+    whose rhs the kept rows contradict, found by ``bind``, which ``solve``
+    reports as PrimalInfeasible without iterating.
     """
 
     structure: _Compiled
@@ -386,34 +387,60 @@ class Program:
 
     def bind(self, b=None, E=None, C=None) -> Program:
         """This structure with new data (None keeps this program's): ``b``
-        and ``E`` for the kept rows and ``C`` the objective's block
-        coefficients as {block: Hermitian matrix} (other blocks 0)."""
-        data = {k: v for k, v in (("b", b), ("E", E)) if v is not None}
+        (m,) and ``E`` (m, n_free) for every row of the program and ``C``
+        the objective's block coefficients as {block: Hermitian matrix}
+        (other blocks 0).
+
+        The one check of a program's data: a left-out row must equal its
+        weights times the kept rows.  Free coefficients that miss by more
+        than 10*FEAS_TOL*(1 + max|E|) raise ValueError.  A rhs may miss by
+        FEAS_TOL*scale on a zero row and by ten times that on any other,
+        scale = 1 + max|b|; the first row in row order that misses sets
+        ``message`` (ZERO_ROW or INCONSISTENT, with its row id).
+        """
+        st = self.structure
+        data = {}
+        if E is not None:
+            E = np.asarray(E, dtype=float)
+            data["E"] = _frozen(E[st.kept])
+            off = E[st.left_out] - st.weights @ data["E"]
+            if np.abs(off).max(initial=0.0) > 10 * FEAS_TOL * (1.0 + np.abs(E).max(initial=0.0)):
+                raise ValueError("free coefficients do not obey the program's row relations")
+        if b is not None:
+            b = np.asarray(b, dtype=float)
+            data["b"] = _frozen(b[st.kept])
+            residual = b[st.left_out] - st.weights @ data["b"]
+            zero = ~st.weights.any(axis=1)
+            tol = np.where(zero, 1.0, 10.0) * FEAS_TOL * (1.0 + np.abs(b).max(initial=0.0))
+            bad = np.flatnonzero(np.abs(residual) > tol)
+            data["message"] = ""
+            if bad.size:
+                i = bad[0]
+                report = ZERO_ROW if zero[i] else INCONSISTENT
+                data["message"] = report.format(st.left_out[i], residual[i])
         if C is not None:
-            st = self.structure
             mats = [np.zeros((d, d), dtype=complex) for d in st.blocks]
             for blk, mat in C.items():
-                mats[blk] = st.sign * linalg.check_hermitian(mat, tol=1e-9)
+                mats[blk] = linalg.check_hermitian(mat, tol=1e-9)
             data["C"] = st.stack(mats)
         return replace(self, **data)
 
 
-def compile_program(p: SdpProblem, kept=None) -> Program:
+def compile_program(p: SdpProblem, basis=None) -> Program:
     """Compile p's structure and bind p's own data to it.
 
-    ``kept``: ascending ids of rows known to span all of p's rows, whose
-    data the caller keeps consistent; None runs the presolve, which finds
-    them and checks p's data with tolerance FEAS_TOL.
+    ``basis``: (kept, weights) as ``_presolve`` returns them, rows known to
+    span all of p's rows; None runs the presolve on p's rows.  p's free
+    coefficients are part of the rows the basis is found on, so binding
+    checks only p's rhs.
     """
     dense = _dense(p)
-    message = ""
-    if kept is None:
-        kept, bad = _presolve(np.hstack([dense.H, dense.E]), dense.b, FEAS_TOL)
-        if bad is not None:
-            kept, message = [], bad
-    c = _Compiled(p, dense, kept)
-    return Program(c, _frozen(dense.b[c.kept]), _frozen(dense.E[c.kept]),
-                   [_frozen(x) for x in c.stack(dense.C)], _frozen(dense.c), message)
+    if basis is None:
+        basis = _presolve(np.hstack([dense.H, dense.E]))
+    c = _Compiled(p, dense, *basis)
+    unbound = Program(c, None, _frozen(dense.E[c.kept]), [_frozen(x) for x in c.stack(dense.C)],
+                      _frozen(dense.c))
+    return unbound.bind(b=dense.b)
 
 
 def _factor(S: np.ndarray) -> np.ndarray:
@@ -589,13 +616,12 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
     elif best is None:  # no iterate measured: max_iters < 1 or non-finite data
         best = (X, s, np.nan, np.nan, np.nan, np.inf, np.inf)
     xs, sv, pv, dv, gap, rp_inf, rd_inf = best
-    sgn = c.sign
     return SdpSolution(
         status=status,
         primal_blocks=c.unstack(xs),
         scalar_vars=sv,
-        primal_value=sgn * pv,
-        dual_value=sgn * dv,
+        primal_value=pv,
+        dual_value=dv,
         gap=gap,
         iterations=it,
         residual_primal=rp_inf,
@@ -614,7 +640,6 @@ def with_slack(p: SdpProblem) -> SdpProblem:
         n_free=p.n_free + 1,
         objective=({}, {p.n_free: 1.0}),
         constraints=[],
-        sense="max",
     )
     for bc, fc, rhs in p.constraints:
         fc2 = dict(fc)
@@ -735,12 +760,11 @@ class Builder:
             fc[j] = fc.get(j, 0.0) + float(v)
         self.prob.constraints.append((bc, fc, float(rhs)))
 
-    def objective(self, block_terms=(), free_terms=(), sense="max"):
-        """Set objective sum_v <O_v, X_v> + sum_j c_j s_j."""
+    def objective(self, block_terms=(), free_terms=()):
+        """Set the objective, maximised: sum_v <O_v, X_v> + sum_j c_j s_j."""
         bo = {blk: linalg.check_hermitian(o, tol=1e-9) for blk, o in block_terms}
         fo = {j: float(v) for j, v in free_terms}
         self.prob.objective = (bo, fo)
-        self.prob.sense = sense
 
     def extract(self, blocks: list[np.ndarray], blk: int) -> np.ndarray:
         """Complex Hermitian matrix of block blk from solver blocks."""

@@ -51,6 +51,8 @@ class StateAssemblage:
     reduced: np.ndarray
 
     def __post_init__(self):
+        if not self.sigmas:
+            raise ValueError("an assemblage needs at least one setting, got none")
         self.reduced = linalg.check_hermitian(self.reduced)
         self.sigmas = [[linalg.check_hermitian(s) for s in row] for row in self.sigmas]
         for x, row in enumerate(self.sigmas):

@@ -193,6 +193,12 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "robustness", "--input", str(empty))
     assert code == 2
     assert err == "error: an assemblage needs at least one measurement, got none\n"
+    no_settings = tmp_path / "no_settings.json"
+    no_settings.write_text('{"dB": 2, "sigmas": [], '
+                           '"reduced": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
+    code, _, err = run(capsys, "steering", "lhs", "--input", str(no_settings))
+    assert code == 2
+    assert err == "error: an assemblage needs at least one setting, got none\n"
 
 
 @pytest.mark.parametrize("argv, message", [

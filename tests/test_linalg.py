@@ -97,7 +97,6 @@ def test_real_embedding_round_trip():
     e = linalg.real_embedding(h)
     assert e.shape == (6, 6)
     assert np.abs(e - e.T).max() < 1e-12  # hermitian -> symmetric
-    assert np.abs(linalg.unembed(e) - h).max() < 1e-12
     # embedding preserves eigenvalues (doubled)
     ev_h = np.sort(np.linalg.eigvalsh(h))
     ev_e = np.sort(np.linalg.eigvalsh(e))

@@ -14,7 +14,6 @@ from subincompat.povm import (
     random_povm,
     repair,
     truncate,
-    validate,
 )
 
 from helpers import sigma_xz_pair
@@ -36,14 +35,6 @@ def test_assemblage_requires_common_dimension():
     eye3 = np.eye(3, dtype=complex)
     with pytest.raises(ValueError):
         Assemblage(2, [Povm(2, [eye2 / 2, eye2 / 2]), Povm(3, [eye3 / 2, eye3 / 2])])
-
-
-def test_validate_reports_diagnostics_without_raising():
-    eye = np.eye(2, dtype=complex)
-    good = validate(sigma_xz_pair())
-    assert good["valid"] is True
-    bad = validate([[np.diag([1.5, 0.0]).astype(complex), np.diag([-0.5, 1.0]).astype(complex)]])
-    assert bad["valid"] is False
 
 
 def test_parent_povm_marginals():

@@ -15,7 +15,7 @@ def test_trivial_lp_max_x_below_one():
     x = bld.free()
     s = bld.cblock(1)
     bld.eq_scalar([(s, np.eye(1))], [(x, 1.0)], 1.0)  # x + s = 1, s >= 0
-    bld.objective([], [(x, 1.0)], "max")
+    bld.objective([], [(x, 1.0)])
     sol = sdp.solve(bld.prob)
     assert sol.status == "Optimal"
     assert abs(sol.primal_value - 1.0) < 1e-7
@@ -29,7 +29,7 @@ def test_largest_eigenvalue_sdp():
     bld = sdp.Builder()
     x = bld.cblock(3)
     bld.eq_scalar([(x, np.eye(3, dtype=complex))], [], 1.0)
-    bld.objective([(x, m)], [], "max")
+    bld.objective([(x, m)], [])
     sol = sdp.solve(bld.prob)
     top = np.linalg.eigvalsh(m).max()
     assert sol.status == "Optimal"
@@ -42,7 +42,8 @@ def test_random_instances_with_known_optimum():
     # Build problems from a constructed primal-dual optimal pair:
     # X* = V diag(1,1,0) V^T, Z* = V diag(0,0,g) V^T (complementary),
     # C = sum_i y*_i A_i + Z*, b_i = <A_i, X*>.  Strong duality gives
-    # optimal value <C, X*> for min <C,X> s.t. <A_i,X> = b_i, X >= 0.
+    # optimal value <C, X*> for min <C,X> s.t. <A_i,X> = b_i, X >= 0, so
+    # max <-C,X> reaches -<C, X*>.
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
         d, m = 3, 3
@@ -57,14 +58,13 @@ def test_random_instances_with_known_optimum():
         c = sum(y * a for y, a in zip(ystar, amats)) + zstar
         prob = sdp.SdpProblem(
             blocks=[d],
-            objective=({0: c}, {}),
+            objective=({0: -c}, {}),
             constraints=[({0: a}, {}, float(np.tensordot(a, xstar))) for a in amats],
-            sense="min",
         )
         sol = sdp.solve(prob)
         target = float(np.tensordot(c, xstar))
         assert sol.status == "Optimal"
-        assert abs(sol.primal_value - target) <= 1e-6 * (1 + abs(target))
+        assert abs(-sol.primal_value - target) <= 1e-6 * (1 + abs(target))
         assert sol.gap <= 1e-8 * (1 + abs(sol.primal_value))
 
 
@@ -99,7 +99,7 @@ def test_eq_matrix_with_free_terms():
     x = bld.cblock(2)
     t = bld.free()
     bld.eq_matrix([(x, 1.0)], t_mat, free_terms=[(t, f)])
-    bld.objective([], [(t, 1.0)], "max")
+    bld.objective([], [(t, 1.0)])
     sol = sdp.solve(bld.prob)
     assert abs(sol.primal_value - 1.0) < 1e-6  # limited by the smaller eigenvalue
 
@@ -167,11 +167,18 @@ def _dense_stacks(p, rows):
     return out
 
 
+def _structure(p, kept):
+    """p's structure over an arbitrary row subset (no row basis: the kernels
+    never read the weights)."""
+    weights = np.zeros((len(p.constraints) - len(kept), len(kept)))
+    return sdp._Compiled(p, sdp._dense(p), kept, weights)
+
+
 def test_schur_per_block_matches_dense_einsum():
     rng = np.random.default_rng(11)
     p = _random_problem(rng)
     kept = [k for k in range(len(p.constraints)) if k % 3]  # drop every third row
-    c = sdp.compile_program(p, kept).structure
+    c = _structure(p, kept)
     X = [_random_pd(rng, d) for d in p.blocks]
     Zi = [np.linalg.inv(_random_pd(rng, d)) for d in p.blocks]
     ref = np.zeros((len(kept), len(kept)))
@@ -238,7 +245,7 @@ def test_complex_kernels_match_the_real_embedding():
     rng = np.random.default_rng(12)
     p = _random_complex_problem(rng)
     kept = [k for k in range(len(p.constraints)) if k % 4 != 1]
-    c = sdp.compile_program(p, kept).structure
+    c = _structure(p, kept)
     X = [_random_hpd(rng, d) for d in p.blocks]
     Zi = [linalg.hermitianize(np.linalg.inv(_random_hpd(rng, d))) for d in p.blocks]
     emb = [np.zeros((len(kept), 2 * d, 2 * d)) for d in p.blocks]
@@ -262,8 +269,9 @@ def test_complex_kernels_match_the_real_embedding():
 
 
 def test_complex_sdp_native_and_embedded_reach_the_same_optimum():
-    # min <C,X> + c's over Hermitian blocks from a constructed optimal pair:
-    # X*_b, Z*_b complementary, C_b = sum_k y*_k A_kb + Z*_b, c = E'y*.
+    # min <C,X> + c's over Hermitian blocks from a constructed optimal pair,
+    # solved as max <-C,X> - c's: X*_b, Z*_b complementary,
+    # C_b = sum_k y*_k A_kb + Z*_b, c = E'y*.
     rng = np.random.default_rng(31)
     dims, m = (3, 2, 1), 7
     xs, zs = [], []
@@ -284,20 +292,19 @@ def test_complex_sdp_native_and_embedded_reach_the_same_optimum():
     cfree = float(e @ ystar)
     target = sum(np.trace(c @ x).real for c, x in zip(cmat, xs)) + cfree * sstar
     native = sdp.SdpProblem(
-        blocks=list(dims), n_free=1, objective=(dict(enumerate(cmat)), {0: cfree}),
-        constraints=cons, sense="min",
+        blocks=list(dims), n_free=1, objective=({b: -c for b, c in enumerate(cmat)}, {0: -cfree}),
+        constraints=cons,
     )
     half = lambda h: linalg.real_embedding(h) / 2  # noqa: E731
     embedded = sdp.SdpProblem(
         blocks=[2 * d for d in dims], n_free=1,
-        objective=({b: half(c) for b, c in enumerate(cmat)}, {0: cfree}),
+        objective=({b: -half(c) for b, c in enumerate(cmat)}, {0: -cfree}),
         constraints=[({b: half(a) for b, a in bc.items()}, fc, r) for bc, fc, r in cons],
-        sense="min",
     )
     sol_n, sol_e = sdp.solve(native), sdp.solve(embedded)
     assert sol_n.status == sol_e.status == sdp.STATUS_OPTIMAL
     assert abs(sol_n.primal_value - sol_e.primal_value) <= 1e-7
-    assert abs(sol_n.primal_value - target) <= 1e-6 * (1 + abs(target))
+    assert abs(-sol_n.primal_value - target) <= 1e-6 * (1 + abs(target))
     assert sol_n.lstsq_fallbacks == sol_e.lstsq_fallbacks == 0
 
 
@@ -320,7 +327,7 @@ def test_lstsq_fallback_is_counted_and_logged(monkeypatch, caplog):
         bld = sdp.Builder()
         x = bld.cblock(2)
         bld.eq_scalar([(x, np.eye(2))], [], 1.0)
-        bld.objective([(x, np.diag([2.0, 1.0]))], [], "max")
+        bld.objective([(x, np.diag([2.0, 1.0]))], [])
         sol = sdp.solve(bld.prob)
     assert sol.status == sdp.STATUS_OPTIMAL
     assert sol.lstsq_fallbacks == 2 * (sol.iterations - 1) > 0
@@ -355,6 +362,14 @@ def _rows(p):
     """Fresh presolve input of p: its dense rows [hvec(A_k1)|...|E_k] and rhs."""
     dense = sdp._dense(p)
     return np.hstack([dense.H, dense.E]), dense.b
+
+
+def _presolved(p):
+    """(kept, message) of p in the form of ``_presolve_mgs``: the presolve's
+    kept rows, or None and the message of p compiled, which binding p's
+    data to its structure sets."""
+    message = sdp.compile_program(p).message
+    return (None, message) if message else (sdp._presolve(_rows(p)[0])[0], None)
 
 
 def _presolve_mgs(rows, b, feas_tol):
@@ -397,7 +412,7 @@ def test_presolve_keeps_the_rows_of_the_mgs_reference(monkeypatch):
 
     def recording(d, kernel, rhs, noise=None, objective=None):
         p = incompat._parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
-        seen.append((sdp._presolve(*_rows(p), 1e-8), _presolve_mgs(*_rows(p), 1e-8)))
+        seen.append((_presolved(p), _presolve_mgs(*_rows(p), 1e-8)))
         return real(d, kernel, rhs, noise, objective)
 
     monkeypatch.setattr(incompat, "parent_program", recording)
@@ -423,7 +438,50 @@ def test_presolve_reports_both_inconsistencies():
     sol = sdp.solve(clash)
     assert sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
     assert sol.message.startswith("inconsistent affine constraints (row 1, residual")
-    assert sdp._presolve(*_rows(clash), 1e-8) == _presolve_mgs(*_rows(clash), 1e-8)
+    assert _presolved(clash) == _presolve_mgs(*_rows(clash), 1e-8)
+    assert _presolved(zero_row) == _presolve_mgs(*_rows(zero_row), 1e-8)
+
+
+def test_bind_checks_the_rows_a_structure_leaves_out():
+    # row 2 = row 0 + 2 * row 1, free coefficients included; row 3 is zero
+    rng = np.random.default_rng(41)
+    a0, a1 = _random_herm(rng, 2), _random_herm(rng, 2)
+
+    def problem(b, e):
+        coefs = [{0: a0}, {0: a1}, {0: a0 + 2 * a1}, {}]
+        return sdp.SdpProblem(blocks=[2], n_free=1, constraints=[
+            (bc, {0: ej} if ej else {}, bj) for bc, ej, bj in zip(coefs, e, b)])
+
+    e = [0.3, -0.2, -0.1, 0.0]
+    good = [1.0, 0.5, 2.0, 0.0]
+    prog = sdp.compile_program(problem(good, e))
+    assert prog.message == "" and prog.structure.kept.tolist() == [0, 1]
+    assert prog.structure.left_out.tolist() == [2, 3]
+    assert np.abs(prog.structure.weights - [[1.0, 2.0], [0.0, 0.0]]).max() <= 1e-12
+    for b, message in (([1.0, 0.5, 2.5, 0.0], "inconsistent affine constraints (row 2, residual 0.5)"),
+                       ([1.0, 0.5, 2.0, 0.25], "row 3 is 0 = 0.25"),
+                       ([1.0, 0.5, 2.5, 0.25], "inconsistent affine constraints (row 2, residual 0.5)")):
+        rebound = prog.bind(b=b)
+        assert rebound.message == message
+        assert sdp.compile_program(problem(b, e)).message == message
+        assert _presolve_mgs(*_rows(problem(b, e)), 1e-8) == (None, message)
+        assert sdp.solve(rebound).status == sdp.STATUS_PRIMAL_INFEASIBLE
+        assert rebound.bind(b=good).message == ""
+    # within the tolerances: FEAS_TOL * scale on the zero row, 10x on row 2
+    assert prog.bind(b=[1.0, 0.5, 2.0 + 2e-8, 0.9e-8]).message == ""
+    assert prog.bind(b=[1.0, 0.5, 2.0, 1.1e-8 * 3]).message == "row 3 is 0 = 3.3e-08"
+    # free coefficients that break the relations are an error, not data
+    with pytest.raises(ValueError, match="row relations"):
+        prog.bind(E=[[0.3], [-0.2], [0.5], [0.0]])
+    with pytest.raises(ValueError, match="row relations"):
+        prog.bind(E=[[0.3], [-0.2], [-0.1], [0.1]])
+    assert sdp.solve(prog.bind(E=[[0.6], [-0.4], [-0.2], [0.0]])).status == sdp.STATUS_OPTIMAL
+    # compiling checks only the rhs: the presolve reads the free coefficients,
+    # and drops a row whose free coefficient is 1e-11 of its norm
+    h = np.diag([1.0, 2.0])
+    scaled = sdp.compile_program(sdp.SdpProblem(blocks=[2], n_free=1, constraints=[
+        ({0: h}, {}, 1.0), ({0: 1e6 * h}, {0: 1e-5}, 1e6)]))
+    assert scaled.structure.kept.tolist() == [0] and scaled.message == ""
 
 
 def _max_step(x, d):
@@ -481,10 +539,11 @@ def test_shared_factor_gives_the_inverse_of_z():
 
 def test_several_free_variables_reach_the_recorded_optimum():
     # min <C,X> + c's with three free variables from a constructed optimal
-    # pair, as in test_complex_sdp_native_and_embedded_reach_the_same_optimum;
-    # RECORDED is this solve's optimum with the Newton matrix, border
+    # pair, solved as max <-C,X> - c's, as in
+    # test_complex_sdp_native_and_embedded_reach_the_same_optimum; RECORDED
+    # is this solve's optimum with the Newton matrix, border
     # [[B, -E], [E', 0]] included, assembled anew in every iteration
-    RECORDED = -3.6939622066024786
+    RECORDED = 3.6939622066024786
     rng = np.random.default_rng(51)
     dims, m, nf = (3, 2, 1, 1), 9, 3
     xs, zs = [], []
@@ -504,13 +563,13 @@ def test_several_free_variables_reach_the_recorded_optimum():
     cfree = e.T @ ystar
     target = sum(np.trace(c @ x).real for c, x in zip(cmat, xs)) + cfree @ sstar
     p = sdp.SdpProblem(
-        blocks=list(dims), n_free=nf, constraints=cons, sense="min",
-        objective=(dict(enumerate(cmat)), {j: float(v) for j, v in enumerate(cfree)}),
+        blocks=list(dims), n_free=nf, constraints=cons,
+        objective=({b: -c for b, c in enumerate(cmat)}, {j: -float(v) for j, v in enumerate(cfree)}),
     )
     sol = sdp.solve(p)
     assert sol.status == sdp.STATUS_OPTIMAL
     assert abs(sol.primal_value - RECORDED) <= 1e-9
-    assert abs(sol.primal_value - target) <= 1e-6 * (1 + abs(target))
+    assert abs(-sol.primal_value - target) <= 1e-6 * (1 + abs(target))
     assert np.abs(sol.scalar_vars - sstar).max() <= 1e-3
 
 
@@ -553,7 +612,7 @@ def test_presolve_panels_match_the_mgs_reference():
     for cons, message in cases:
         prob = sdp.SdpProblem(blocks=list(dims), n_free=nf, constraints=cons)
         rows, b = _rows(prob)
-        got = sdp._presolve(*_rows(prob), 1e-8)
+        got = _presolved(prob)
         assert got == _presolve_mgs(rows, b, 1e-8)
         if message is None:
             assert len(got[0]) == rows.shape[1] < m - 4
@@ -623,8 +682,8 @@ def test_cached_and_cold_solves_are_bitwise_equal():
                    for x in (a, b))
     assert other.structure is prog.structure
     st = prog.structure
-    for arr in (st.kept, st.apply_at, st.schur_at, st.eyes[0], st.groups[0].idx, st.groups[0].A,
-                prog.E, prog.C[0], prog.c):
+    for arr in (st.kept, st.left_out, st.weights, st.apply_at, st.schur_at, st.eyes[0],
+                st.groups[0].idx, st.groups[0].A, prog.b, prog.E, prog.C[0], prog.c):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
 
@@ -692,7 +751,7 @@ def test_parent_programs_emit_full_rank_rows(monkeypatch):
     coexist.coexistent_parent(*qutrit, candidate=qutrit[1])
     dropped = []
     for full, prog in seen:
-        kept, message = sdp._presolve(*_rows(full), 1e-8)
+        kept, message = _presolved(full)
         assert message is None
         assert prog.structure.kept.tolist() == kept
         dropped.append(len(full.constraints) - len(kept))
