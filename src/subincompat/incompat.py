@@ -1,9 +1,10 @@
 """Joint-measurability SDPs: the parent program (``parent_program``: PSD
 blocks G_lam whose kernel-weighted sums equal given Hermitian matrices,
-optionally up to depolarising noise eta), which JM, robustness, LHS
-steering and coexistence all instantiate; parent-POVM feasibility,
-depolarising robustness with verdict margins, the two-measurement
-incompatibility witness, and the incompressibility bound."""
+optionally up to depolarising noise eta <= 1, held by a d x d trace
+slack), which JM, robustness, LHS steering and coexistence all
+instantiate; parent-POVM feasibility, depolarising robustness with verdict
+margins, the two-measurement incompatibility witness, and the
+incompressibility bound."""
 
 from __future__ import annotations
 
@@ -89,18 +90,21 @@ def _parent_from_blocks(a: Assemblage, labels, blocks) -> ParentPovm:
 
 def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.SdpProblem:
     """The parent program written out in full: every row, as the Builder
-    expands it (the row layout of ``parent_program``)."""
+    expands it (the row layout of ``parent_program``).  With noise the last
+    row is eta + tr S = 1 over a d x d PSD slack S after the G blocks: tr S
+    ranges over [0, inf) as a scalar slack would, so it says eta <= 1, and
+    every block has dimension d, so the solver keeps one iterate stack."""
     bld = sdp.Builder()
     for _ in range(kernel.shape[1]):
         bld.cblock(d)
     if noise is not None:
-        eta, slack = bld.free(), bld.cblock(1)
+        eta, slack = bld.free(), bld.cblock(d)
     for r, row in enumerate(kernel):
         free_terms = [(eta, -noise[r])] if noise is not None else ()
         cols = np.flatnonzero(row).tolist()
         bld.eq_matrix([(k, float(row[k])) for k in cols], rhs[r], free_terms=free_terms)
     if noise is not None:
-        bld.eq_scalar(block_terms=[(slack, np.eye(1))], free_terms=[(eta, 1.0)], rhs=1.0)
+        bld.eq_scalar(block_terms=[(slack, np.eye(d))], free_terms=[(eta, 1.0)], rhs=1.0)
         bld.objective(free_terms=[(eta, 1.0)])
     return bld.prob
 
@@ -109,8 +113,8 @@ def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.SdpProblem:
 def _parent_structure(d: int, shape: tuple, kernel_bytes: bytes, kind: str) -> sdp.Program:
     """The parent program of (d, kernel, kind) compiled and bound to zero
     data.  Its row basis is the kernel's, found on the small kernel and
-    lifted to the d^2 rows of each matrix equality (plus the kept eta <= 1
-    row with noise), so the full program is never presolved."""
+    lifted to the d^2 rows of each matrix equality (plus the kept
+    eta + tr S = 1 row with noise), so the full program is never presolved."""
     kernel = np.frombuffer(kernel_bytes).reshape(shape)
     keep, weights = sdp._presolve(kernel.copy())
     zeros = [np.zeros((d, d))] * len(kernel)
@@ -131,12 +135,13 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
     (block index lam) and, per kernel row r,
     sum_lam kernel[r, lam] G_lam = rhs[r] + eta * noise[r].
 
-    With noise, eta is free variable 0, a 1 x 1 slack block after the G
-    blocks adds eta <= 1, and the objective is max eta; noise must obey the
-    kernel's row relations (depolarising noise does).  With an objective
-    {lam: Hermitian matrix}, the program maximises
-    sum_lam <objective[lam], G_lam>.  With neither it is the feasibility
-    program of ``sdp.with_slack``, to be answered by ``sdp.feasibility``.
+    With noise, eta is free variable 0, a d x d slack block S after the G
+    blocks adds eta + tr S = 1 (that is, eta <= 1), and the objective is
+    max eta; noise must obey the kernel's row relations (depolarising noise
+    does).  With an objective {lam: Hermitian matrix}, the program
+    maximises sum_lam <objective[lam], G_lam>.  With neither it is the
+    feasibility program of ``sdp.with_slack``, to be answered by
+    ``sdp.feasibility``.
 
     The structure, everything that depends only on (d, kernel, kind), is
     compiled once and cached; a call binds its data to it, and

@@ -158,10 +158,12 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=64)
 def _hvec_rows(d: int) -> np.ndarray:
     """The basis as (d^2, 2d^2) rows of (re, im) floats.  For Hermitian h,
     Re tr(hT) is the dot product of h's row with the floats of T, so hvec is
-    one matrix product with these rows and the transposed product inverts it."""
+    one matrix product with these rows and the transposed product inverts it.
+    A read-only view of the basis, cached per d."""
     return _hermitian_basis(d).view(float).reshape(d * d, 2 * d * d)
 
 
@@ -309,19 +311,27 @@ class _Compiled:
         the basis images (HKM's symmetrised Kronecker product X (*) Zi),
         combined from the outer products X E_ij Zi = X[:, i] Zi[j, :].  Per
         dimension one broadcast product and two GEMMs give N, per group two
-        GEMMs give its terms; the groups share one scatter-add into B."""
-        images = []
-        for x, zi in zip(X, Zi):
-            nb, d = x.shape[:2]
-            e = x.transpose(0, 2, 1)[:, :, None, :, None] * zi[:, None, :, None, :]
-            n = _hermitian_basis(d).reshape(d * d, d * d) @ e.reshape(nb, d * d, d * d)
-            images.append(hvec(n.reshape(nb, d * d, d, d)))
-        parts = []
-        for g in self.groups:
-            t = g.A @ images[g.size][g.sl]
-            parts.append((g.A @ t.transpose(0, 2, 1)).ravel())
+        GEMMs give its terms; the groups share one scatter-add into B.
+
+        The outer products and each group's T are freed as soon as they are
+        used.  Held to the end, they brought a d = 5 robustness call's
+        temporaries to about 2.4 MB, and in some heap histories glibc gave
+        those pages back at each free and faulted them in again at the next
+        call (about 600 minor faults per call)."""
+        images = [_basis_images(x, zi) for x, zi in zip(X, Zi)]
+        terms = np.concatenate([(g.A @ (g.A @ images[g.size][g.sl]).transpose(0, 2, 1)).ravel()
+                                for g in self.groups])
         m = self.m
-        return np.bincount(self.schur_at, np.concatenate(parts), minlength=m * m).reshape(m, m)
+        return np.bincount(self.schur_at, terms, minlength=m * m).reshape(m, m)
+
+
+def _basis_images(x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """N[b, q] = hvec(x_b h_q zi_b) for a stack of nb blocks of dimension d:
+    an (nb, d^2, d^2) array (see ``_Compiled.schur``)."""
+    nb, d = x.shape[:2]
+    e = x.transpose(0, 2, 1)[:, :, None, :, None] * zi[:, None, :, None, :]
+    n = _hermitian_basis(d).reshape(d * d, d * d) @ e.reshape(nb, d * d, d * d)
+    return hvec(n.reshape(nb, d * d, d, d))
 
 
 def _presolve(rows: np.ndarray):
@@ -455,16 +465,17 @@ def _step_lengths(F, dX, dZ) -> tuple[float, float]:
     dimension the factor F = _factor([X; Z]) of the stacked X and Z blocks.
 
     Per dimension two batched products W = F [dX; dZ] F^H and one eigvalsh:
-    a block limits the step at -1/lambda_min(W) when lambda_min < -1e-14.
+    a side's stack limits the step at -1/lambda when its least eigenvalue
+    lambda is below -1e-14 (-1/lambda grows with lambda, so this is the
+    least step over its blocks).
     """
     alpha = [np.inf, np.inf]
     for f, dx, dz in zip(F, dX, dZ):
         w = f @ np.concatenate([dx, dz]) @ f.conj().transpose(0, 2, 1)
-        lam = np.linalg.eigvalsh(w).min(axis=1)
-        for side, ls in enumerate((lam[:len(dx)], lam[len(dx):])):
-            ls = ls[~(ls >= -1e-14)]
-            if ls.size:
-                alpha[side] = min(alpha[side], (-1.0 / ls).min())
+        lam = np.linalg.eigvalsh(w).reshape(2, -1).min(axis=1)
+        for side in range(2):
+            if lam[side] < -1e-14:
+                alpha[side] = min(alpha[side], -1.0 / lam[side])
     return alpha[0], alpha[1]
 
 

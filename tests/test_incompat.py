@@ -26,6 +26,15 @@ def test_robustness_parent_marginals_match_depolarised_pair():
             assert np.abs(marg.elements[k] - noisy.measurements[x].elements[k]).max() < 1e-6
 
 
+def test_robustness_slack_holds_eta_at_most_one():
+    # eta + tr S = 1 with S >= 0 d x d: a compatible pair sits at eta = 1
+    res = incompat.depolarising_robustness(corpus.build("sigma-xz-noisy"))
+    assert 1.0 - 1e-6 <= res.eta <= 1.0 + 1e-8
+    slack = res.solution.primal_blocks[-1]
+    assert slack.shape == (2, 2)
+    assert abs(np.trace(slack).real - (1.0 - res.eta)) <= 1e-8
+
+
 def test_jm_threshold_pair_feasible_and_above_infeasible():
     at_threshold = incompat.jm_parent(sigma_xz_pair(SQRT2_INV))
     assert at_threshold.feasible

@@ -228,6 +228,14 @@ def test_hvec_is_the_coordinate_map_of_the_hermitian_basis():
         assert np.array_equal(sdp.hvec(stack)[1, 0], sdp.hvec(b))
 
 
+def test_hvec_rows_are_cached_read_only():
+    for d in range(1, 5):
+        rows = sdp._hvec_rows(d)
+        assert sdp._hvec_rows(d) is rows and rows.shape == (d * d, 2 * d * d)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+
 def _random_complex_problem(rng, dims=(3, 1, 4, 2, 1), n_free=2, m=40):
     """Rows mention a random subset of Hermitian blocks and free variables."""
     cons = []
@@ -757,3 +765,28 @@ def test_parent_programs_emit_full_rank_rows(monkeypatch):
         dropped.append(len(full.constraints) - len(kept))
     n = 2 * len([k for k in corpus.builtin_keys() if corpus.kind_of(k) == "assemblage"])
     assert all(dropped[:n]) and dropped[n] == 2 * 9  # a setting's last row and the all-ones row
+
+
+def test_parent_programs_keep_one_iterate_stack(monkeypatch):
+    # every block of a parent program, the eta slack included, is d x d, so
+    # the solver runs one iterate stack: robustness (noise), JM and LHS
+    # (feasibility), the seesaw parent (objective)
+    seen = []
+    real = incompat.parent_program
+
+    def recording(d, kernel, rhs, noise=None, objective=None):
+        prog = real(d, kernel, rhs, noise, objective)
+        kind = "noise" if noise is not None else "objective" if objective is not None else "feasibility"
+        seen.append((kind, prog))
+        return prog
+
+    monkeypatch.setattr(incompat, "parent_program", recording)
+    a = corpus.build("qutrit-pair")
+    incompat.depolarising_robustness(a)
+    incompat.jm_parent(a)
+    rho, _ = steering.peres_state(0.2, 0.4)
+    steering.lhs_feasible(steering.assemblage_from_state(rho, steering.peres_mubs()))
+    coexist.seesaw(3, 2, 3, 1)
+    assert {kind for kind, _ in seen} == {"noise", "objective", "feasibility"}
+    for kind, prog in seen:
+        assert len(prog.structure.order) == 1, kind
