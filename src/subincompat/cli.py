@@ -225,12 +225,13 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_coexistence(args) -> int:
+    options = _options(args)
     a, _, inputs = _load(args, ("assemblage",))
     rep = jsonio.report_skeleton("coexistence", None, inputs)
     if getattr(args, "builtin", None) == "qubit-counterexample":
         # the flagship instance gets its dedicated full report (linear
         # dependence, Gram rank, coarse-grained variant, all pairings)
-        _at, _bt, _coarse, results = coexist.qubit_counterexample()
+        _at, _bt, _coarse, results = coexist.qubit_counterexample(options)
         rep["results"] = results
         summary = (
             f"coexistent = {results['coexistent']['coexistent']}  "
@@ -239,9 +240,9 @@ def _cmd_coexistence(args) -> int:
         )
         return _emit(args, rep, summary)
     m0, m1 = _pair(a)
-    co = coexist.coexistent_parent(m0, m1, options=_options(args))
-    jm = incompat.jm_parent(a, _options(args))
-    rob = incompat.depolarising_robustness(a, _options(args))
+    co = coexist.coexistent_parent(m0, m1, options=options)
+    jm = incompat.jm_parent(a, options)
+    rob = incompat.depolarising_robustness(a, options)
     rep["results"] = {
         "coexistent": co.coexistent,
         "slack": co.slack,
@@ -352,9 +353,10 @@ def _cmd_truncate(args) -> int:
 def _cmd_classify(args) -> int:
     samples = _at_least("--samples", args.samples, 0)
     jobs = _at_least("--jobs", args.jobs, 1)
+    options = _options(args)
     a, _, inputs = _load(args, ("assemblage",))
     seed = _resolve_seed(args)
-    report = subspace.classify(a, args.n, samples, seed=seed, jobs=jobs)
+    report = subspace.classify(a, args.n, samples, seed=seed, jobs=jobs, options=options)
     rep = jsonio.report_skeleton("classify", seed, inputs)
     rep["results"] = {
         "n": report.n,
@@ -483,7 +485,7 @@ def _cmd_integrals(args) -> int:
 
 
 def _cmd_mub_check(args) -> int:
-    results = subspace.mub_same_povm_check()
+    results = subspace.mub_same_povm_check(_options(args))
     rep = jsonio.report_skeleton("mub-check", None, {})
     rep["results"] = results
     return _emit(
@@ -525,7 +527,8 @@ def _build_parser() -> argparse.ArgumentParser:
     io_p.add_argument("--builtin", help="builtin corpus key (see `corpus --list`)")
     out_p = argparse.ArgumentParser(add_help=False)
     out_p.add_argument("--output", help="write the JSON report here instead of stdout")
-    out_p.add_argument(
+    sdp_p = argparse.ArgumentParser(add_help=False)  # commands that solve SDPs
+    sdp_p.add_argument(
         "--sdp-iters", type=int, default=None, help="override the SDP iteration cap"
     )
     seed_p = argparse.ArgumentParser(add_help=False)
@@ -536,23 +539,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("robustness", parents=[io_p, out_p],
+    p = sub.add_parser("robustness", parents=[io_p, out_p, sdp_p],
                        help="depolarising incompatibility robustness eta")
     p.set_defaults(func=_cmd_robustness)
 
-    p = sub.add_parser("jm", parents=[io_p, out_p],
+    p = sub.add_parser("jm", parents=[io_p, out_p, sdp_p],
                        help="joint-measurability feasibility and parent POVM")
     p.set_defaults(func=_cmd_jm)
 
-    p = sub.add_parser("witness", parents=[io_p, out_p],
+    p = sub.add_parser("witness", parents=[io_p, out_p, sdp_p],
                        help="incompatibility witness value for a pair")
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("coexistence", parents=[io_p, out_p],
+    p = sub.add_parser("coexistence", parents=[io_p, out_p, sdp_p],
                        help="coexistence of a pair, with jm and robustness")
     p.set_defaults(func=_cmd_coexistence)
 
-    p = sub.add_parser("seesaw", parents=[out_p],
+    p = sub.add_parser("seesaw", parents=[out_p, sdp_p],
                        help="search for coexistent-but-incompatible pairs")
     p.add_argument("--dim", type=int, required=True, help="Hilbert space dimension")
     p.add_argument("--outcomes", type=int, nargs=2, required=True,
@@ -562,13 +565,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="seesaw iteration cap per seed (default 200)")
     p.set_defaults(func=_cmd_seesaw)
 
-    p = sub.add_parser("truncate", parents=[io_p, out_p],
+    p = sub.add_parser("truncate", parents=[io_p, out_p, sdp_p],
                        help="truncate an assemblage to a subspace")
     p.add_argument("--coords", help="comma-separated coordinate axes, e.g. 0,1")
     p.add_argument("--basis", help="JSON file with subspace basis vectors as [re,im] pairs")
     p.set_defaults(func=_cmd_truncate)
 
-    p = sub.add_parser("classify", parents=[io_p, out_p, seed_p],
+    p = sub.add_parser("classify", parents=[io_p, out_p, sdp_p, seed_p],
                        help="compressibility classification over n-dim subspaces")
     p.add_argument("--n", type=int, required=True, help="subspace dimension")
     p.add_argument("--samples", type=int, default=50,
@@ -578,10 +581,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     steer = sub.add_parser("steering", help="steering assemblage analyses")
     steer_sub = steer.add_subparsers(dest="mode", required=True)
-    p = steer_sub.add_parser("lhs", parents=[io_p, out_p],
+    p = steer_sub.add_parser("lhs", parents=[io_p, out_p, sdp_p],
                              help="local-hidden-state feasibility")
     p.set_defaults(func=_cmd_steering_lhs)
-    p = steer_sub.add_parser("pretty-good", parents=[io_p, out_p],
+    p = steer_sub.add_parser("pretty-good", parents=[io_p, out_p, sdp_p],
                              help="pretty-good measurements and their robustness")
     p.set_defaults(func=_cmd_steering_pretty_good)
     p = steer_sub.add_parser("choi", parents=[io_p, out_p],
@@ -597,7 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=float, required=True)
     p.add_argument("--m2", type=float, required=True)
     p.set_defaults(func=_cmd_peres_construct)
-    p = peres_sub.add_parser("scan", parents=[out_p],
+    p = peres_sub.add_parser("scan", parents=[out_p, sdp_p],
                              help="grid scan for steerable points")
     p.add_argument("--step", type=float, default=0.02, help="grid spacing (default 0.02)")
     p.add_argument("--full", action="store_true",
@@ -612,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo samples (default 20000)")
     p.set_defaults(func=_cmd_integrals)
 
-    p = sub.add_parser("mub-check", parents=[out_p],
+    p = sub.add_parser("mub-check", parents=[out_p, sdp_p],
                        help="two qutrit MUBs that truncate to the same POVM")
     p.set_defaults(func=_cmd_mub_check)
 

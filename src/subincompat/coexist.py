@@ -274,7 +274,7 @@ def _qutrit_pair() -> tuple[Assemblage, np.ndarray, np.ndarray]:
     return asm, psis[0], psis[1]
 
 
-def qubit_counterexample() -> tuple[Povm, Povm, Povm, dict]:
+def qubit_counterexample(options: sdp.SolveOptions | None = None) -> tuple[Povm, Povm, Povm, dict]:
     """Coexistent-but-incompatible qubit pair from truncating the qutrit
     complement/Fourier pair to the span of the first two Fourier vectors.
 
@@ -302,14 +302,14 @@ def qubit_counterexample() -> tuple[Povm, Povm, Povm, dict]:
     )
     report["gram_rank"] = int((np.linalg.eigvalsh(gram) > 1e-10).sum())
 
-    coex = coexistent_parent(at, bt, candidate=bt)
+    coex = coexistent_parent(at, bt, candidate=bt, options=options)
     report["coexistent"] = {"coexistent": coex.coexistent, "slack": coex.slack,
                             "method": coex.method}
 
-    jm = incompat.jm_parent(Assemblage(2, [at, bt]))
+    jm = incompat.jm_parent(Assemblage(2, [at, bt]), options)
     report["jm"] = {"feasible": jm.feasible, "slack": jm.slack}
 
-    rob = incompat.depolarising_robustness(Assemblage(2, [at, bt]))
+    rob = incompat.depolarising_robustness(Assemblage(2, [at, bt]), options)
     report["robustness"] = {"eta": rob.eta, "verdict": rob.verdict}
 
     pairings = {}
@@ -317,7 +317,7 @@ def qubit_counterexample() -> tuple[Povm, Povm, Povm, dict]:
     for j, k in itertools.combinations(range(bt.n_outcomes), 2):
         cells = [(j, k)] + [(i,) for i in range(bt.n_outcomes) if i not in (j, k)]
         merged = povm.coarse_grain(bt, cells)
-        r = incompat.depolarising_robustness(Assemblage(2, [at, merged]))
+        r = incompat.depolarising_robustness(Assemblage(2, [at, merged]), options)
         pairings[f"{j},{k}"] = {"eta": r.eta, "verdict": r.verdict}
         if (j, k) == (0, 1):
             coarse = merged

@@ -88,46 +88,27 @@ def _parent_from_blocks(a: Assemblage, labels, blocks) -> ParentPovm:
     return ParentPovm(d, full, els, tuple(m.n_outcomes for m in a.measurements))
 
 
-def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.SdpProblem:
-    """The parent program written out in full: every row, as the Builder
-    expands it (the row layout of ``parent_program``).  With noise the last
-    row is eta + tr S = 1 over a d x d PSD slack S after the G blocks: tr S
-    ranges over [0, inf) as a scalar slack would, so it says eta <= 1, and
-    every block has dimension d, so the solver keeps one iterate stack."""
-    bld = sdp.Builder()
-    for _ in range(kernel.shape[1]):
-        bld.cblock(d)
-    if noise is not None:
-        eta, slack = bld.free(), bld.cblock(d)
-    for r, row in enumerate(kernel):
-        free_terms = [(eta, -noise[r])] if noise is not None else ()
-        cols = np.flatnonzero(row).tolist()
-        bld.eq_matrix([(k, float(row[k])) for k in cols], rhs[r], free_terms=free_terms)
-    if noise is not None:
-        bld.eq_scalar(block_terms=[(slack, np.eye(d))], free_terms=[(eta, 1.0)], rhs=1.0)
-        bld.objective(free_terms=[(eta, 1.0)])
-    return bld.prob
-
-
 @lru_cache(maxsize=32)
 def _parent_structure(d: int, shape: tuple, kernel_bytes: bytes, kind: str) -> sdp.Program:
-    """The parent program of (d, kernel, kind) compiled and bound to zero
-    data.  Its row basis is the kernel's, found on the small kernel and
-    lifted to the d^2 rows of each matrix equality (plus the kept
-    eta + tr S = 1 row with noise), so the full program is never presolved."""
+    """The parent program of (d, kernel, kind) compiled straight from the
+    kernel and bound to zero data.  With noise, the d x d slack S is a zero
+    kernel column after the G blocks and eta + tr S = 1 the one border row:
+    tr S ranges over [0, inf) as a scalar slack would, so it says eta <= 1,
+    and every block keeps dimension d.  The feasibility program's slack t
+    shifts every block by t*I, the free column (kernel . 1) (x) hvec(I)."""
     kernel = np.frombuffer(kernel_bytes).reshape(shape)
-    keep, weights = sdp._presolve(kernel.copy())
-    zeros = [np.zeros((d, d))] * len(kernel)
-    p = _parent_problem(d, kernel, zeros, zeros if kind == "noise" else None)
-    if kind == "feasibility":
-        p = sdp.with_slack(p)
     n = d * d
-    kept = [i * n + k for i in keep for k in range(n)]
-    weights = np.kron(weights, np.eye(n))
+    eye = sdp.hvec(np.eye(d))
     if kind == "noise":
-        kept.append(len(kernel) * n)
-        weights = np.hstack([weights, np.zeros((len(weights), 1))])
-    return sdp.compile_program(p, (kept, weights))
+        border = np.zeros((1, shape[1] + 1, n))
+        border[0, -1] = eye
+        E = np.zeros((shape[0] * n + 1, 1))
+        E[-1] = 1.0
+        return sdp.compile_kernel(d, np.hstack([kernel, np.zeros((shape[0], 1))]), border, E, [1.0])
+    if kind == "feasibility":
+        sums = [sum(row.tolist()) for row in kernel]  # summed left to right, as a row's trace
+        return sdp.compile_kernel(d, kernel, E=np.kron(sums, eye)[:, None] + 0.0, c=[1.0])
+    return sdp.compile_kernel(d, kernel)
 
 
 def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Program:
@@ -140,7 +121,7 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
     max eta; noise must obey the kernel's row relations (depolarising noise
     does).  With an objective {lam: Hermitian matrix}, the program
     maximises sum_lam <objective[lam], G_lam>.  With neither it is the
-    feasibility program of ``sdp.with_slack``, to be answered by
+    feasibility program, as ``sdp.with_slack`` writes it, to be answered by
     ``sdp.feasibility``.
 
     The structure, everything that depends only on (d, kernel, kind), is
@@ -248,18 +229,17 @@ def witness(
 @lru_cache(maxsize=8)
 def _witness_structure(d: int, na: int, nb: int) -> sdp.Program:
     """The witness program for na and nb outcomes, compiled with a zero
-    objective: blocks X_0..X_na-1, Y_0..Y_nb-1, N, then the slacks S_ij
-    of X_i + Y_j + S_ij = N."""
-    bld = sdp.Builder()
-    xs = [bld.cblock(d) for _ in range(na)]
-    ys = [bld.cblock(d) for _ in range(nb)]
-    nn = bld.cblock(d)
-    zero = np.zeros((d, d))
-    for x in xs:
-        for y in ys:
-            bld.eq_matrix([(x, 1.0), (y, 1.0), (bld.cblock(d), 1.0), (nn, -1.0)], zero)
-    bld.eq_scalar(block_terms=[(nn, np.eye(d))], rhs=1.0)
-    return sdp.compile_program(bld.prob)
+    objective: blocks X_0..X_na-1, Y_0..Y_nb-1, N, then the slacks S_ij;
+    kernel rows X_i + Y_j + S_ij - N = 0 and the border row tr N = 1."""
+    n_blocks = na + nb + 1 + na * nb
+    kernel = np.zeros((na * nb, n_blocks))
+    for r, (i, j) in enumerate(itertools.product(range(na), range(nb))):
+        kernel[r, [i, na + j, na + nb + 1 + r]] = 1.0
+        kernel[r, na + nb] = -1.0
+    border = np.zeros((1, n_blocks, d * d))
+    border[0, na + nb] = sdp.hvec(np.eye(d))
+    prog = sdp.compile_kernel(d, kernel, border)
+    return prog.bind(b=np.append(np.zeros(na * nb * d * d), 1.0))
 
 
 def incompressibility_bound(d: int, n: int) -> float:

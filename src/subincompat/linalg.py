@@ -43,18 +43,6 @@ def hermitianize(m) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def real_embedding(m) -> np.ndarray:
-    """Embed a Hermitian d x d matrix as a real symmetric 2d x 2d matrix.
-
-    H = A + iB maps to [[A, -B], [B, A]].  The embedding is linear, preserves
-    positive semidefiniteness in both directions and doubles every eigenvalue's
-    multiplicity.
-    """
-    a = check_hermitian(m)
-    re, im = a.real, a.imag
-    return np.block([[re, -im], [im, re]])
-
-
 def eig_hermitian(m):
     """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 

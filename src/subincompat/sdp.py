@@ -1,38 +1,47 @@
-"""Block-diagonal semidefinite programming: primal-dual interior point solver.
+"""Semidefinite programming over blocks of one dimension: primal-dual
+interior point solver.
 
 Standard form (maximisation), with <A, X> = Re tr(AX):
 
     max  sum_b <C_b, X_b> + c's
     s.t. sum_b <A_kb, X_b> + (E s)_k = b_k     k = 1..m
-         X_b >= 0  (complex Hermitian blocks; real symmetric data too),  s free.
+         X_b >= 0  (nb complex Hermitian d x d blocks; real symmetric data too),  s free.
+
+Every block has the same dimension d, and the rows come in two kinds, in
+the coordinates hvec(A) of an orthonormal Hermitian basis (d^2 reals per
+block).  Kernel rows are the matrix equalities sum_b K[i, b] X_b (+ free
+terms) = B_i, one row per basis coordinate: the rows K (x) I_{d^2}.  A thin
+border of general rows follows, with dense coefficients T (g, nb, d^2).
+The iterates X, Z and the objective C are single (nb, d, d) stacks, so a
+row product is one GEMM with K plus one with the border.  The Schur
+complement B[k,l] = sum_b Re tr(A_kb X_b A_lb Z_b^-1) is built from the
+basis images N_b (HKM's symmetrised Kronecker product X_b (*) Z_b^-1): its
+kernel block is one GEMM of the kernel rows' pairwise products against N,
+and the border adds T N per block.
 
 The solver uses the HKM search direction with a Mehrotra predictor-corrector
-and an augmented system for the free scalar variables.  Each block keeps
-only the rows that mention it, as the coordinates hvec(A_kb) of their
-coefficients in an orthonormal Hermitian basis (d^2 reals for a d x d
-block); blocks of equal dimension and row count form a group, iterates are
-stacked per dimension, and each kernel runs once per group or dimension.
-The Schur complement B[k,l] = sum_b Re tr(A_kb X_b A_lb Z_b^-1) is
-assembled over those rows only (the row-sparse formula of Fujisawa, Kojima
-& Nakata).  Per iteration and dimension one factor F = inv(cholesky([X; Z]))
-gives Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of F D F^H
-each).  A presolve finds a row basis: it keeps the rows independent of
-earlier ones and gives the weights that build every other row from them,
-by classical Gram-Schmidt with reorthogonalisation (CGS2), one row at a
-time.  It looks at the rows only, never at their data.  Everything is
-plain numpy and fully deterministic: identical inputs produce identical
-iterate sequences.  The tolerances are the module constants below;
-``SolveOptions`` holds only the iteration cap.
+and an augmented system for the free scalar variables.  Per iteration one
+factor F = inv(cholesky([X; Z])) gives Z^-1 = F_Z^H F_Z and all four step
+lengths (one eigvalsh of F D F^H each).  A presolve finds a row basis: it
+keeps the rows independent of earlier ones and gives the weights that
+build every other row from them, by classical Gram-Schmidt with
+reorthogonalisation (CGS2), one row at a time.  It looks at the rows only,
+never at their data; a kernel program's basis is that of its small kernel,
+lifted to the d^2 rows of each equality.  Everything is plain numpy and
+fully deterministic: identical inputs produce identical iterate sequences.
+The tolerances are the module constants below; ``SolveOptions`` holds only
+the iteration cap.
 
-Compile and solve are separate steps.  ``compile_program`` turns a
-problem's structure (block dimensions, the row basis and the block
-coefficients of the kept rows) into a read-only ``_Compiled`` and binds
-the problem's data to it as a ``Program``; ``Program.bind`` swaps in
-another call's data (rhs, free columns, objective) without compiling
-again, so a caller that caches a structure solves many programs of one
-shape for the cost of their data.  Binding is the one place that checks
-data: the rows the structure leaves out must still match the kept rows.
-``solve`` accepts an ``SdpProblem``, compiled on the spot, or a Program.
+Compile and solve are separate steps.  ``compile_kernel`` compiles a
+program from its kernel, border and free columns; ``compile_program``
+compiles an ``SdpProblem`` (one block dimension) as border rows only.
+Either returns a read-only ``_Structure`` bound to the program's data as a
+``Program``; ``Program.bind`` swaps in another call's data (rhs, free
+columns, objective) without compiling again, so a caller that caches a
+structure solves many programs of one shape for the cost of their data.
+Binding is the one place that checks data: the rows the structure leaves
+out must still match the kept rows.  ``solve`` accepts an ``SdpProblem``,
+compiled on the spot, or a Program.
 
 ``Builder`` declares Hermitian variables, one block kind (a nonnegative
 scalar is a 1 x 1 block), and expands each d x d matrix equality in the
@@ -45,7 +54,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -84,47 +92,13 @@ class SdpProblem:
     constraints: list of (block_coeffs, free_coeffs, rhs) with block_coeffs a
     dict {block index -> Hermitian coefficient matrix} and free_coeffs a dict
     {free var index -> float}.  objective likewise, maximised: (block dict,
-    free dict).
+    free dict).  ``compile_program`` accepts blocks of one dimension only.
     """
 
     blocks: list[int]
     n_free: int = 0
     objective: tuple[dict, dict] = field(default_factory=lambda: ({}, {}))
     constraints: list[tuple[dict, dict, float]] = field(default_factory=list)
-
-    def validate(self) -> dict:
-        """Check the data.  Returns the block coefficients by dimension d:
-        {d: (rows, blocks, (n, d, d) complex stack)}, row -1 the objective."""
-        for b, dim in enumerate(self.blocks):
-            if dim < 1:
-                raise ValueError(f"block {b} has dimension {dim}")
-
-        def where(k):
-            return "objective" if k < 0 else f"constraint {k}"
-
-        entries: dict[int, list] = {}
-        for k, (bc, fc, *_) in enumerate([self.objective] + self.constraints, -1):
-            for b, mat in bc.items():
-                d = self.blocks[b]
-                if np.shape(mat) != (d, d):
-                    raise ValueError(f"{where(k)}: block {b} coefficient shape {np.shape(mat)}")
-                entries.setdefault(d, []).append((k, b, mat))
-            for j in fc:
-                if not 0 <= j < self.n_free:
-                    raise ValueError(f"{where(k)}: free index {j} out of range")
-        out = {}
-        for d, items in entries.items():
-            ks, bs, mats = zip(*items)
-            a = np.array(mats, dtype=complex).reshape(len(mats), d, d)
-            bad = np.flatnonzero(np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-10)
-            if bad.size:
-                k, b = ks[bad[0]], bs[bad[0]]
-                raise ValueError(f"{where(k)}: block {b} coefficient not Hermitian")
-            out[d] = (np.array(ks, dtype=np.intp), np.array(bs, dtype=np.intp), a)
-        for k, (_, _, rhs) in enumerate(self.constraints):
-            if not np.isfinite(rhs):
-                raise ValueError(f"constraint {k}: non-finite rhs")
-        return out
 
 
 @dataclass
@@ -190,147 +164,99 @@ def _herm(w: np.ndarray) -> np.ndarray:
     return (w + w.conj().transpose(0, 2, 1)) / 2
 
 
-# nb blocks of dimension d that share their row count r after presolve:
-# ``idx`` (nb, r) their rows (ascending), ``A`` (nb, r, d^2) the hvec
-# coordinates of their coefficients and ``sl`` their slice of the iterate
-# stack number ``size``.
-_Group = namedtuple("_Group", "idx A size sl")
-
-# A problem's rows as dense data: ``H`` one row of hvec coordinates per
-# constraint (block b in columns off[b]:off[b+1]), ``mentions`` which blocks
-# each row mentions, free coefficients ``E``, rhs ``b``, per-block objective
-# matrices ``C`` and free objective ``c``.
-_Dense = namedtuple("_Dense", "H mentions E b C c off")
-
-
-def _dense(p: SdpProblem) -> _Dense:
-    coeffs = p.validate()
-    m, nf = len(p.constraints), p.n_free
-    dims = np.array(p.blocks, dtype=np.intp)
-    off = np.concatenate([[0], np.cumsum(dims * dims)])
-    H = np.zeros((m, off[-1]))
-    mentions = np.zeros((m, len(dims)), dtype=bool)
-    C = [np.zeros((d, d), dtype=complex) for d in p.blocks]
-    for d, (ks, bs, mats) in coeffs.items():
-        for b, mat in zip(bs[ks < 0], mats[ks < 0]):
-            C[b] = mat
-        ks, bs, mats = ks[ks >= 0], bs[ks >= 0], mats[ks >= 0]
-        H[ks[:, None], off[bs][:, None] + np.arange(d * d)] = hvec(mats)
-        mentions[ks, bs] = True
-    E = np.zeros((m, nf))
-    b = np.zeros(m)
-    for k, (_, fc, rhs) in enumerate(p.constraints):
-        for j, v in fc.items():
-            E[k, j] = v
-        b[k] = rhs
-    c = np.zeros(nf)
-    for j, v in p.objective[1].items():
-        c[j] = v
-    return _Dense(H, mentions, E, b, C, c, off)
-
-
 def _frozen(a) -> np.ndarray:
     a = np.asarray(a)
     a.setflags(write=False)
     return a
 
 
-class _Compiled:
-    """A program's structure: its blocks grouped into ``_Group``s over the
-    rows ``kept`` (ids in the full program, ascending, renumbered 0..m-1),
-    by (dimension, row count) in order of first block, and the row basis:
-    the other rows ``left_out`` (ascending) are ``weights @`` the kept rows
-    (a zero row's weights are 0).  Iterates are stacks of the blocks
-    ``order[i]`` of one dimension; rows that never mention a block cost
-    nothing in any product over it.  The dense rows it was built from are
-    not kept, and every array is read-only, so one structure serves any
-    number of solves.
+class _Structure:
+    """A program's structure: nb blocks of dimension d, the kept kernel rows
+    ``K`` (r, nb), which stand for the r*d^2 rows K (x) I_{d^2} (row i*d^2 + p
+    is coordinate p of equality i), then the g kept border rows with hvec
+    coefficients ``T`` (g, nb, d^2), and nf free variables.  The row basis:
+    ``kept`` are the kept rows' ids in the full program (ascending), and the
+    other rows ``left_out`` (ascending) are ``weights @`` the kept rows (a
+    zero row's weights are 0).  ``KK`` (r^2, nb) holds the kernel rows'
+    pairwise products K[i, b] K[j, b].  Every array is read-only, so one
+    structure serves any number of solves.
     """
 
-    def __init__(self, p: SdpProblem, dense: _Dense, kept, weights):
-        self.blocks = list(p.blocks)
-        self.nf = p.n_free
+    def __init__(self, d: int, K, T, nf: int, kept, weights):
+        self.d, self.nf = d, nf
+        self.K = _frozen(np.array(K, dtype=float))
+        r, self.nb = self.K.shape
+        self.T = _frozen(np.array(T, dtype=float).reshape(-1, self.nb, d * d))
+        self.g = len(self.T)
+        self.rn = r * d * d
         self.kept = _frozen(np.array(kept, dtype=np.intp))
         self.m = m = len(self.kept)
-        out = np.ones(len(dense.b), dtype=bool)
+        if m != self.rn + self.g:
+            raise ValueError(f"{m} kept rows for {r} kernel rows of dimension {d} and {self.g} border rows")
+        out = np.ones(m + len(weights), dtype=bool)
         out[self.kept] = False
         self.left_out = _frozen(np.flatnonzero(out))
         self.weights = _frozen(np.array(weights, dtype=float).reshape(len(self.left_out), m))
-        H, men = dense.H[self.kept], dense.mentions[self.kept]
-        keys: dict[tuple[int, int], list[int]] = {}
-        for b, key in enumerate(zip(self.blocks, men.sum(axis=0).tolist())):
-            keys.setdefault(key, []).append(b)
-        order: dict[int, list[int]] = {}
-        self.groups = []
-        for (d, r), bs in keys.items():
-            stack = order.setdefault(d, [])
-            sl = slice(len(stack), len(stack) + len(bs))
-            stack.extend(bs)
-            bs = np.array(bs, dtype=np.intp)
-            idx = np.nonzero(men[:, bs].T)[1].reshape(len(bs), r)
-            a = H[idx[:, :, None], (dense.off[bs][:, None] + np.arange(d * d))[:, None, :]]
-            self.groups.append(_Group(_frozen(idx), _frozen(a), list(order).index(d), sl))
-        self.order = list(order.values())
-        self.eyes = [_frozen(np.tile(np.eye(self.blocks[bs[0]], dtype=complex), (len(bs), 1, 1)))
-                     for bs in self.order]
-        self.apply_at = _frozen(np.concatenate([g.idx.ravel() for g in self.groups]))
-        self.schur_at = _frozen(np.concatenate(
-            [(g.idx[:, :, None] * m + g.idx[:, None, :]).ravel() for g in self.groups]
-        ))
+        self.KK = _frozen((self.K[:, None] * self.K[None]).reshape(r * r, self.nb))
 
-    def stack(self, mats) -> list[np.ndarray]:
-        """Per-block d x d matrices -> per-dimension (nb, d, d) complex stacks."""
-        return [np.array([mats[b] for b in bs], dtype=complex) for bs in self.order]
+    @property
+    def blocks(self) -> list[int]:
+        return [self.d] * self.nb
 
-    def unstack(self, stacks) -> list[np.ndarray]:
-        """Per-dimension stacks -> per-block matrices, in block order."""
-        out = [None] * len(self.blocks)
-        for bs, s in zip(self.order, stacks):
-            for b, x in zip(bs, s):
-                out[b] = x
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Block part of the row values, sum_b <A_kb, X_b>: [K hvec(X); T.hvec(X)]."""
+        hx = hvec(X)
+        out = (self.K @ hx).ravel()
+        if self.g:
+            out = np.concatenate([out, self.T.reshape(self.g, -1) @ hx.ravel()])
         return out
 
-    def apply(self, X: list[np.ndarray]) -> np.ndarray:
-        """Block part of the row values, sum_b <A_kb, X_b>."""
-        hx = [hvec(x)[:, :, None] for x in X]
-        vals = [(g.A @ hx[g.size][g.sl]).ravel() for g in self.groups]
-        return np.bincount(self.apply_at, np.concatenate(vals), minlength=self.m)
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """The stack of sum_k y_k A_kb: hvec_inv(K' Y + y_g . T), Y the kernel
+        part of y as (r, d^2)."""
+        v = self.K.T @ y[:self.rn].reshape(-1, self.d * self.d)
+        if self.g:
+            v += (y[self.rn:] @ self.T.reshape(self.g, -1)).reshape(v.shape)
+        return hvec_inv(v)
 
-    def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        """Per-dimension stacks of sum_k y_k A_kb."""
-        parts: list[list[np.ndarray]] = [[] for _ in self.order]
-        for g in self.groups:
-            parts[g.size].append((y[g.idx][:, None, :] @ g.A)[:, 0])
-        return [hvec_inv(np.concatenate(p)) for p in parts]
+    def schur(self, X: np.ndarray, Zi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write B[k,l] = sum_b Re tr(A_kb X_b A_lb Zi_b) into ``out`` (an
+        (m, m) array or view) and return it.
 
-    def schur(self, X: list[np.ndarray], Zi: list[np.ndarray]) -> np.ndarray:
-        """B[k,l] = sum_b Re tr(A_kb X_b A_lb Zi_b) = hvec(A_kb) . T_lb with the
-        Schur term T_lb = hvec(X_b A_lb Zi_b).
+        With the basis images N_b[q, p] = Re tr(h_p X_b h_q Zi_b), a kernel
+        row pair gives B[(i,p), (j,q)] = sum_b K[i,b] K[j,b] N_b[q,p]: one GEMM
+        KK @ N and one axis reorder.  The border takes V_b = T_b N_b per block;
+        K @ V is its coupling to the kernel rows (mirrored, as B is
+        symmetric) and T . V its own block.
 
-        T is linear in A_lb: T_b = A_b N_b with N_b[q] = hvec(X_b h_q Zi_b),
-        the basis images (HKM's symmetrised Kronecker product X (*) Zi),
-        combined from the outer products X E_ij Zi = X[:, i] Zi[j, :].  Per
-        dimension one broadcast product and two GEMMs give N, per group two
-        GEMMs give its terms; the groups share one scatter-add into B.
-
-        The outer products and each group's T are freed as soon as they are
-        used.  Held to the end, they brought a d = 5 robustness call's
-        temporaries to about 2.4 MB, and in some heap histories glibc gave
-        those pages back at each free and faulted them in again at the next
-        call (about 600 minor faults per call)."""
-        images = [_basis_images(x, zi) for x, zi in zip(X, Zi)]
-        terms = np.concatenate([(g.A @ (g.A @ images[g.size][g.sl]).transpose(0, 2, 1)).ravel()
-                                for g in self.groups])
-        m = self.m
-        return np.bincount(self.schur_at, terms, minlength=m * m).reshape(m, m)
+        Temporaries are freed as soon as they are used.  Held to the end, they
+        brought a d = 5 robustness call's temporaries to about 2.4 MB, and in
+        some heap histories glibc gave those pages back at each free and
+        faulted them in again at the next call (about 600 minor faults per
+        call)."""
+        nb, n, r, rn, g = self.nb, self.d * self.d, len(self.K), self.rn, self.g
+        N = _basis_images(X, Zi)
+        M = (self.KK @ N.reshape(nb, n * n)).reshape(r, r, n, n)
+        out[:rn, :rn].reshape(r, n, r, n)[...] = M.transpose(0, 3, 1, 2)
+        del M
+        if g:
+            V = self.T.transpose(1, 0, 2) @ N  # (nb, g, d^2)
+            del N
+            KV = (self.K @ V.reshape(nb, g * n)).reshape(r, g, n)
+            out[:rn, rn:] = KV.transpose(0, 2, 1).reshape(rn, g)
+            out[rn:, :rn] = out[:rn, rn:].T
+            out[rn:, rn:] = self.T.reshape(g, -1) @ V.transpose(1, 0, 2).reshape(g, -1).T
+        return out
 
 
 def _basis_images(x: np.ndarray, zi: np.ndarray) -> np.ndarray:
     """N[b, q] = hvec(x_b h_q zi_b) for a stack of nb blocks of dimension d:
-    an (nb, d^2, d^2) array (see ``_Compiled.schur``)."""
+    an (nb, d^2, d^2) array (see ``_Structure.schur``), combined from the
+    outer products x E_ij zi = x[:, i] zi[j, :]."""
     nb, d = x.shape[:2]
     e = x.transpose(0, 2, 1)[:, :, None, :, None] * zi[:, None, :, None, :]
     n = _hermitian_basis(d).reshape(d * d, d * d) @ e.reshape(nb, d * d, d * d)
+    del e
     return hvec(n.reshape(nb, d * d, d, d))
 
 
@@ -340,7 +266,7 @@ def _presolve(rows: np.ndarray):
     Rows are scanned in order; row k is kept when its residual against the
     rows kept so far exceeds 1e-10*max(1, |row k|).  The residual comes from
     two classical Gram-Schmidt passes (CGS2) against those rows.  ``rows``
-    (the dense rows [hvec(A_k1)|...|E_k]) is overwritten.
+    (one dense row of coefficients per constraint) is overwritten.
     Returns (kept, weights): the kept row ids, ascending, and per other row
     in order the weights that build it from the kept rows, a
     (rows - len(kept), len(kept)) array whose rows are 0 for zero rows.
@@ -373,16 +299,16 @@ class Program:
     """A compiled structure bound to one call's data: what ``solve`` runs.
 
     ``b`` and ``E`` are the rhs and free coefficients of the kept rows,
-    ``C`` the objective's block coefficients as per-dimension stacks and
+    ``C`` the objective's block coefficients as an (nb, d, d) stack and
     ``c`` its free coefficients, and ``message`` the first left-out row
     whose rhs the kept rows contradict, found by ``bind``, which ``solve``
     reports as PrimalInfeasible without iterating.
     """
 
-    structure: _Compiled
+    structure: _Structure
     b: np.ndarray
     E: np.ndarray
-    C: list
+    C: np.ndarray
     c: np.ndarray
     message: str = ""
 
@@ -429,28 +355,86 @@ class Program:
                 report = ZERO_ROW if zero[i] else INCONSISTENT
                 data["message"] = report.format(st.left_out[i], residual[i])
         if C is not None:
-            mats = [np.zeros((d, d), dtype=complex) for d in st.blocks]
+            mats = np.zeros((st.nb, st.d, st.d), dtype=complex)
             for blk, mat in C.items():
                 mats[blk] = linalg.check_hermitian(mat, tol=1e-9)
-            data["C"] = st.stack(mats)
+            data["C"] = _frozen(mats)
         return replace(self, **data)
 
 
-def compile_program(p: SdpProblem, basis=None) -> Program:
-    """Compile p's structure and bind p's own data to it.
+def compile_kernel(d: int, kernel, border=None, E=None, c=None) -> Program:
+    """Compile a kernel program over nb = kernel.shape[1] blocks of
+    dimension d and bind zero rhs and objective to it.
 
-    ``basis``: (kept, weights) as ``_presolve`` returns them, rows known to
-    span all of p's rows; None runs the presolve on p's rows.  p's free
-    coefficients are part of the rows the basis is found on, so binding
-    checks only p's rhs.
+    Its rows: per kernel row i the d^2 rows (i*d^2 + p) of the equality
+    sum_b kernel[i, b] X_b = B_i, then the border rows, ``border`` (g, nb,
+    d^2) their hvec coefficients (None: no border).  ``E`` (rows, nf) are
+    every row's free coefficients (None: no free variables) and ``c`` (nf,)
+    the objective's.  The row basis is the small kernel's, found by
+    ``_presolve`` and lifted to the d^2 rows of each equality; every border
+    row is kept, so border rows must be independent of the kernel rows and
+    of each other.  Binding E checks that it obeys the kernel's relations.
     """
-    dense = _dense(p)
-    if basis is None:
-        basis = _presolve(np.hstack([dense.H, dense.E]))
-    c = _Compiled(p, dense, *basis)
-    unbound = Program(c, None, _frozen(dense.E[c.kept]), [_frozen(x) for x in c.stack(dense.C)],
-                      _frozen(dense.c))
-    return unbound.bind(b=dense.b)
+    kernel = np.asarray(kernel, dtype=float)
+    R, nb = kernel.shape
+    n = d * d
+    T = np.zeros((0, nb, n)) if border is None else np.asarray(border, dtype=float)
+    keep, weights = _presolve(kernel.copy())
+    kept = [i * n + p for i in keep for p in range(n)] + list(range(R * n, R * n + len(T)))
+    weights = np.hstack([np.kron(weights, np.eye(n)), np.zeros((len(weights) * n, len(T)))])
+    E = np.zeros((R * n + len(T), 0)) if E is None else np.asarray(E, dtype=float)
+    st = _Structure(d, kernel[keep], T, E.shape[1], kept, weights)
+    c = np.zeros(st.nf) if c is None else np.asarray(c, dtype=float)
+    unbound = Program(st, None, None, _frozen(np.zeros((nb, d, d), dtype=complex)), _frozen(c))
+    return unbound.bind(b=np.zeros(R * n + len(T)), E=E)
+
+
+def _dense(p: SdpProblem):
+    """Check p's data: blocks of one dimension d, coefficients d x d and
+    Hermitian, free indices in range, finite rhs.  Returns (d, T, E, b, C,
+    c): per constraint the hvec coordinates T (m, nb, d^2) of its block
+    coefficients and its free coefficients E (m, n_free), the rhs b, and the
+    objective's block stack C (nb, d, d) and free coefficients c."""
+    dims = sorted(set(p.blocks))
+    if len(dims) != 1:
+        raise ValueError(f"a program needs blocks of one dimension, got dimensions {dims}")
+    d = dims[0]
+    if d < 1:
+        raise ValueError(f"blocks of dimension {d}")
+    nb, nf, m = len(p.blocks), p.n_free, len(p.constraints)
+    rows = [p.objective] + p.constraints
+    coef = np.zeros((m + 1, nb, d, d), dtype=complex)  # row 0: the objective
+    E = np.zeros((m + 1, nf))
+
+    def where(k):
+        return "objective" if k == 0 else f"constraint {k - 1}"
+
+    for k, (bc, fc, *_) in enumerate(rows):
+        for blk, mat in bc.items():
+            if np.shape(mat) != (d, d):
+                raise ValueError(f"{where(k)}: block {blk} coefficient shape {np.shape(mat)}")
+            coef[k, blk] = mat
+        for j, v in fc.items():
+            if not 0 <= j < nf:
+                raise ValueError(f"{where(k)}: free index {j} out of range")
+            E[k, j] = v
+    bad = np.argwhere(np.abs(coef - coef.conj().transpose(0, 1, 3, 2)).max(axis=(2, 3)) > 1e-10)
+    if bad.size:
+        raise ValueError(f"{where(bad[0][0])}: block {bad[0][1]} coefficient not Hermitian")
+    b = np.array([rhs for *_, rhs in p.constraints], dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"constraint {np.flatnonzero(~np.isfinite(b))[0]}: non-finite rhs")
+    return d, hvec(coef[1:]), E[1:], b, coef[0], E[0]
+
+
+def compile_program(p: SdpProblem) -> Program:
+    """Compile p's structure, every row a border row (p has no kernel), and
+    bind p's own data to it.  The presolve reads p's block and free
+    coefficients, so binding checks only p's rhs."""
+    d, T, E, b, C, c = _dense(p)
+    kept, weights = _presolve(np.hstack([T.reshape(len(T), -1), E]))
+    st = _Structure(d, np.zeros((0, len(p.blocks))), T[kept], p.n_free, kept, weights)
+    return Program(st, None, _frozen(E[kept]), _frozen(C), _frozen(c)).bind(b=b)
 
 
 def _factor(S: np.ndarray) -> np.ndarray:
@@ -461,22 +445,17 @@ def _factor(S: np.ndarray) -> np.ndarray:
 
 def _step_lengths(F, dX, dZ) -> tuple[float, float]:
     """Largest alpha_p, alpha_d with X + alpha_p*dX >= 0 and Z + alpha_d*dZ
-    >= 0 in every block (inf when no block limits the step), given per block
-    dimension the factor F = _factor([X; Z]) of the stacked X and Z blocks.
+    >= 0 in every block (inf when no block limits the step), given the
+    factor F = _factor([X; Z]) of the stacked X and Z blocks.
 
-    Per dimension two batched products W = F [dX; dZ] F^H and one eigvalsh:
-    a side's stack limits the step at -1/lambda when its least eigenvalue
-    lambda is below -1e-14 (-1/lambda grows with lambda, so this is the
-    least step over its blocks).
+    Two batched products W = F [dX; dZ] F^H and one eigvalsh: a side's
+    stack limits the step at -1/lambda when its least eigenvalue lambda is
+    below -1e-14 (-1/lambda grows with lambda, so this is the least step
+    over its blocks).
     """
-    alpha = [np.inf, np.inf]
-    for f, dx, dz in zip(F, dX, dZ):
-        w = f @ np.concatenate([dx, dz]) @ f.conj().transpose(0, 2, 1)
-        lam = np.linalg.eigvalsh(w).reshape(2, -1).min(axis=1)
-        for side in range(2):
-            if lam[side] < -1e-14:
-                alpha[side] = min(alpha[side], -1.0 / lam[side])
-    return alpha[0], alpha[1]
+    w = F @ np.concatenate([dX, dZ]) @ F.conj().transpose(0, 2, 1)
+    lam = np.linalg.eigvalsh(w).reshape(2, -1).min(axis=1)
+    return tuple(-1.0 / v if v < -1e-14 else np.inf for v in lam)
 
 
 def _lin_solve(a: np.ndarray, rhs: np.ndarray):
@@ -502,10 +481,11 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
     if isinstance(p, SdpProblem):
         p = compile_program(p)
     c = p.structure
+    nb, d = c.nb, c.d
     if p.message:
         return SdpSolution(
             status=STATUS_PRIMAL_INFEASIBLE,
-            primal_blocks=[np.zeros((d, d), dtype=complex) for d in c.blocks],
+            primal_blocks=list(np.zeros((nb, d, d), dtype=complex)),
             scalar_vars=np.zeros(c.nf),
             primal_value=np.nan,
             dual_value=np.nan,
@@ -517,23 +497,20 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
         )
     m = c.m
     nf = c.nf
-    nu = float(sum(c.blocks))
+    nu = float(nb * d)
     Ek = p.E
     bk = p.b
-    Cg = p.C
-    eyes = c.eyes
+    C = p.C
+    eye = np.eye(d, dtype=complex)
     aug = np.zeros((m + nf, m + nf))  # Newton matrix [[B, -E], [E', 0]]
     aug[:m, m:] = -Ek
     aug[m:, :m] = Ek.T
 
-    def inner(P, Q):  # sum_b Re tr(P_b Q_b) over Hermitian stacks
-        return sum(np.vdot(pg, qg).real for pg, qg in zip(P, Q))
-
     # starting point: identity-scaled interior iterates
     bscale = 1.0 + np.abs(bk).max(initial=0.0)
-    cscale = 1.0 + max([np.abs(cg).max(initial=0.0) for cg in Cg] + [np.abs(p.c).max(initial=0.0)])
-    X = [max(10.0, bscale) * e for e in eyes]
-    Z = [max(10.0, cscale) * e for e in eyes]
+    cscale = 1.0 + max(np.abs(C).max(initial=0.0), np.abs(p.c).max(initial=0.0))
+    X = np.broadcast_to(max(10.0, bscale) * eye, (nb, d, d)).copy()
+    Z = np.broadcast_to(max(10.0, cscale) * eye, (nb, d, d)).copy()
     y = np.zeros(m)
     s = np.zeros(nf)
     fallbacks = 0
@@ -545,14 +522,14 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
     it = 0
     for it in range(1, opts.max_iters + 1):
         r_p = bk - (c.apply(X) + Ek @ s)
-        r_d = [cg + zg - ag for cg, zg, ag in zip(Cg, Z, c.adjoint(y))]
+        r_d = C + Z - c.adjoint(y)
         r_f = p.c - Ek.T @ y
-        mu = inner(X, Z) / nu
-        pv = inner(Cg, X) + p.c @ s
+        mu = np.vdot(X, Z).real / nu
+        pv = np.vdot(C, X).real + p.c @ s
         dv = bk @ y
         gap = abs(pv - dv)
         rp_inf = np.abs(r_p).max(initial=0.0)
-        rd_inf = max((np.abs(rd).max(initial=0.0) for rd in r_d), default=0.0)
+        rd_inf = np.abs(r_d).max(initial=0.0)
         rf_inf = np.abs(r_f).max(initial=0.0)
         err = max(rp_inf, rd_inf, rf_inf, gap / (1.0 + abs(pv)))
         if err < best_err:
@@ -577,36 +554,32 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
             break
 
         try:
-            F = [_factor(np.concatenate([xg, zg])) for xg, zg in zip(X, Z)]
-            Zi = [f[len(xg):].conj().transpose(0, 2, 1) @ f[len(xg):] for f, xg in zip(F, X)]
-            aug[:m, :m] = c.schur(X, Zi)
-            Xrd = [xg @ rd for xg, rd in zip(X, r_d)]
+            F = _factor(np.concatenate([X, Z]))
+            Zi = F[nb:].conj().transpose(0, 2, 1) @ F[nb:]
+            c.schur(X, Zi, aug[:m, :m])
+            Xrd = X @ r_d
 
             def hkm_direction(R):
                 nonlocal fallbacks
-                h = c.apply([(rg + xr) @ zi for rg, xr, zi in zip(R, Xrd, Zi)]) - r_p
+                h = c.apply((R + Xrd) @ Zi) - r_p
                 sol, fell_back = _lin_solve(aug, np.concatenate([h, r_f]))
                 fallbacks += fell_back
                 dy, ds = sol[:m], sol[m:]
-                dZ = [a - rd for a, rd in zip(c.adjoint(dy), r_d)]
-                dX = [_herm((rg - xg @ dz) @ zi) for rg, xg, dz, zi in zip(R, X, dZ, Zi)]
+                dZ = c.adjoint(dy) - r_d
+                dX = _herm((R - X @ dZ) @ Zi)
                 return dX, ds, dy, dZ
 
             # predictor (affine scaling)
-            R_aff = [-(xg @ zg) for xg, zg in zip(X, Z)]
+            R_aff = -(X @ Z)
             dX_a, ds_a, dy_a, dZ_a = hkm_direction(R_aff)
             ap, ad = (min(1.0, a) for a in _step_lengths(F, dX_a, dZ_a))
-            mu_aff = inner(
-                [xg + ap * dx for xg, dx in zip(X, dX_a)],
-                [zg + ad * dz for zg, dz in zip(Z, dZ_a)],
-            ) / nu
+            mu_aff = np.vdot(X + ap * dX_a, Z + ad * dZ_a).real / nu
             sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
             # corrector
-            R_cor = [ra + sigma * mu * e - dx @ dz
-                     for ra, e, dx, dz in zip(R_aff, eyes, dX_a, dZ_a)]
+            R_cor = R_aff + sigma * mu * eye - dX_a @ dZ_a
             dX, ds, dy, dZ = hkm_direction(R_cor)
-            if not all(np.all(np.isfinite(v)) for v in dX + dZ):
+            if not (np.all(np.isfinite(dX)) and np.all(np.isfinite(dZ))):
                 message = "non-finite search direction"
                 break
         except np.linalg.LinAlgError as exc:
@@ -617,10 +590,10 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
         if ap < 1e-12 and ad < 1e-12:
             message = "step sizes collapsed"
             break
-        X = [xg + ap * dx for xg, dx in zip(X, dX)]
+        X = X + ap * dX
         s = s + ap * ds
         y = y + ad * dy
-        Z = [zg + ad * dz for zg, dz in zip(Z, dZ)]
+        Z = Z + ad * dZ
 
     if status == STATUS_OPTIMAL:  # the exit test just measured this iterate
         best = (X, s, pv, dv, gap, rp_inf, rd_inf)
@@ -629,7 +602,7 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
     xs, sv, pv, dv, gap, rp_inf, rd_inf = best
     return SdpSolution(
         status=status,
-        primal_blocks=c.unstack(xs),
+        primal_blocks=list(xs),
         scalar_vars=sv,
         primal_value=pv,
         dual_value=dv,
@@ -664,12 +637,13 @@ def with_slack(p: SdpProblem) -> SdpProblem:
 def feasibility(p: SdpProblem | Program, opts: SolveOptions | None = None):
     """Maximise a uniform slack t with every block shifted: X - t*I >= 0.
 
-    p is an SdpProblem (its objective is ignored), or a Program compiled
-    from ``with_slack`` of one, t its last free variable.  Returns
-    (feasible, slack, certificate_blocks).  feasible <=> optimal slack >=
-    -1e-7; the certificate blocks are the unshifted variables X = X~ + t*I,
-    which satisfy the affine rows exactly and are PSD up to the reported
-    slack.
+    p is an SdpProblem (its objective is ignored), or a Program whose last
+    free variable is such a slack t (compiled from ``with_slack`` of a
+    problem, or with the slack column of ``incompat.parent_program``).
+    Returns (feasible, slack, certificate_blocks).  feasible <=> optimal
+    slack >= -1e-7; the certificate blocks are the unshifted variables
+    X = X~ + t*I, which satisfy the affine rows exactly and are PSD up to
+    the reported slack.
     """
     if isinstance(p, SdpProblem):
         p = with_slack(p)

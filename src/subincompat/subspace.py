@@ -70,8 +70,8 @@ def _probe_projectors(a: Assemblage, n: int) -> list[tuple[str, linalg.Projector
     return probes
 
 
-def _classify_one(a: Assemblage, label, p: linalg.Projector):
-    r = incompat.depolarising_robustness(truncate(a, p))
+def _classify_one(a: Assemblage, label, p: linalg.Projector, options=None):
+    r = incompat.depolarising_robustness(truncate(a, p), options)
     return label, p, r.eta, r.verdict
 
 
@@ -81,6 +81,7 @@ def classify(
     samples: int,
     seed: int | None = None,
     jobs: int = 1,
+    options: sdp.SolveOptions | None = None,
 ) -> SubspaceReport:
     """Sample n-dimensional subspaces and classify where the assemblage's
     incompatibility survives truncation.
@@ -92,11 +93,12 @@ def classify(
     from `seed`.  Verdicts aggregate to Incompressible (every truncation
     compatible), FullyCompressible (every truncation incompatible),
     PartlyCompressible (both observed, with witnessing projectors) or
-    Indeterminate; they are evidence, not proof.
+    Indeterminate; they are evidence, not proof.  ``options`` reach every
+    robustness solve, in worker processes too.
     """
     if not 2 <= n < a.dim:
         raise ValueError(f"need 2 <= n < dim, got n={n}, dim={a.dim}")
-    full = incompat.depolarising_robustness(a)
+    full = incompat.depolarising_robustness(a, options)
     if full.verdict == incompat.VERDICT_COMPATIBLE:
         return SubspaceReport(
             n=n,
@@ -113,9 +115,10 @@ def classify(
         tasks.append((int(s), linalg.haar_subspace(a.dim, n, int(s))))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_classify_one, itertools.repeat(a), *zip(*tasks)))
+            results = list(ex.map(_classify_one, itertools.repeat(a), *zip(*tasks),
+                                  itertools.repeat(options)))
     else:
-        results = [_classify_one(a, label, p) for label, p in tasks]
+        results = [_classify_one(a, label, p, options) for label, p in tasks]
 
     records = []
     witnesses: dict = {}
@@ -187,7 +190,7 @@ def fully_compressible_criterion(basisA, basisB):
     return True, None
 
 
-def mub_same_povm_check() -> dict:
+def mub_same_povm_check(options: sdp.SolveOptions | None = None) -> dict:
     """Fixed qutrit construction where two distinct MUB measurements
     truncate to the same POVM on a 2-dimensional subspace.
 
@@ -226,7 +229,7 @@ def mub_same_povm_check() -> dict:
     basis = vecs[:, :2]
     p = linalg.projector_from_basis(basis.T)
     pair = Assemblage(3, [from_basis(comp), from_basis(four)])
-    rob = incompat.depolarising_robustness(truncate(pair, p))
+    rob = incompat.depolarising_robustness(truncate(pair, p), options)
 
     # negative control: rotate psi slightly inside span{psi, e0 component}
     th = 0.1

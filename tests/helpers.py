@@ -61,6 +61,18 @@ def steering_instance(i: int):
     return rho, alice
 
 
+def real_embedding(m) -> np.ndarray:
+    """Embed a Hermitian d x d matrix as a real symmetric 2d x 2d matrix.
+
+    H = A + iB maps to [[A, -B], [B, A]].  The embedding is linear, preserves
+    positive semidefiniteness in both directions and doubles every eigenvalue's
+    multiplicity.
+    """
+    a = linalg.check_hermitian(m)
+    re, im = a.real, a.imag
+    return np.block([[re, -im], [im, re]])
+
+
 def sigma_xz_pair(mu: float = 1.0) -> Assemblage:
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)

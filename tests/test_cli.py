@@ -224,6 +224,23 @@ def test_count_flags_out_of_range_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"  # one line naming the flag, no traceback
 
 
+def test_sdp_iters_reaches_every_command_that_solves_sdps(capsys):
+    # classify, mub-check and the counterexample report validate the flag and
+    # pass it to their solves, as robustness does
+    for argv in (("classify", "--builtin", "qutrit-pair", "--n", "2"), ("mub-check",),
+                 ("coexistence", "--builtin", "qubit-counterexample"), ("robustness", "--builtin", "qutrit-pair")):
+        code, rep, err = run(capsys, *argv, "--sdp-iters", "0")
+        assert code == 2 and rep is None
+        assert err == "error: --sdp-iters must be at least 1, got 0\n"
+        assert run(capsys, *argv, "--sdp-iters", "3")[0] == 3
+    # commands that solve no SDP do not offer it
+    for argv in (("integrals",), ("corpus", "--list"), ("peres", "construct", "--m1", "0.2", "--m2", "0.4")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--sdp-iters", "3"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):

@@ -7,7 +7,7 @@ import pytest
 from subincompat import coexist, corpus, incompat, linalg, sdp, steering
 from subincompat.povm import Assemblage, depolarise, from_basis, random_povm
 
-from helpers import sigma_xz_pair
+from helpers import real_embedding, sigma_xz_pair
 
 
 def test_trivial_lp_max_x_below_one():
@@ -147,31 +147,50 @@ def _random_pd(rng, d):
     return g @ g.T + 0.5 * np.eye(d)
 
 
-def _random_problem(rng, dims=(3, 1, 4, 2, 4), n_free=2, m=30):
-    """Rows mention a random subset of blocks and free variables."""
+def _random_problem(rng, d=3, nb=5, n_free=2, m=30):
+    """Rows mention a random subset of nb blocks of dimension d and of the
+    free variables."""
     cons = []
     for _ in range(m):
-        picked = [b for b in range(len(dims)) if rng.random() < 0.5] or [0]
-        bc = {b: _random_sym(rng, dims[b]) for b in picked}
+        picked = [b for b in range(nb) if rng.random() < 0.5] or [0]
+        bc = {b: _random_sym(rng, d) for b in picked}
         fc = {j: float(rng.standard_normal()) for j in range(n_free) if rng.random() < 0.5}
         cons.append((bc, fc, float(rng.standard_normal())))
-    return sdp.SdpProblem(blocks=list(dims), n_free=n_free, constraints=cons)
+    return sdp.SdpProblem(blocks=[d] * nb, n_free=n_free, constraints=cons)
 
 
-def _dense_stacks(p, rows):
-    """Dense (len(rows), d, d) coefficient stack per block."""
-    out = [np.zeros((len(rows), d, d)) for d in p.blocks]
+def _dense_stack(p, rows):
+    """Dense (len(rows), nb, d, d) coefficient stack of the given rows."""
+    out = np.zeros((len(rows), len(p.blocks), p.blocks[0], p.blocks[0]), dtype=complex)
     for i, k in enumerate(rows):
         for b, mat in p.constraints[k][0].items():
-            out[b][i] = mat
+            out[i, b] = mat
     return out
 
 
 def _structure(p, kept):
     """p's structure over an arbitrary row subset (no row basis: the kernels
-    never read the weights)."""
+    never read the weights), every row a border row."""
+    d, T, *_ = sdp._dense(p)
     weights = np.zeros((len(p.constraints) - len(kept), len(kept)))
-    return sdp._Compiled(p, sdp._dense(p), kept, weights)
+    return sdp._Structure(d, np.zeros((0, len(p.blocks))), T[kept], p.n_free, kept, weights)
+
+
+def _kernels(st, X, Zi, y):
+    """The structure's row products, adjoint and Schur matrix at (X, Zi, y)."""
+    return st.apply(X), st.adjoint(y), st.schur(X, Zi, np.empty((st.m, st.m)))
+
+
+def _dense_kernels(A, X, Zi, y):
+    """The same from the dense coefficient stack A (rows, nb, d, d):
+    sum_b <A_kb, X_b>, sum_k y_k A_kb and sum_b Re tr(A_kb X_b A_lb Zi_b)."""
+    xaz = X @ (A @ Zi)
+    return (np.einsum("kbij,bji->k", A, X).real, np.einsum("kbij,k->bij", A, y),
+            np.einsum("kbij,lbji->kl", A, xaz).real)
+
+
+def _assert_close(got, ref, floor=0.0):
+    assert np.abs(got - ref).max() <= 1e-12 * max(floor, np.abs(ref).max())
 
 
 def test_schur_per_block_matches_dense_einsum():
@@ -179,23 +198,12 @@ def test_schur_per_block_matches_dense_einsum():
     p = _random_problem(rng)
     kept = [k for k in range(len(p.constraints)) if k % 3]  # drop every third row
     c = _structure(p, kept)
-    X = [_random_pd(rng, d) for d in p.blocks]
-    Zi = [np.linalg.inv(_random_pd(rng, d)) for d in p.blocks]
-    ref = np.zeros((len(kept), len(kept)))
-    for ab, xb, zib in zip(_dense_stacks(p, kept), X, Zi):
-        t1 = np.einsum("lij,jk->lik", ab, zib)
-        t2 = np.einsum("ij,ljk->lik", xb, t1)
-        ref += np.einsum("kij,lji->kl", ab, t2)
-    got = c.schur(c.stack(X), c.stack(Zi))
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    # the row products agree with the dense stacks too
+    X = np.array([_random_pd(rng, 3) for _ in p.blocks])
+    Zi = np.array([np.linalg.inv(_random_pd(rng, 3)) for _ in p.blocks])
     y = rng.standard_normal(len(kept))
-    dense = _dense_stacks(p, kept)
-    ref_apply = sum(np.einsum("kij,ij->k", a, x) for a, x in zip(dense, X))
-    assert np.abs(c.apply(c.stack(X)) - ref_apply).max() <= 1e-12 * np.abs(ref_apply).max()
-    for got_b, a in zip(c.unstack(c.adjoint(y)), dense):
-        ref_b = np.einsum("kij,k->ij", a, y)
-        assert np.abs(got_b - ref_b).max() <= 1e-12 * max(1.0, np.abs(ref_b).max())
+    refs = _dense_kernels(_dense_stack(p, kept), X, Zi, y)
+    for got, ref, floor in zip(_kernels(c, X, Zi, y), refs, (0.0, 1.0, 0.0)):
+        _assert_close(got, ref, floor)
 
 
 def _random_herm(rng, d):
@@ -236,15 +244,16 @@ def test_hvec_rows_are_cached_read_only():
             rows[0, 0] = 1.0
 
 
-def _random_complex_problem(rng, dims=(3, 1, 4, 2, 1), n_free=2, m=40):
-    """Rows mention a random subset of Hermitian blocks and free variables."""
+def _random_complex_problem(rng, d=3, nb=5, n_free=2, m=40):
+    """Rows mention a random subset of nb Hermitian blocks of dimension d
+    and of the free variables."""
     cons = []
     for _ in range(m):
-        picked = [b for b in range(len(dims)) if rng.random() < 0.5] or [0]
-        bc = {b: _random_herm(rng, dims[b]) for b in picked}
+        picked = [b for b in range(nb) if rng.random() < 0.5] or [0]
+        bc = {b: _random_herm(rng, d) for b in picked}
         fc = {j: float(rng.standard_normal()) for j in range(n_free) if rng.random() < 0.5}
         cons.append((bc, fc, float(rng.standard_normal())))
-    return sdp.SdpProblem(blocks=list(dims), n_free=n_free, constraints=cons)
+    return sdp.SdpProblem(blocks=[d] * nb, n_free=n_free, constraints=cons)
 
 
 def test_complex_kernels_match_the_real_embedding():
@@ -254,32 +263,59 @@ def test_complex_kernels_match_the_real_embedding():
     p = _random_complex_problem(rng)
     kept = [k for k in range(len(p.constraints)) if k % 4 != 1]
     c = _structure(p, kept)
-    X = [_random_hpd(rng, d) for d in p.blocks]
-    Zi = [linalg.hermitianize(np.linalg.inv(_random_hpd(rng, d))) for d in p.blocks]
-    emb = [np.zeros((len(kept), 2 * d, 2 * d)) for d in p.blocks]
+    X = np.array([_random_hpd(rng, 3) for _ in p.blocks])
+    Zi = np.array([linalg.hermitianize(np.linalg.inv(_random_hpd(rng, 3))) for _ in p.blocks])
+    emb = np.zeros((len(kept), len(p.blocks), 6, 6))
     for i, k in enumerate(kept):
         for b, mat in p.constraints[k][0].items():
-            emb[b][i] = linalg.real_embedding(mat) / 2
-    xe = [linalg.real_embedding(x) for x in X]
-    zie = [2 * linalg.real_embedding(z) for z in Zi]
-    ref = sum(
-        np.einsum("kij,lji->kl", a, np.einsum("ij,ljk,kn->lin", x, a, z))
-        for a, x, z in zip(emb, xe, zie)
-    )
-    got = c.schur(c.stack(X), c.stack(Zi))
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    ref_apply = sum(np.einsum("kij,ij->k", a, x) for a, x in zip(emb, xe))
-    assert np.abs(c.apply(c.stack(X)) - ref_apply).max() <= 1e-12 * np.abs(ref_apply).max()
+            emb[i, b] = real_embedding(mat) / 2
+    xe = np.array([real_embedding(x) for x in X])
+    zie = np.array([2 * real_embedding(z) for z in Zi])
     y = rng.standard_normal(len(kept))
-    for got_b, a in zip(c.unstack(c.adjoint(y)), emb):
-        ref_b = np.einsum("kij,k->ij", a, y)
-        assert np.abs(linalg.real_embedding(got_b) / 2 - ref_b).max() <= 1e-12 * np.abs(ref_b).max()
+    ref_apply, ref_adj, ref = _dense_kernels(emb, xe, zie, y)
+    got_apply, got_adj, got = _kernels(c, X, Zi, y)
+    _assert_close(got, ref)
+    _assert_close(got_apply, ref_apply)
+    _assert_close(np.array([real_embedding(g) / 2 for g in got_adj]), ref_adj)
+
+
+def _padded(p):
+    """p as a program over one block dimension D, the largest of p's: each
+    smaller block becomes the leading corner of a D x D block.  Rows pin the
+    real and imaginary parts of the padding's off-diagonal entries to 0, and
+    a cost-free row fixes the trace of the spare diagonal corner to its
+    size, so both sides keep interior points.  The rewrite is exact: a
+    padded block is PSD iff its corner is."""
+    D = max(p.blocks)
+
+    def pad(bc):
+        out = {}
+        for b, mat in bc.items():
+            out[b] = np.zeros((D, D), dtype=complex)
+            out[b][:p.blocks[b], :p.blocks[b]] = mat
+        return out
+
+    cons = [(pad(bc), fc, rhs) for bc, fc, rhs in p.constraints]
+    for b, d in enumerate(p.blocks):
+        if d == D:
+            continue
+        for i in range(D):
+            for j in range(max(d, i + 1), D):
+                for part in (0.5, 0.5j):
+                    e = np.zeros((D, D), dtype=complex)
+                    e[i, j], e[j, i] = part, np.conj(part)
+                    cons.append(({b: e}, {}, 0.0))
+        spare = np.diag([0.0] * d + [1.0] * (D - d))
+        cons.append(({b: spare}, {}, float(D - d)))
+    return sdp.SdpProblem(blocks=[D] * len(p.blocks), n_free=p.n_free,
+                          objective=(pad(p.objective[0]), p.objective[1]), constraints=cons)
 
 
 def test_complex_sdp_native_and_embedded_reach_the_same_optimum():
     # min <C,X> + c's over Hermitian blocks from a constructed optimal pair,
     # solved as max <-C,X> - c's: X*_b, Z*_b complementary,
-    # C_b = sum_k y*_k A_kb + Z*_b, c = E'y*.
+    # C_b = sum_k y*_k A_kb + Z*_b, c = E'y*.  Both programs are padded to
+    # one block dimension (``_padded``).
     rng = np.random.default_rng(31)
     dims, m = (3, 2, 1), 7
     xs, zs = [], []
@@ -303,17 +339,26 @@ def test_complex_sdp_native_and_embedded_reach_the_same_optimum():
         blocks=list(dims), n_free=1, objective=({b: -c for b, c in enumerate(cmat)}, {0: -cfree}),
         constraints=cons,
     )
-    half = lambda h: linalg.real_embedding(h) / 2  # noqa: E731
+    half = lambda h: real_embedding(h) / 2  # noqa: E731
     embedded = sdp.SdpProblem(
         blocks=[2 * d for d in dims], n_free=1,
         objective=({b: -half(c) for b, c in enumerate(cmat)}, {0: -cfree}),
         constraints=[({b: half(a) for b, a in bc.items()}, fc, r) for bc, fc, r in cons],
     )
-    sol_n, sol_e = sdp.solve(native), sdp.solve(embedded)
+    sol_n, sol_e = sdp.solve(_padded(native)), sdp.solve(_padded(embedded))
     assert sol_n.status == sol_e.status == sdp.STATUS_OPTIMAL
     assert abs(sol_n.primal_value - sol_e.primal_value) <= 1e-7
     assert abs(-sol_n.primal_value - target) <= 1e-6 * (1 + abs(target))
     assert sol_n.lstsq_fallbacks == sol_e.lstsq_fallbacks == 0
+
+
+def test_mixed_block_dimensions_are_rejected():
+    eye = np.eye(2)
+    p = sdp.SdpProblem(blocks=[2, 1], constraints=[({0: eye, 1: np.ones((1, 1))}, {}, 1.0)])
+    for call in (sdp.compile_program, sdp.solve, sdp.feasibility):
+        with pytest.raises(ValueError, match="blocks of one dimension"):
+            call(p)
+    assert sdp.compile_program(_padded(p)).blocks == [2, 2]
 
 
 def test_lstsq_fallback_is_counted_and_logged(monkeypatch, caplog):
@@ -368,8 +413,8 @@ def test_corpus_robustness_solves_take_no_lstsq_fallback():
 
 def _rows(p):
     """Fresh presolve input of p: its dense rows [hvec(A_k1)|...|E_k] and rhs."""
-    dense = sdp._dense(p)
-    return np.hstack([dense.H, dense.E]), dense.b
+    _, T, E, b, *_ = sdp._dense(p)
+    return np.hstack([T.reshape(len(T), -1), E]), b
 
 
 def _presolved(p):
@@ -419,7 +464,7 @@ def test_presolve_keeps_the_rows_of_the_mgs_reference(monkeypatch):
     real = incompat.parent_program
 
     def recording(d, kernel, rhs, noise=None, objective=None):
-        p = incompat._parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
+        p = _parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
         seen.append((_presolved(p), _presolve_mgs(*_rows(p), 1e-8)))
         return real(d, kernel, rhs, noise, objective)
 
@@ -439,10 +484,10 @@ def test_presolve_reports_both_inconsistencies():
     sol = sdp.solve(zero_row)
     assert sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
     assert sol.message == "row 1 is 0 = 3"
-    clash = sdp.SdpProblem(
+    clash = _padded(sdp.SdpProblem(
         blocks=[2, 1], constraints=[({0: eye, 1: np.ones((1, 1))}, {}, 1.0),
                                     ({0: 2 * eye, 1: 2 * np.ones((1, 1))}, {}, 3.0)]
-    )
+    ))
     sol = sdp.solve(clash)
     assert sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
     assert sol.message.startswith("inconsistent affine constraints (row 1, residual")
@@ -514,8 +559,8 @@ def test_batched_step_length_equals_per_block_minimum_bitwise():
     rng = np.random.default_rng(5)
     dims = [4, 1, 2, 4, 1, 3, 2, 1, 4]
 
-    def stacks(mats):  # one stack per block size
-        return [np.stack([x for x, d in zip(mats, dims) if d == n]) for n in sorted(set(dims))]
+    def stacks(mats):  # the blocks of each size, one stack (one solver call) per size
+        return {n: [x for x, d in zip(mats, dims) if d == n] for n in sorted(set(dims))}
 
     for trial in range(40):
         MX, MZ = ([_random_pd(rng, d) for d in dims] for _ in range(2))
@@ -523,15 +568,17 @@ def test_batched_step_length_equals_per_block_minimum_bitwise():
         if trial % 4 == 0:  # only a few blocks limit the step
             DX, DZ = ([dd @ dd + np.eye(len(dd)) if b % 3 else dd for b, dd in enumerate(D)]
                       for D in (DX, DZ))
-        F = [sdp._factor(np.concatenate([x, z])) for x, z in zip(stacks(MX), stacks(MZ))]
-        got = sdp._step_lengths(F, stacks(DX), stacks(DZ))
-        for alpha, M, D in zip(got, (MX, MZ), (DX, DZ)):
-            assert alpha == min(_step_ref(x, d) for x, d in zip(M, D))
-            ref = min(_max_step(x, d) for x, d in zip(M, D))
-            assert abs(alpha - ref) <= 1e-12 * ref
-    psd = stacks([_random_pd(rng, d) for d in dims])
-    F = [sdp._factor(np.concatenate([x, x])) for x in psd]
-    assert sdp._step_lengths(F, psd, psd) == (np.inf, np.inf)
+        for n, mx in stacks(MX).items():
+            mz, dx, dz = stacks(MZ)[n], stacks(DX)[n], stacks(DZ)[n]
+            F = sdp._factor(np.concatenate([mx, mz]))
+            got = sdp._step_lengths(F, np.array(dx), np.array(dz))
+            for alpha, M, D in zip(got, (mx, mz), (dx, dz)):
+                assert alpha == min(_step_ref(x, d) for x, d in zip(M, D))
+                ref = min(_max_step(x, d) for x, d in zip(M, D))
+                assert abs(alpha - ref) <= 1e-12 * ref or alpha == ref == np.inf
+    for psd in stacks([_random_pd(rng, d) for d in dims]).values():
+        F = sdp._factor(np.concatenate([psd, psd]))
+        assert sdp._step_lengths(F, np.array(psd), np.array(psd)) == (np.inf, np.inf)
 
 
 def test_shared_factor_gives_the_inverse_of_z():
@@ -548,10 +595,12 @@ def test_shared_factor_gives_the_inverse_of_z():
 def test_several_free_variables_reach_the_recorded_optimum():
     # min <C,X> + c's with three free variables from a constructed optimal
     # pair, solved as max <-C,X> - c's, as in
-    # test_complex_sdp_native_and_embedded_reach_the_same_optimum; RECORDED
-    # is this solve's optimum with the Newton matrix, border
-    # [[B, -E], [E', 0]] included, assembled anew in every iteration
-    RECORDED = 3.6939622066024786
+    # test_complex_sdp_native_and_embedded_reach_the_same_optimum, padded to
+    # one block dimension; RECORDED is this solve's optimum with the Newton
+    # matrix, border [[B, -E], [E', 0]] included, assembled anew in every
+    # iteration.  The mixed-dimension program's solve ended at
+    # 3.6939622066024786, 2.4e-8 away, inside GAP_TOL * (1 + |optimum|).
+    RECORDED = 3.6939622303879114
     rng = np.random.default_rng(51)
     dims, m, nf = (3, 2, 1, 1), 9, 3
     xs, zs = [], []
@@ -574,7 +623,7 @@ def test_several_free_variables_reach_the_recorded_optimum():
         blocks=list(dims), n_free=nf, constraints=cons,
         objective=({b: -c for b, c in enumerate(cmat)}, {j: -float(v) for j, v in enumerate(cfree)}),
     )
-    sol = sdp.solve(p)
+    sol = sdp.solve(_padded(p))
     assert sol.status == sdp.STATUS_OPTIMAL
     assert abs(sol.primal_value - RECORDED) <= 1e-9
     assert abs(-sol.primal_value - target) <= 1e-6 * (1 + abs(target))
@@ -584,11 +633,11 @@ def test_several_free_variables_reach_the_recorded_optimum():
 def test_presolve_panels_match_the_mgs_reference():
     # rows over more than three blocks of 32: dependent rows in later blocks
     # than the rows they combine, zero and inconsistent rows at the first and
-    # at the last position of a block; 83 columns, so the last rows depend on
-    # earlier ones as well
+    # at the last position of a block; 83 columns (nine 3 x 3 solver blocks
+    # and two free variables), so the last rows depend on earlier ones as well
     P = 32
     rng = np.random.default_rng(61)
-    dims, nf, m = (8, 4, 1), 2, 3 * P + 5
+    dims, nf, m = (3,) * 9, 2, 3 * P + 5
     point = [_random_hpd(rng, d) for d in dims], rng.standard_normal(nf)
 
     def row():  # random coefficients, rhs consistent with the point
@@ -661,9 +710,29 @@ def _parent_args(settings, noisy):
     return d, kernel, rhs, [e - t for e, t in zip(els, rhs)]
 
 
+def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.SdpProblem:
+    """The parent program written out in full: every row, as the Builder
+    expands it, in the row layout of ``incompat.parent_program``.  With
+    noise the last row is eta + tr S = 1 over a d x d PSD slack S after the
+    G blocks."""
+    bld = sdp.Builder()
+    for _ in range(kernel.shape[1]):
+        bld.cblock(d)
+    if noise is not None:
+        eta, slack = bld.free(), bld.cblock(d)
+    for r, row in enumerate(kernel):
+        free_terms = [(eta, -noise[r])] if noise is not None else ()
+        cols = np.flatnonzero(row).tolist()
+        bld.eq_matrix([(k, float(row[k])) for k in cols], rhs[r], free_terms=free_terms)
+    if noise is not None:
+        bld.eq_scalar(block_terms=[(slack, np.eye(d))], free_terms=[(eta, 1.0)], rhs=1.0)
+        bld.objective(free_terms=[(eta, 1.0)])
+    return bld.prob
+
+
 def _full_program(d, kernel, rhs, noise=None, objective=None):
     """A parent program written out in full, as the presolve sees it."""
-    p = incompat._parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
+    p = _parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
     return sdp.with_slack(p) if noise is None and objective is None else p
 
 
@@ -690,8 +759,7 @@ def test_cached_and_cold_solves_are_bitwise_equal():
                    for x in (a, b))
     assert other.structure is prog.structure
     st = prog.structure
-    for arr in (st.kept, st.left_out, st.weights, st.apply_at, st.schur_at, st.eyes[0],
-                st.groups[0].idx, st.groups[0].A, prog.b, prog.E, prog.C[0], prog.c):
+    for arr in (st.kept, st.left_out, st.weights, st.K, st.KK, st.T, prog.b, prog.E, prog.C, prog.c):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
 
@@ -768,25 +836,73 @@ def test_parent_programs_emit_full_rank_rows(monkeypatch):
 
 
 def test_parent_programs_keep_one_iterate_stack(monkeypatch):
-    # every block of a parent program, the eta slack included, is d x d, so
-    # the solver runs one iterate stack: robustness (noise), JM and LHS
-    # (feasibility), the seesaw parent (objective)
+    # every program the package solves is compiled from its kernel, so each
+    # runs one (nb, d, d) iterate stack over kernel rows: robustness (noise:
+    # the d x d eta slack and its border row), JM and LHS (feasibility: the
+    # slack column), the seesaw parent (objective), the witness (its tr N = 1
+    # border row) and the coexistence candidate (d = 1)
     seen = []
-    real = incompat.parent_program
+    real = sdp.solve
 
-    def recording(d, kernel, rhs, noise=None, objective=None):
-        prog = real(d, kernel, rhs, noise, objective)
-        kind = "noise" if noise is not None else "objective" if objective is not None else "feasibility"
-        seen.append((kind, prog))
-        return prog
+    def recording(p, opts=None):
+        seen.append(p)
+        return real(p, opts)
 
-    monkeypatch.setattr(incompat, "parent_program", recording)
+    monkeypatch.setattr(sdp, "solve", recording)
     a = corpus.build("qutrit-pair")
     incompat.depolarising_robustness(a)
     incompat.jm_parent(a)
+    incompat.witness(*a.measurements)
     rho, _ = steering.peres_state(0.2, 0.4)
     steering.lhs_feasible(steering.assemblage_from_state(rho, steering.peres_mubs()))
     coexist.seesaw(3, 2, 3, 1)
-    assert {kind for kind, _ in seen} == {"noise", "objective", "feasibility"}
-    for kind, prog in seen:
-        assert len(prog.structure.order) == 1, kind
+    coexist.coexistent_parent(*a.measurements, candidate=a.measurements[1])
+    assert all(isinstance(p, sdp.Program) and len(p.structure.K) for p in seen)
+    forms = {(p.structure.g, p.structure.nf, p.structure.d) for p in seen}
+    assert {(1, 1, 3), (0, 1, 3), (0, 0, 3), (1, 0, 3), (0, 1, 1)} <= forms
+
+
+def _witness_problem(d, na, nb):
+    """The witness program written out in full with the Builder, blocks in
+    the order of ``incompat._witness_structure``."""
+    bld = sdp.Builder()
+    xs = [bld.cblock(d) for _ in range(na)]
+    ys = [bld.cblock(d) for _ in range(nb)]
+    nn = bld.cblock(d)
+    for x in xs:
+        for y in ys:
+            bld.eq_matrix([(x, 1.0), (y, 1.0), (bld.cblock(d), 1.0), (nn, -1.0)], np.zeros((d, d)))
+    bld.eq_scalar(block_terms=[(nn, np.eye(d))], rhs=1.0)
+    return bld.prob
+
+
+def test_witness_structure_keeps_the_rows_of_the_full_presolve():
+    for d, na, nb in ((2, 2, 2), (3, 2, 3), (3, 3, 3)):
+        full = _witness_problem(d, na, nb)
+        prog = incompat._witness_structure(d, na, nb)
+        kept, message = _presolved(full)
+        assert message is None and prog.structure.kept.tolist() == kept
+        assert np.array_equal(prog.b, np.array([rhs for *_, rhs in full.constraints])[kept])
+
+
+@pytest.mark.parametrize("kind", ["noise", "feasibility", "witness"])
+def test_kernels_match_the_program_written_out_in_full(kind):
+    # row products, adjoint and Schur matrix of a compiled structure against
+    # the dense coefficients of its kept rows in the program written out in
+    # full: a robustness parent (kernel rows and the eta border row), a
+    # feasibility parent (slack column) and the witness; general rows only
+    # are test_schur_per_block_matches_dense_einsum's
+    rng = np.random.default_rng(81)
+    settings = [random_povm(3, 3, rng).elements, random_povm(3, 2, rng).elements]
+    if kind == "witness":
+        full, st = _witness_problem(3, 3, 2), incompat._witness_structure(3, 3, 2).structure
+    else:
+        args = _parent_args(settings, kind == "noise")
+        full, st = _full_program(*args), incompat.parent_program(*args).structure
+    assert len(st.K) == len(st.kept) // 9 > 0
+    X = np.array([_random_hpd(rng, 3) for _ in full.blocks])
+    Zi = np.array([linalg.hermitianize(np.linalg.inv(_random_hpd(rng, 3))) for _ in full.blocks])
+    y = rng.standard_normal(st.m)
+    refs = _dense_kernels(_dense_stack(full, st.kept), X, Zi, y)
+    for got, ref, floor in zip(_kernels(st, X, Zi, y), refs, (0.0, 1.0, 0.0)):
+        _assert_close(got, ref, floor)
