@@ -229,14 +229,13 @@ class _Structure:
         K @ V is its coupling to the kernel rows (mirrored, as B is
         symmetric) and T . V its own block.
 
-        Temporaries are freed as soon as they are used.  Held to the end, they
-        brought a d = 5 robustness call's temporaries to about 2.4 MB, and in
-        some heap histories glibc gave those pages back at each free and
-        faulted them in again at the next call (about 600 minor faults per
-        call)."""
+        Temporaries are freed as soon as they are used: glibc may give a
+        freed heap top back to the system and fault it in again at the next
+        allocation, so the less each iteration holds at once, the better."""
         nb, n, r, rn, g = self.nb, self.d * self.d, len(self.K), self.rn, self.g
         N = _basis_images(X, Zi)
         M = (self.KK @ N.reshape(nb, n * n)).reshape(r, r, n, n)
+        # splitting both axes of the (rn, rn) view is a view, so this writes into out
         out[:rn, :rn].reshape(r, n, r, n)[...] = M.transpose(0, 3, 1, 2)
         del M
         if g:

@@ -228,7 +228,8 @@ def test_sdp_iters_reaches_every_command_that_solves_sdps(capsys):
     # classify, mub-check and the counterexample report validate the flag and
     # pass it to their solves, as robustness does
     for argv in (("classify", "--builtin", "qutrit-pair", "--n", "2"), ("mub-check",),
-                 ("coexistence", "--builtin", "qubit-counterexample"), ("robustness", "--builtin", "qutrit-pair")):
+                 ("coexistence", "--builtin", "qubit-counterexample"),
+                 ("robustness", "--builtin", "qutrit-pair")):
         code, rep, err = run(capsys, *argv, "--sdp-iters", "0")
         assert code == 2 and rep is None
         assert err == "error: --sdp-iters must be at least 1, got 0\n"
