@@ -31,16 +31,18 @@ class CliError(Exception):
 
 
 def _resolve_seed(args) -> int:
-    """--seed, else the INCOMPAT_SEED environment variable, else 0."""
+    """--seed, else the INCOMPAT_SEED environment variable, else 0; a
+    negative seed is refused, naming where it came from."""
     seed = getattr(args, "seed", None)
     if seed is not None:
-        return int(seed)
+        return _at_least("--seed", int(seed), 0)
     env = os.environ.get("INCOMPAT_SEED")
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise CliError(f"INCOMPAT_SEED must be an integer, got {env!r}") from exc
+        return _at_least("INCOMPAT_SEED", value, 0)
     return 0
 
 

@@ -113,7 +113,7 @@ def _coexist_enumeration(a1: Povm, a2: Povm, options) -> CoexistenceResult:
     feasible, slack, cert = sdp.feasibility(prog, options)
     parent = None
     if feasible and cert is not None:
-        blocks = [linalg.hermitianize(g) for g in cert[:len(lab.labels)]]
+        blocks = linalg.hermitianize(cert[:len(lab.labels)])
         parent = ParentPovm(d, lab.labels, povm.repair(blocks), (2,) * (lab.ka + lab.kb))
     return CoexistenceResult(bool(feasible), float(slack), "enumeration", parent=parent)
 
@@ -200,7 +200,7 @@ def _seesaw_sdp2(dim, lab: BinarisationLabeling, xs, ys, options):
     sol = sdp.solve(prog, options)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"seesaw parent SDP: {sol.status} ({sol.message})")
-    blocks = [linalg.hermitianize(g) for g in sol.primal_blocks[:len(lab.labels)]]
+    blocks = linalg.hermitianize(sol.primal_blocks[:len(lab.labels)])
     els_a = [
         sum(b for b, lam in zip(blocks, lab.labels) if lab.d_a((i,), lam))
         for i in range(lab.m_a)

@@ -81,11 +81,11 @@ def _joint_labels(a: Assemblage) -> list[tuple[int, ...]]:
 def _parent_from_blocks(a: Assemblage, labels, blocks) -> ParentPovm:
     """Assemble a repaired ParentPovm over the full label product,
     reinserting zero blocks for dropped labels."""
-    d = a.dim
-    got = dict(zip(labels, povm.repair(blocks)))
-    full = list(itertools.product(*[range(m.n_outcomes) for m in a.measurements]))
-    els = [got[lab] if lab in got else np.zeros((d, d), dtype=complex) for lab in full]
-    return ParentPovm(d, full, els, tuple(m.n_outcomes for m in a.measurements))
+    counts = a.outcome_counts()
+    full = list(itertools.product(*[range(k) for k in counts]))
+    els = np.zeros((len(full), a.dim, a.dim), dtype=complex)
+    els[np.ravel_multi_index(np.array(labels).T, counts)] = povm.repair(blocks)
+    return ParentPovm(a.dim, full, els, counts)
 
 
 @lru_cache(maxsize=32)
@@ -136,17 +136,17 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
     prog = _parent_structure(d, kernel.shape, kernel.tobytes(), kind)
 
     def coords(mats):
-        out = []
-        for m in mats:
-            t = linalg.check_hermitian(m, tol=1e-9)
-            if t.shape != (d, d):
-                raise ValueError("block dimension mismatch in matrix equality")
-            out.append(sdp.hvec(t))
-        return np.array(out).reshape(len(kernel) * d * d)
+        t = np.asarray(mats, dtype=complex)
+        if t.shape[1:] != (d, d):
+            raise ValueError("block dimension mismatch in matrix equality")
+        rows = linalg.check_hermitian_stack(t, tol=1e-9).view(float).reshape(len(t), 1, 2 * d * d)
+        # hvec as one row product per matrix, as sdp.hvec takes a single
+        # matrix's: one product over the whole stack rounds differently
+        return (rows @ sdp._hvec_rows(d).T).reshape(len(kernel) * d * d)
 
     b = coords(rhs)
     if kind == "noise":
-        N = coords([-x for x in noise]) + 0.0  # a zero coefficient is +0, as in the Builder's rows
+        N = coords(-np.asarray(noise)) + 0.0  # a zero coefficient is +0, as in the Builder's rows
         return prog.bind(b=np.append(b, 1.0), E=np.append(N, 1.0).reshape(-1, 1))
     if kind == "objective":
         return prog.bind(b=b, C=dict(objective))
@@ -174,8 +174,7 @@ def jm_parent(a: Assemblage, options: sdp.SolveOptions | None = None) -> JmResul
     feasible, slack, cert = sdp.feasibility(prog, options)
     parent = None
     if feasible and cert is not None:
-        blocks = [linalg.hermitianize(g) for g in cert[:len(labels)]]
-        parent = _parent_from_blocks(a, labels, blocks)
+        parent = _parent_from_blocks(a, labels, linalg.hermitianize(cert[:len(labels)]))
     return JmResult(feasible, slack, parent)
 
 
@@ -191,18 +190,14 @@ def depolarising_robustness(
     labels = _joint_labels(a)
     rows = _outcome_rows(a)
     d = a.dim
-    rhs, noise = [], []
-    for x, out in rows:  # sum G = t*1 + eta*(E - t*1) with t = tr(E)/d
-        e = a.measurements[x].elements[out]
-        t = np.trace(e).real / d
-        rhs.append(t * np.eye(d))
-        noise.append(e - t * np.eye(d))
-    sol = sdp.solve(parent_program(d, marginal_kernel(labels, rows), rhs, noise), options)
+    # sum G = t*1 + eta*(E - t*1) with t = tr(E)/d, per row
+    els = np.array([a.measurements[x].elements[out] for x, out in rows])
+    rhs = (np.trace(els, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
+    sol = sdp.solve(parent_program(d, marginal_kernel(labels, rows), rhs, els - rhs), options)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"robustness SDP did not solve: {sol.status} ({sol.message})")
     eta_val = float(sol.scalar_vars[0])
-    blocks = [linalg.hermitianize(g) for g in sol.primal_blocks[:len(labels)]]
-    parent = _parent_from_blocks(a, labels, blocks)
+    parent = _parent_from_blocks(a, labels, linalg.hermitianize(sol.primal_blocks[:len(labels)]))
     return RobustnessResult(eta_val, parent, verdict_from_eta(eta_val), sol)
 
 
@@ -222,7 +217,7 @@ def witness(
     sol = sdp.solve(_witness_structure(a1.dim, na, nb).bind(C=obj), options)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"witness SDP did not solve: {sol.status} ({sol.message})")
-    blocks = [linalg.hermitianize(x) for x in sol.primal_blocks[:na + nb + 1]]
+    blocks = list(linalg.hermitianize(sol.primal_blocks[:na + nb + 1]))
     return Witness(X=blocks[:na], Y=blocks[na:na + nb], N=blocks[-1], value=float(sol.primal_value))
 
 

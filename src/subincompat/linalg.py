@@ -6,8 +6,9 @@ numpy arrays; Hermiticity is validated, not assumed.  Eigenvectors, which
 feed results (Kraus-like decompositions, subspace bases),
 come from ``eig_hermitian`` (LAPACK ``numpy.linalg.eigh``, descending);
 PSD checks need only the smallest eigenvalue and take it from
-``numpy.linalg.eigvalsh``, as the SDP solver does for its own linear
-algebra.  Both are deterministic for identical inputs.
+``numpy.linalg.eigvalsh`` (``min_eigenvalue``), one call for a whole
+stack of matrices, as the SDP solver does for its own linear algebra.
+Both are deterministic for identical inputs.
 
 Random subspaces are drawn with ``numpy.random.default_rng`` (PCG64); every
 stochastic routine takes an explicit integer seed.
@@ -21,26 +22,46 @@ import numpy as np
 
 HERM_TOL = 1e-12
 PROJ_TOL = 1e-10
-PSD_TOL = 1e-9
+
+
+def as_square(m) -> np.ndarray:
+    """m as a complex128 array, checked to be a square matrix."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
 
 
 def check_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     """Validate that m is a square Hermitian matrix; return it as complex128."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValueError("matrix has non-finite entries")
-    dev = np.abs(a - a.conj().T).max()
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {tol:.1e})")
+    a = as_square(m)
+    check_hermitian_stack(a[None], tol)
     return a
 
 
-def hermitianize(m) -> np.ndarray:
-    """Project onto the Hermitian part, (m + m†)/2."""
+def check_hermitian_stack(m, tol: float = HERM_TOL) -> np.ndarray:
+    """Validate that m is an (n, d, d) stack of Hermitian matrices; return it
+    as complex128.  A non-finite or non-Hermitian stack fails with
+    ``check_hermitian``'s message for its first such matrix."""
     a = np.asarray(m, dtype=complex)
-    return (a + a.conj().T) / 2
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    dev = np.abs(a - a.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(dev > tol)
+    if bad.size:
+        raise ValueError(f"matrix is not Hermitian (deviation {dev[bad[0]]:.3e} > {tol:.1e})")
+    return a
+
+
+def hermitianize(m, out=None) -> np.ndarray:
+    """The Hermitian part (m + m†)/2 over the last two axes, written into
+    ``out`` when given."""
+    a = np.asarray(m, dtype=complex)
+    out = np.add(a, a.conj().swapaxes(-1, -2), out=out)
+    out /= 2
+    return out
 
 
 def eig_hermitian(m):
@@ -54,13 +75,13 @@ def eig_hermitian(m):
     return vals[::-1], vecs[:, ::-1]
 
 
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (LAPACK eigvalsh)."""
-    return float(np.linalg.eigvalsh(check_hermitian(m))[0])
-
-
-def is_psd(m, tol: float = PSD_TOL) -> bool:
-    return min_eigenvalue(m) >= -tol
+def min_eigenvalue(m):
+    """Smallest eigenvalue of a Hermitian matrix, or of each matrix of an
+    (n, d, d) stack: one validation (``check_hermitian`` or
+    ``check_hermitian_stack``) and one LAPACK eigvalsh."""
+    a = np.asarray(m, dtype=complex)
+    a = check_hermitian_stack(a) if a.ndim == 3 else check_hermitian(a)
+    return np.linalg.eigvalsh(a)[..., 0]
 
 
 def partial_trace(m, dims, traced_side: str = "A") -> np.ndarray:

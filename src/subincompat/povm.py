@@ -24,15 +24,22 @@ class Povm:
     elements: list[np.ndarray]
 
     def __post_init__(self):
-        self.elements = [linalg.check_hermitian(e) for e in self.elements]
-        for k, e in enumerate(self.elements):
+        """Shapes are checked per element; then the elements, as one (n, d, d)
+        stack, get one Hermitian check and one eigvalsh.  The elements are
+        kept as views of that stack."""
+        els = [linalg.as_square(e) for e in self.elements]
+        for k, e in enumerate(els):
             if e.shape[0] != self.dim:
                 raise ValueError(f"element {k} has dimension {e.shape[0]} != {self.dim}")
-            if linalg.min_eigenvalue(e) < -ELEMENT_PSD_TOL:
-                raise ValueError(f"element {k} is not PSD (min eig {linalg.min_eigenvalue(e):.2e})")
-        dev = np.abs(sum(self.elements) - np.eye(self.dim)).max()
+        stack = np.array(els).reshape(len(els), self.dim, self.dim)
+        lam = linalg.min_eigenvalue(stack)
+        bad = np.flatnonzero(lam < -ELEMENT_PSD_TOL)
+        if bad.size:
+            raise ValueError(f"element {bad[0]} is not PSD (min eig {lam[bad[0]]:.2e})")
+        dev = np.abs(stack.sum(axis=0) - np.eye(self.dim)).max()
         if dev > NORMALISATION_TOL:
             raise ValueError(f"elements sum to identity only within {dev:.2e}")
+        self.elements = list(stack)
 
     @property
     def n_outcomes(self) -> int:
@@ -76,7 +83,7 @@ class ParentPovm:
     def __post_init__(self):
         if len(self.outcome_labels) != len(self.elements):
             raise ValueError("labels/elements length mismatch")
-        Povm(self.dim, self.elements)  # povm invariants
+        self.elements = Povm(self.dim, self.elements).elements  # povm invariants
         if not self.outcome_counts:
             n = len(self.outcome_labels[0])
             self.outcome_counts = tuple(
@@ -103,10 +110,8 @@ def truncate(a: Assemblage, p: linalg.Projector) -> Assemblage:
     if p.rank < 1:
         raise ValueError("projector has rank 0")
     b = p.basis
-    out = []
-    for m in a.measurements:
-        els = [linalg.hermitianize(b.conj().T @ e @ b) for e in m.elements]
-        out.append(Povm(p.rank, els))
+    bh = b.conj().T
+    out = [Povm(p.rank, linalg.hermitianize(bh @ np.array(m.elements) @ b)) for m in a.measurements]
     return Assemblage(p.rank, out)
 
 
@@ -189,22 +194,28 @@ def from_basis(vectors) -> Povm:
     return Povm(d, [np.outer(v, v.conj()) for v in vs])
 
 
-def renormalise(elements: list[np.ndarray]) -> list[np.ndarray]:
-    """S^(-1/2) E S^(-1/2) for every element E, with S the elements' sum
-    (its eigenvalues floored at 1e-14): the result sums to the identity."""
-    vals, vecs = np.linalg.eigh(sum(elements))
+def renormalise(elements) -> np.ndarray:
+    """S^(-1/2) E S^(-1/2) for every element E of a stack (or list), with S
+    the elements' sum (its eigenvalues floored at 1e-14): the result, an
+    (n, d, d) stack, sums to the identity."""
+    es = np.asarray(elements, dtype=complex)
+    vals, vecs = np.linalg.eigh(es.sum(axis=0, initial=0))  # summed as sum() does, from 0
     isq = vecs @ np.diag(1.0 / np.sqrt(np.clip(vals, 1e-14, None))) @ vecs.conj().T
-    return [linalg.hermitianize(isq @ e @ isq) for e in elements]
+    return linalg.hermitianize(isq @ es @ isq)
 
 
-def repair(elements: list[np.ndarray]) -> list[np.ndarray]:
+def repair(elements) -> np.ndarray:
     """Make solver output a POVM: clip each element's negative eigenvalues
-    to zero, then renormalise so the elements sum to the identity."""
-    clipped = []
-    for e in elements:
-        vals, vecs = np.linalg.eigh(e)
-        clipped.append(vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.conj().T)
-    return renormalise(clipped)
+    to zero (one stacked eigh), then renormalise so the elements sum to the
+    identity.  Returns an (n, d, d) stack."""
+    es = np.asarray(elements, dtype=complex)
+    vals, vecs = np.linalg.eigh(es)
+    # the clipped eigenvalues as diagonal matrices, so each product is the
+    # matrix product V diag(w) V^H, rounded as for one matrix
+    diag = np.zeros_like(es)
+    k = np.arange(es.shape[-1])
+    diag[:, k, k] = np.clip(vals, 0.0, None)
+    return renormalise(vecs @ diag @ vecs.conj().swapaxes(-1, -2))
 
 
 def random_povm(d: int, n_outcomes: int, rng: np.random.Generator) -> Povm:

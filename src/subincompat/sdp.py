@@ -20,9 +20,13 @@ kernel block is one GEMM of the kernel rows' pairwise products against N,
 and the border adds T N per block.
 
 The solver uses the HKM search direction with a Mehrotra predictor-corrector
-and an augmented system for the free scalar variables.  Per iteration one
-factor F = inv(cholesky([X; Z])) gives Z^-1 = F_Z^H F_Z and all four step
-lengths (one eigvalsh of F D F^H each).  A presolve finds a row basis: it
+and an augmented system for the free scalar variables.  A solve allocates
+its workspace once: the iterates as one (2nb, d, d) stack S = [X; Z], the
+search direction as one stack D = [dX; dZ] and one Newton right-hand side,
+all updated in place (the best iterate, which a capped solve returns, is
+a copy).  Per iteration one factor F = inv(cholesky(S)) and its conjugate
+transpose give Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of
+F D F^H each).  A presolve finds a row basis: it
 keeps the rows independent of earlier ones and gives the weights that
 build every other row from them, by classical Gram-Schmidt with
 reorthogonalisation (CGS2), one row at a time.  It looks at the rows only,
@@ -158,10 +162,6 @@ def hvec_inv(v) -> np.ndarray:
     d = math.isqrt(v.shape[-1])
     out = v.reshape(-1, d * d) @ _hvec_rows(d)
     return out.view(complex).reshape(v.shape[:-1] + (d, d))
-
-
-def _herm(w: np.ndarray) -> np.ndarray:
-    return (w + w.conj().transpose(0, 2, 1)) / 2
 
 
 def _frozen(a) -> np.ndarray:
@@ -355,8 +355,8 @@ class Program:
                 data["message"] = report.format(st.left_out[i], residual[i])
         if C is not None:
             mats = np.zeros((st.nb, st.d, st.d), dtype=complex)
-            for blk, mat in C.items():
-                mats[blk] = linalg.check_hermitian(mat, tol=1e-9)
+            if C:
+                mats[list(C)] = linalg.check_hermitian_stack(list(C.values()), tol=1e-9)
             data["C"] = _frozen(mats)
         return replace(self, **data)
 
@@ -442,29 +442,30 @@ def _factor(S: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(S))
 
 
-def _step_lengths(F, dX, dZ) -> tuple[float, float]:
+def _step_lengths(F, FH, D) -> tuple[float, float]:
     """Largest alpha_p, alpha_d with X + alpha_p*dX >= 0 and Z + alpha_d*dZ
     >= 0 in every block (inf when no block limits the step), given the
-    factor F = _factor([X; Z]) of the stacked X and Z blocks.
+    factor F = _factor([X; Z]) of the stacked X and Z blocks, its conjugate
+    transpose FH and the stacked direction D = [dX; dZ].
 
-    Two batched products W = F [dX; dZ] F^H and one eigvalsh: a side's
-    stack limits the step at -1/lambda when its least eigenvalue lambda is
-    below -1e-14 (-1/lambda grows with lambda, so this is the least step
-    over its blocks).
+    Two batched products W = F D F^H and one eigvalsh: a side's stack
+    limits the step at -1/lambda when its least eigenvalue lambda is below
+    -1e-14 (-1/lambda grows with lambda, so this is the least step over its
+    blocks).
     """
-    w = F @ np.concatenate([dX, dZ]) @ F.conj().transpose(0, 2, 1)
-    lam = np.linalg.eigvalsh(w).reshape(2, -1).min(axis=1)
+    lam = np.linalg.eigvalsh(F @ D @ FH).reshape(2, -1).min(axis=1)
     return tuple(-1.0 / v if v < -1e-14 else np.inf for v in lam)
 
 
 def _lin_solve(a: np.ndarray, rhs: np.ndarray):
     """Solve a*x = rhs.  Returns (x, fell_back): when the system turns
-    singular near a degenerate optimum (LU fails, or its x is not finite or
-    worse than x = 0), x comes from least squares, the event is logged at
-    DEBUG and fell_back is True."""
+    singular near a degenerate optimum (LU fails, or its x is worse than
+    x = 0), x comes from least squares, the event is logged at DEBUG and
+    fell_back is True.  A NaN or inf in x fails the residual test too: it
+    makes the residual NaN or inf, and neither is <= the finite |rhs|."""
     try:
         x = np.linalg.solve(a, rhs)
-        if np.all(np.isfinite(x)) and np.abs(a @ x - rhs).max() <= np.abs(rhs).max():
+        if np.abs(a @ x - rhs).max() <= np.abs(rhs).max():
             return x, False
     except np.linalg.LinAlgError:
         pass
@@ -504,15 +505,34 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
     aug = np.zeros((m + nf, m + nf))  # Newton matrix [[B, -E], [E', 0]]
     aug[:m, m:] = -Ek
     aug[m:, :m] = Ek.T
+    rhs = np.empty(m + nf)  # Newton rhs [h; r_f]
+
+    # the workspace: iterates S = [X; Z] and directions D = [dX; dZ], each
+    # one stack updated in place; X, Z, dX, dZ are views
+    S = np.empty((2 * nb, d, d), dtype=complex)
+    D = np.empty_like(S)
+    X, Z, dX, dZ = S[:nb], S[nb:], D[:nb], D[nb:]
 
     # starting point: identity-scaled interior iterates
     bscale = 1.0 + np.abs(bk).max(initial=0.0)
     cscale = 1.0 + max(np.abs(C).max(initial=0.0), np.abs(p.c).max(initial=0.0))
-    X = np.broadcast_to(max(10.0, bscale) * eye, (nb, d, d)).copy()
-    Z = np.broadcast_to(max(10.0, cscale) * eye, (nb, d, d)).copy()
+    X[...] = max(10.0, bscale) * eye
+    Z[...] = max(10.0, cscale) * eye
     y = np.zeros(m)
     s = np.zeros(nf)
     fallbacks = 0
+
+    def hkm_direction(R):
+        """Write the HKM direction for complementarity target R into D;
+        return (ds, dy).  Reads this iteration's r_p, r_d, Xrd and Zi."""
+        nonlocal fallbacks
+        np.subtract(c.apply((R + Xrd) @ Zi), r_p, out=rhs[:m])
+        sol, fell_back = _lin_solve(aug, rhs)
+        fallbacks += fell_back
+        dy, ds = sol[:m], sol[m:]
+        np.subtract(c.adjoint(dy), r_d, out=dZ)
+        linalg.hermitianize((R - X @ dZ) @ Zi, out=dX)
+        return ds, dy
 
     best = None
     best_err = np.inf
@@ -531,9 +551,9 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
         rd_inf = np.abs(r_d).max(initial=0.0)
         rf_inf = np.abs(r_f).max(initial=0.0)
         err = max(rp_inf, rd_inf, rf_inf, gap / (1.0 + abs(pv)))
-        if err < best_err:
+        if err < best_err:  # X is updated in place: keep a copy
             best_err = err
-            best = (X, s, pv, dv, gap, rp_inf, rd_inf)
+            best = (X.copy(), s, pv, dv, gap, rp_inf, rd_inf)
         if (
             rp_inf <= FEAS_TOL
             and rd_inf <= FEAS_TOL
@@ -553,46 +573,38 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
             break
 
         try:
-            F = _factor(np.concatenate([X, Z]))
-            Zi = F[nb:].conj().transpose(0, 2, 1) @ F[nb:]
+            F = _factor(S)
+            FH = F.conj().transpose(0, 2, 1)
+            Zi = FH[nb:] @ F[nb:]
             c.schur(X, Zi, aug[:m, :m])
             Xrd = X @ r_d
-
-            def hkm_direction(R):
-                nonlocal fallbacks
-                h = c.apply((R + Xrd) @ Zi) - r_p
-                sol, fell_back = _lin_solve(aug, np.concatenate([h, r_f]))
-                fallbacks += fell_back
-                dy, ds = sol[:m], sol[m:]
-                dZ = c.adjoint(dy) - r_d
-                dX = _herm((R - X @ dZ) @ Zi)
-                return dX, ds, dy, dZ
+            rhs[m:] = r_f
 
             # predictor (affine scaling)
             R_aff = -(X @ Z)
-            dX_a, ds_a, dy_a, dZ_a = hkm_direction(R_aff)
-            ap, ad = (min(1.0, a) for a in _step_lengths(F, dX_a, dZ_a))
-            mu_aff = np.vdot(X + ap * dX_a, Z + ad * dZ_a).real / nu
+            hkm_direction(R_aff)
+            ap, ad = (min(1.0, a) for a in _step_lengths(F, FH, D))
+            mu_aff = np.vdot(X + ap * dX, Z + ad * dZ).real / nu
             sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
             # corrector
-            R_cor = R_aff + sigma * mu * eye - dX_a @ dZ_a
-            dX, ds, dy, dZ = hkm_direction(R_cor)
-            if not (np.all(np.isfinite(dX)) and np.all(np.isfinite(dZ))):
+            R_cor = R_aff + sigma * mu * eye - dX @ dZ
+            ds, dy = hkm_direction(R_cor)
+            if not np.isfinite(D).all():
                 message = "non-finite search direction"
                 break
         except np.linalg.LinAlgError as exc:
             message = f"linear algebra failure: {exc}"
             break
 
-        ap, ad = (min(1.0, STEP_FRAC * a) for a in _step_lengths(F, dX, dZ))
+        ap, ad = (min(1.0, STEP_FRAC * a) for a in _step_lengths(F, FH, D))
         if ap < 1e-12 and ad < 1e-12:
             message = "step sizes collapsed"
             break
-        X = X + ap * dX
+        X += ap * dX
         s = s + ap * ds
         y = y + ad * dy
-        Z = Z + ad * dZ
+        Z += ad * dZ
 
     if status == STATUS_OPTIMAL:  # the exit test just measured this iterate
         best = (X, s, pv, dv, gap, rp_inf, rd_inf)
@@ -640,9 +652,9 @@ def feasibility(p: SdpProblem | Program, opts: SolveOptions | None = None):
     free variable is such a slack t (compiled from ``with_slack`` of a
     problem, or with the slack column of ``incompat.parent_program``).
     Returns (feasible, slack, certificate_blocks).  feasible <=> optimal
-    slack >= -1e-7; the certificate blocks are the unshifted variables
-    X = X~ + t*I, which satisfy the affine rows exactly and are PSD up to
-    the reported slack.
+    slack >= -1e-7; the certificate blocks, an (nb, d, d) stack, are the
+    unshifted variables X = X~ + t*I, which satisfy the affine rows exactly
+    and are PSD up to the reported slack.
     """
     if isinstance(p, SdpProblem):
         p = with_slack(p)
@@ -650,6 +662,8 @@ def feasibility(p: SdpProblem | Program, opts: SolveOptions | None = None):
     if sol.status == STATUS_PRIMAL_INFEASIBLE:
         return False, -np.inf, None
     t = float(sol.scalar_vars[-1])
+    x = np.asarray(sol.primal_blocks)
+    cert = x + t * np.eye(x.shape[-1])
     if sol.status not in (STATUS_OPTIMAL, STATUS_DUAL_INFEASIBLE):
         # Degenerate optima can stall the iteration; the best iterate may
         # still decide the question.  A near-feasible primal point with
@@ -657,12 +671,10 @@ def feasibility(p: SdpProblem | Program, opts: SolveOptions | None = None):
         # dual point bounds t* from above (weak duality) and certifies
         # infeasibility.  Anything murkier is an error.
         if sol.residual_primal <= 1e-7 and t >= -FEAS_SLACK_TOL / 2:
-            cert = [xb + t * np.eye(xb.shape[0]) for xb in sol.primal_blocks]
             return True, t, cert
         if sol.residual_dual <= 1e-7 and sol.dual_value <= -10 * FEAS_SLACK_TOL:
             return False, float(sol.dual_value), None
         raise SolverError(f"feasibility solve failed: {sol.status} {sol.message}")
-    cert = [xb + t * np.eye(xb.shape[0]) for xb in sol.primal_blocks]
     return t >= -FEAS_SLACK_TOL, t, cert
 
 

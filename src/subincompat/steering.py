@@ -27,7 +27,7 @@ class BipartiteState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = linalg.check_hermitian(self.matrix)
+        self.matrix = linalg.as_square(self.matrix)
         if self.matrix.shape[0] != self.dA * self.dB:
             raise ValueError(
                 f"matrix dimension {self.matrix.shape[0]} != dA*dB = {self.dA * self.dB}"
@@ -54,16 +54,21 @@ class StateAssemblage:
         if not self.sigmas:
             raise ValueError("an assemblage needs at least one setting, got none")
         self.reduced = linalg.check_hermitian(self.reduced)
-        self.sigmas = [[linalg.check_hermitian(s) for s in row] for row in self.sigmas]
-        for x, row in enumerate(self.sigmas):
-            for a, s in enumerate(row):
-                if s.shape[0] != self.dB:
-                    raise ValueError(f"sigma[{x}][{a}] dimension mismatch")
-                if linalg.min_eigenvalue(s) < -STATE_PSD_TOL:
-                    raise ValueError(f"sigma[{x}][{a}] is not PSD")
-            dev = np.abs(sum(row) - self.reduced).max()
+        index = [(x, a) for x, row in enumerate(self.sigmas) for a in range(len(row))]
+        flat = [linalg.as_square(s) for row in self.sigmas for s in row]
+        for (x, a), s in zip(index, flat):
+            if s.shape[0] != self.dB:
+                raise ValueError(f"sigma[{x}][{a}] dimension mismatch")
+        stack = np.array(flat).reshape(len(flat), self.dB, self.dB)
+        bad = np.flatnonzero(linalg.min_eigenvalue(stack) < -STATE_PSD_TOL)
+        if bad.size:
+            raise ValueError("sigma[{}][{}] is not PSD".format(*index[bad[0]]))
+        rows = np.split(stack, np.cumsum(self.outcome_counts())[:-1])
+        for x, row in enumerate(rows):
+            dev = np.abs(row.sum(axis=0) - self.reduced).max()
             if dev > NOSIG_TOL:
                 raise ValueError(f"no-signalling violated at setting {x}: {dev:.2e}")
+        self.sigmas = [list(row) for row in rows]
 
     @property
     def n_settings(self) -> int:
@@ -116,7 +121,7 @@ def _lhs_solve(sa: StateAssemblage, options):
     feasible, slack, cert = sdp.feasibility(prog, options)
     model = None
     if feasible and cert is not None:
-        model = [(vec, linalg.hermitianize(cert[k])) for k, vec in enumerate(strategies)]
+        model = list(zip(strategies, linalg.hermitianize(cert)))
     return bool(feasible), float(slack), model
 
 
@@ -159,11 +164,8 @@ def pretty_good(sa: StateAssemblage) -> Assemblage:
     unsteerable."""
     v, isq, r = _support_isqrt(sa.reduced)
     w = v * isq  # columns scaled: W = V diag(1/sqrt(vals))
-    ms = []
-    for row in sa.sigmas:
-        els = [linalg.hermitianize(w.conj().T @ s @ w) for s in row]
-        ms.append(Povm(r, els))
-    return Assemblage(r, ms)
+    wh = w.conj().T
+    return Assemblage(r, [Povm(r, linalg.hermitianize(wh @ np.array(row) @ w)) for row in sa.sigmas])
 
 
 def choi_apply(rho: BipartiteState, alice: Assemblage) -> Assemblage:

@@ -267,7 +267,7 @@ def integral_identities_check(d: int, n: int, mc_samples: int, seed=None) -> dic
     ss = np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = (g + g.conj().T) / 2
+    m = linalg.hermitianize(g)
     eye = np.eye(d)
     tr_m = np.trace(m).real
 

@@ -102,6 +102,10 @@ def test_classify_seed_from_environment(capsys, monkeypatch):
     code, rep, _ = run(capsys, "classify", "--builtin", "fully-compressible",
                        "--n", "2", "--samples", "2")
     assert code == 2
+    monkeypatch.setenv("INCOMPAT_SEED", "-2")
+    code, rep, err = run(capsys, "classify", "--builtin", "qutrit-pair", "--n", "2")
+    assert code == 2 and rep is None
+    assert err == "error: INCOMPAT_SEED must be at least 0, got -2\n"
 
 
 def test_steering_lhs_and_pretty_good(capsys):
@@ -215,6 +219,8 @@ def test_exit_codes(tmp_path, capsys):
      "--max-iters must be at least 1, got 0"),
     (("seesaw", "--dim", "3", "--outcomes", "2", "3", "--max-iters", "-1"),
      "--max-iters must be at least 1, got -1"),
+    (("classify", "--n", "2", "--seed", "-1"), "--seed must be at least 0, got -1"),
+    (("integrals", "--seed", "-5", "--samples", "1000"), "--seed must be at least 0, got -5"),
 ])
 def test_count_flags_out_of_range_exit_2(capsys, argv, message):
     builtin = {"robustness": ("--builtin", "sigma-xz-sharp"),

@@ -35,10 +35,18 @@ def test_hermitianize_and_check():
     assert np.abs(h - h.conj().T).max() == 0.0
 
 
-def test_min_eigenvalue_and_is_psd():
-    assert linalg.is_psd(np.diag([1.0, 0.0]).astype(complex))
-    assert not linalg.is_psd(np.diag([1.0, -1e-3]).astype(complex))
+def test_min_eigenvalue_of_a_matrix_and_of_a_stack():
+    assert linalg.min_eigenvalue(np.diag([1.0, 0.0]).astype(complex)) >= 0.0
+    assert linalg.min_eigenvalue(np.diag([1.0, -1e-3]).astype(complex)) < -1e-9
     assert abs(linalg.min_eigenvalue(np.diag([3.0, -2.0]).astype(complex)) + 2.0) < 1e-12
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    stack = linalg.hermitianize(g)
+    got = linalg.min_eigenvalue(stack)
+    assert got.shape == (5,)
+    assert all(got[k] == linalg.min_eigenvalue(m) for k, m in enumerate(stack))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.min_eigenvalue(g)
 
 
 def test_partial_trace_of_product():

@@ -161,3 +161,57 @@ def test_zero_element_detection():
     m = Povm(2, [eye / 2, eye / 2, np.zeros((2, 2), dtype=complex)])
     assert m.is_zero_element(2)
     assert not m.is_zero_element(0)
+
+
+_EYE2 = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("elements, message", [
+    ([np.ones((2, 3)), _EYE2 / 2], "expected a square matrix, got shape (2, 3)"),
+    ([_EYE2 / 2, np.eye(3) / 2], "element 1 has dimension 3 != 2"),
+    ([np.diag([np.nan, 0.5]), _EYE2 / 2], "matrix has non-finite entries"),
+    ([_EYE2 / 2, np.array([[0.5, 0.5], [0.0, 0.5]])],
+     "matrix is not Hermitian (deviation 5.000e-01 > 1.0e-12)"),
+    ([_EYE2 / 2, np.diag([0.7, -0.1]), np.diag([-0.2, 0.6])], "element 1 is not PSD (min eig -1.00e-01)"),
+    ([_EYE2, _EYE2], "elements sum to identity only within 1.00e+00"),
+])
+def test_povm_rejections_keep_their_messages(elements, message):
+    with pytest.raises(ValueError) as exc:
+        Povm(2, elements)
+    assert str(exc.value) == message
+
+
+def _assemblages():
+    return [corpus.build(k) for k in corpus.builtin_keys() if corpus.kind_of(k) == "assemblage"]
+
+
+def test_truncate_equals_the_per_matrix_formula_bitwise():
+    for i, a in enumerate(_assemblages()):
+        for rank in range(1, a.dim):
+            p = linalg.haar_subspace(a.dim, rank, 40 + i)
+            b = p.basis
+            t = truncate(a, p)
+            for m, tm in zip(a.measurements, t.measurements):
+                for e, te in zip(m.elements, tm.elements):
+                    assert te.tobytes() == linalg.hermitianize(b.conj().T @ e @ b).tobytes()
+
+
+def _repair_reference(elements):
+    clipped = []
+    for e in elements:
+        vals, vecs = np.linalg.eigh(e)
+        clipped.append(vecs @ np.diag(np.clip(vals, 0.0, None)) @ vecs.conj().T)
+    vals, vecs = np.linalg.eigh(sum(clipped))
+    isq = vecs @ np.diag(1.0 / np.sqrt(np.clip(vals, 1e-14, None))) @ vecs.conj().T
+    return [linalg.hermitianize(isq @ e @ isq) for e in clipped]
+
+
+def test_repair_equals_the_per_matrix_formula_bitwise():
+    # as given, and pushed slightly off the PSD cone and off normalisation,
+    # as solver output is
+    for a in _assemblages():
+        for m in a.measurements:
+            shift = 1e-9 * np.eye(a.dim)
+            for els in (m.elements, [e - shift for e in m.elements]):
+                got = repair(els)
+                assert [g.tobytes() for g in got] == [r.tobytes() for r in _repair_reference(els)]

@@ -571,14 +571,15 @@ def test_batched_step_length_equals_per_block_minimum_bitwise():
         for n, mx in stacks(MX).items():
             mz, dx, dz = stacks(MZ)[n], stacks(DX)[n], stacks(DZ)[n]
             F = sdp._factor(np.concatenate([mx, mz]))
-            got = sdp._step_lengths(F, np.array(dx), np.array(dz))
+            got = sdp._step_lengths(F, F.conj().transpose(0, 2, 1), np.concatenate([dx, dz]))
             for alpha, M, D in zip(got, (mx, mz), (dx, dz)):
                 assert alpha == min(_step_ref(x, d) for x, d in zip(M, D))
                 ref = min(_max_step(x, d) for x, d in zip(M, D))
                 assert abs(alpha - ref) <= 1e-12 * ref or alpha == ref == np.inf
     for psd in stacks([_random_pd(rng, d) for d in dims]).values():
-        F = sdp._factor(np.concatenate([psd, psd]))
-        assert sdp._step_lengths(F, np.array(psd), np.array(psd)) == (np.inf, np.inf)
+        S = np.concatenate([psd, psd])
+        F = sdp._factor(S)
+        assert sdp._step_lengths(F, F.conj().transpose(0, 2, 1), S) == (np.inf, np.inf)
 
 
 def test_shared_factor_gives_the_inverse_of_z():
@@ -906,3 +907,25 @@ def test_kernels_match_the_program_written_out_in_full(kind):
     refs = _dense_kernels(_dense_stack(full, st.kept), X, Zi, y)
     for got, ref, floor in zip(_kernels(st, X, Zi, y), refs, (0.0, 1.0, 0.0)):
         _assert_close(got, ref, floor)
+
+
+def test_a_capped_solve_reports_the_residual_of_the_iterate_it_returns():
+    # the iteration goes on updating its iterates after measuring the best
+    # one, so the best one it returns must be a copy
+    a = corpus.build("qutrit-pair")
+    prog = incompat.parent_program(*_parent_args([m.elements for m in a.measurements], True))
+    sol = sdp.solve(prog, sdp.SolveOptions(max_iters=3))
+    assert sol.status == sdp.STATUS_NUMERICAL_FAILURE and sol.iterations == 3
+    st = prog.structure
+    r_p = prog.b - (st.apply(np.array(sol.primal_blocks)) + prog.E @ sol.scalar_vars)
+    assert abs(np.abs(r_p).max() - sol.residual_primal) <= 1e-14
+
+
+def test_two_solves_of_one_program_share_no_memory():
+    a = corpus.build("qutrit-pair")
+    prog = incompat.parent_program(*_parent_args([m.elements for m in a.measurements], True))
+    for opts in (None, sdp.SolveOptions(max_iters=3)):
+        one, two = sdp.solve(prog, opts), sdp.solve(prog, opts)
+        for x in (one.scalar_vars, *one.primal_blocks):
+            for y in (two.scalar_vars, *two.primal_blocks):
+                assert not np.shares_memory(x, y)

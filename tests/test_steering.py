@@ -39,6 +39,31 @@ def test_state_validation():
         BipartiteState(2, 3, np.eye(4, dtype=complex) / 4)  # wrong shape
 
 
+@pytest.mark.parametrize("args, message", [
+    ((2, 3, np.eye(4) / 4), "matrix dimension 4 != dA*dB = 6"),
+    ((2, 2, np.diag([1.5, -0.5, 0.0, 0.0])), "state is not PSD"),
+    ((2, 2, np.eye(4)), "state trace 4.0 != 1"),
+])
+def test_state_rejections_keep_their_messages(args, message):
+    with pytest.raises(ValueError) as exc:
+        BipartiteState(*args)
+    assert str(exc.value) == message
+
+
+_EYE2 = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("sigmas, message", [
+    ([[_EYE2 / 4, _EYE2 / 4], [_EYE2 / 4, np.eye(3) / 4]], "sigma[1][1] dimension mismatch"),
+    ([[_EYE2 / 4, _EYE2 / 4], [np.diag([0.6, -0.1]), np.diag([-0.1, 0.6])]], "sigma[1][0] is not PSD"),
+    ([[_EYE2 / 4, _EYE2 / 4], [_EYE2 / 4, _EYE2 / 2]], "no-signalling violated at setting 1: 2.50e-01"),
+])
+def test_state_assemblage_rejections_keep_their_messages(sigmas, message):
+    with pytest.raises(ValueError) as exc:
+        StateAssemblage(2, sigmas, _EYE2 / 2)
+    assert str(exc.value) == message
+
+
 def test_assemblage_from_state_marginals():
     rho = random_mixed_state(2, 3, np.random.default_rng(30))
     alice = Assemblage(2, [random_povm(2, 2, np.random.default_rng(31)),
