@@ -86,13 +86,9 @@ class SeesawHit:
     jm_slack: float = float("nan")
 
 
-def _nonzero_outcomes(m: Povm) -> list[int]:
-    return [i for i in range(m.n_outcomes) if not m.is_zero_element(i)]
-
-
 def _binarisation_effects(m: Povm) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Deduplicated binarisation effects E_S over nonzero outcomes."""
-    keep = _nonzero_outcomes(m)
+    keep = m.nonzero_outcomes()
     out = []
     for s in canonical_subsets(len(keep)):
         orig = tuple(keep[i] for i in s)
@@ -105,7 +101,7 @@ def _coexist_enumeration(a1: Povm, a2: Povm, options) -> CoexistenceResult:
     exist G_lam >= 0 with sum_lam D(S|lam) G_lam = sum_{i in S} E_i for every
     canonical subset S of either measurement and sum_lam G_lam = identity."""
     d = a1.dim
-    lab = BinarisationLabeling(len(_nonzero_outcomes(a1)), len(_nonzero_outcomes(a2)))
+    lab = BinarisationLabeling(len(a1.nonzero_outcomes()), len(a2.nonzero_outcomes()))
     kernel = [lab.row(lab.d_a, s) for s in lab.subsets_a]
     kernel += [lab.row(lab.d_b, s) for s in lab.subsets_b]
     rhs = [eff for _, eff in _binarisation_effects(a1) + _binarisation_effects(a2)]
@@ -166,8 +162,8 @@ def coexistent_parent(
         raise ValueError("POVMs must share dimension")
     if candidate is not None:
         return _coexist_candidate(a1, a2, candidate, options)
-    ka = 2 ** (len(_nonzero_outcomes(a1)) - 1) - 1
-    kb = 2 ** (len(_nonzero_outcomes(a2)) - 1) - 1
+    ka = 2 ** (len(a1.nonzero_outcomes()) - 1) - 1
+    kb = 2 ** (len(a2.nonzero_outcomes()) - 1) - 1
     if 2**ka * 2**kb <= LABELING_GUARD:
         return _coexist_enumeration(a1, a2, options)
     for cand in (a2, a1):

@@ -9,6 +9,7 @@ incompressibility bound."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,25 +58,22 @@ def verdict_from_eta(eta: float) -> str:
     return VERDICT_INDETERMINATE
 
 
-def _joint_labels(a: Assemblage) -> list[tuple[int, ...]]:
-    """Joint outcome labels, restricted to nonzero elements per setting.
+def _joint_labels(a: Assemblage) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """Joint outcome labels, restricted to nonzero elements per setting, and
+    the (setting, outcome) pairs of those elements, in order.
 
     A zero element forces its parent marginal to vanish, so dropping its
     labels changes nothing while keeping the SDP strictly feasible inside.
     """
-    per_setting = []
-    for m in a.measurements:
-        keep = [i for i in range(m.n_outcomes) if not m.is_zero_element(i)]
-        per_setting.append(keep)
-    count = 1
-    for keep in per_setting:
-        count *= len(keep)
+    per_setting = [m.nonzero_outcomes() for m in a.measurements]
+    count = math.prod(len(keep) for keep in per_setting)
     if count > JOINT_OUTCOME_GUARD:
         raise ValueError(
             f"joint outcome count {count} exceeds guard {JOINT_OUTCOME_GUARD}; "
             "problem size is exponential in the number of settings"
         )
-    return list(itertools.product(*per_setting))
+    rows = [(x, out) for x, keep in enumerate(per_setting) for out in keep]
+    return list(itertools.product(*per_setting)), rows
 
 
 def _parent_from_blocks(a: Assemblage, labels, blocks) -> ParentPovm:
@@ -159,16 +157,9 @@ def marginal_kernel(labels, rows) -> np.ndarray:
     return np.array(k).reshape(len(rows), len(labels))
 
 
-def _outcome_rows(a: Assemblage) -> list[tuple[int, int]]:
-    """(setting, outcome) pairs of the nonzero elements, in order."""
-    return [(x, out) for x, m in enumerate(a.measurements)
-            for out in range(m.n_outcomes) if not m.is_zero_element(out)]
-
-
 def jm_parent(a: Assemblage, options: sdp.SolveOptions | None = None) -> JmResult:
     """Decide joint measurability by parent-POVM feasibility."""
-    labels = _joint_labels(a)
-    rows = _outcome_rows(a)
+    labels, rows = _joint_labels(a)
     rhs = [a.measurements[x].elements[out] for x, out in rows]
     prog = parent_program(a.dim, marginal_kernel(labels, rows), rhs)
     feasible, slack, cert = sdp.feasibility(prog, options)
@@ -187,8 +178,7 @@ def depolarising_robustness(
     The returned parent is a parent POVM for the assemblage depolarised at
     the optimal eta (for a compatible assemblage, the assemblage itself).
     """
-    labels = _joint_labels(a)
-    rows = _outcome_rows(a)
+    labels, rows = _joint_labels(a)
     d = a.dim
     # sum G = t*1 + eta*(E - t*1) with t = tr(E)/d, per row
     els = np.array([a.measurements[x].elements[out] for x, out in rows])

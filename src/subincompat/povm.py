@@ -45,8 +45,14 @@ class Povm:
     def n_outcomes(self) -> int:
         return len(self.elements)
 
+    def nonzero_outcomes(self) -> list[int]:
+        """The outcomes whose element has an entry of modulus at least
+        ZERO_ELEMENT_TOL: one test over the stacked elements."""
+        nonzero = np.abs(np.asarray(self.elements)).max(axis=(1, 2)) >= ZERO_ELEMENT_TOL
+        return np.flatnonzero(nonzero).tolist()
+
     def is_zero_element(self, k: int) -> bool:
-        return np.abs(self.elements[k]).max() < ZERO_ELEMENT_TOL
+        return k not in self.nonzero_outcomes()
 
 
 @dataclass(eq=False)

@@ -26,9 +26,10 @@ search direction as one stack D = [dX; dZ] and one Newton right-hand side,
 all updated in place (the best iterate, which a capped solve returns, is
 a copy).  Per iteration one factor F = inv(cholesky(S)) and its conjugate
 transpose give Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of
-F D F^H each).  A presolve finds a row basis: it
-keeps the rows independent of earlier ones and gives the weights that
-build every other row from them, by classical Gram-Schmidt with
+F D F^H each).  The start point is at the data's own scale:
+X0 = (1 + max|b|) I and Z0 = (1 + max(|C|, |c|)) I.  A presolve finds a row
+basis: it keeps the rows independent of earlier ones and gives the weights
+that build every other row from them, by classical Gram-Schmidt with
 reorthogonalisation (CGS2), one row at a time.  It looks at the rows only,
 never at their data; a kernel program's basis is that of its small kernel,
 lifted to the d^2 rows of each equality.  Everything is plain numpy and
@@ -513,11 +514,11 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
     D = np.empty_like(S)
     X, Z, dX, dZ = S[:nb], S[nb:], D[:nb], D[nb:]
 
-    # starting point: identity-scaled interior iterates
+    # starting point at the data's own scale: X0 = (1 + max|b|) I, Z0 = (1 + max(|C|, |c|)) I
     bscale = 1.0 + np.abs(bk).max(initial=0.0)
     cscale = 1.0 + max(np.abs(C).max(initial=0.0), np.abs(p.c).max(initial=0.0))
-    X[...] = max(10.0, bscale) * eye
-    Z[...] = max(10.0, cscale) * eye
+    X[...] = bscale * eye
+    Z[...] = cscale * eye
     y = np.zeros(m)
     s = np.zeros(nf)
     fallbacks = 0

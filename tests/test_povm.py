@@ -161,6 +161,12 @@ def test_zero_element_detection():
     m = Povm(2, [eye / 2, eye / 2, np.zeros((2, 2), dtype=complex)])
     assert m.is_zero_element(2)
     assert not m.is_zero_element(0)
+    assert m.nonzero_outcomes() == [0, 1]
+    # either side of ZERO_ELEMENT_TOL = 1e-12
+    near = Povm(2, [eye / 2, (0.5 - 3e-12) * eye, 1e-13 * eye, 2.9e-12 * eye])
+    assert near.nonzero_outcomes() == [0, 1, 3]
+    for p in (m, near):
+        assert p.nonzero_outcomes() == [k for k in range(p.n_outcomes) if not p.is_zero_element(k)]
 
 
 _EYE2 = np.eye(2, dtype=complex)

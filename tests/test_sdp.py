@@ -597,11 +597,9 @@ def test_several_free_variables_reach_the_recorded_optimum():
     # min <C,X> + c's with three free variables from a constructed optimal
     # pair, solved as max <-C,X> - c's, as in
     # test_complex_sdp_native_and_embedded_reach_the_same_optimum, padded to
-    # one block dimension; RECORDED is this solve's optimum with the Newton
-    # matrix, border [[B, -E], [E', 0]] included, assembled anew in every
-    # iteration.  The mixed-dimension program's solve ended at
-    # 3.6939622066024786, 2.4e-8 away, inside GAP_TOL * (1 + |optimum|).
-    RECORDED = 3.6939622303879114
+    # one block dimension; RECORDED is this solve's optimum, 6.1e-9 from the
+    # constructed optimum 3.6939622349693844, inside GAP_TOL * (1 + |optimum|).
+    RECORDED = 3.693962228894751
     rng = np.random.default_rng(51)
     dims, m, nf = (3, 2, 1, 1), 9, 3
     xs, zs = [], []
@@ -919,6 +917,19 @@ def test_a_capped_solve_reports_the_residual_of_the_iterate_it_returns():
     st = prog.structure
     r_p = prog.b - (st.apply(np.array(sol.primal_blocks)) + prog.E @ sol.scalar_vars)
     assert abs(np.abs(r_p).max() - sol.residual_primal) <= 1e-14
+
+
+@pytest.mark.parametrize("bmax", [0.25, 20.0])
+def test_the_start_point_is_at_the_scale_of_the_data(bmax):
+    # a capped solve returns the only iterate it measured: X0 = (1 + max|b|) I
+    bld = sdp.Builder()
+    x, w = bld.cblock(2), bld.cblock(2)
+    bld.eq_scalar([(x, np.eye(2))], [], bmax)
+    bld.eq_scalar([(w, np.diag([1.0, -1.0]))], [], -0.1)
+    bld.objective([(x, np.diag([1.0, 0.0])), (w, np.eye(2))], [])
+    sol = sdp.solve(bld.prob, sdp.SolveOptions(max_iters=1))
+    assert sol.status == sdp.STATUS_NUMERICAL_FAILURE and sol.iterations == 1
+    assert (np.array(sol.primal_blocks) == (1.0 + bmax) * np.eye(2)).all()
 
 
 def test_two_solves_of_one_program_share_no_memory():
