@@ -301,11 +301,13 @@ def _cmd_seesaw(args) -> int:
 
 def _parse_coords(text: str, dim: int) -> list[np.ndarray]:
     try:
-        idx = sorted({int(t) for t in text.split(",")})
+        idx = sorted(int(t) for t in text.split(","))
     except ValueError as exc:
         raise CliError(f"--coords must be comma-separated integers, got {text!r}") from exc
     if not idx or not all(0 <= k < dim for k in idx):
         raise CliError(f"--coords indices must lie in [0, {dim})")
+    if len(set(idx)) < len(idx):
+        raise CliError(f"--coords indices must be distinct, got {text!r}")
     eye = np.eye(dim, dtype=complex)
     return [eye[:, k] for k in idx]
 

@@ -26,14 +26,18 @@ search direction as one stack D = [dX; dZ] and one Newton right-hand side,
 all updated in place (the best iterate, which a capped solve returns, is
 a copy).  Per iteration one factor F = inv(cholesky(S)) and its conjugate
 transpose give Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of
-F D F^H each).  The start point is at the data's own scale:
-X0 = (1 + max|b|) I and Z0 = (1 + max(|C|, |c|)) I.  A presolve finds a row
-basis: it keeps the rows independent of earlier ones and gives the weights
-that build every other row from them, by classical Gram-Schmidt with
-reorthogonalisation (CGS2), one row at a time.  It looks at the rows only,
-never at their data; a kernel program's basis is that of its small kernel,
-lifted to the d^2 rows of each equality.  Everything is plain numpy and
-fully deterministic: identical inputs produce identical iterate sequences.
+F D F^H each).  The corrector takes the share 1 - mu_aff/mu of the largest
+feasible step, at least STEP_FRAC and at most 1 - GAP_TOL, mu_aff being the
+predictor's complementarity: the steps near the optimum approach the
+boundary and the gap falls superlinearly.  The start point is at the
+data's own scale: X0 = (1 + max|b|) I and Z0 = (1 + max(|C|, |c|)) I.  A
+presolve finds a row basis: it keeps the rows independent of earlier ones
+and gives the weights that build every other row from them, by classical
+Gram-Schmidt with reorthogonalisation (CGS2), one row at a time.  It
+looks at the rows only, never at their data; a kernel program's basis is
+that of its small kernel, lifted to the d^2 rows of each equality.
+Everything is plain numpy and fully deterministic: identical inputs
+produce identical iterate sequences.
 The tolerances are the module constants below; ``SolveOptions`` holds only
 the iteration cap.
 
@@ -74,7 +78,7 @@ STATUS_NUMERICAL_FAILURE = "NumericalFailure"
 FEAS_SLACK_TOL = 1e-7  # feasibility margin: feasible <=> slack >= -1e-7
 FEAS_TOL = 1e-8  # residual bound of an optimal iterate; tolerance of the data check
 GAP_TOL = 1e-8  # relative duality gap of an optimal iterate
-STEP_FRAC = 0.98  # share of the largest feasible step taken
+STEP_FRAC = 0.98  # least share of the largest feasible step taken (see _step_fraction)
 UNBOUNDED_CUTOFF = 1e10  # |objective| beyond which a side is taken to diverge
 
 # the data check's reports of a zero row with nonzero rhs, and of a row
@@ -458,6 +462,15 @@ def _step_lengths(F, FH, D) -> tuple[float, float]:
     return tuple(-1.0 / v if v < -1e-14 else np.inf for v in lam)
 
 
+def _step_fraction(mu_aff: float, mu: float) -> float:
+    """The corrector's share of the largest feasible step: 1 - mu_aff/mu,
+    between STEP_FRAC and 1 - GAP_TOL.  Where the predictor says mu falls by
+    orders of magnitude the step goes nearer the boundary, which gives the
+    superlinear tail; the GAP_TOL floor keeps the iterate a relative 1e-8
+    inside the cone, so the next cholesky never meets a singular block."""
+    return max(STEP_FRAC, 1.0 - max(mu_aff / mu, GAP_TOL))
+
+
 def _lin_solve(a: np.ndarray, rhs: np.ndarray):
     """Solve a*x = rhs.  Returns (x, fell_back): when the system turns
     singular near a degenerate optimum (LU fails, or its x is worse than
@@ -598,7 +611,8 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
             message = f"linear algebra failure: {exc}"
             break
 
-        ap, ad = (min(1.0, STEP_FRAC * a) for a in _step_lengths(F, FH, D))
+        gamma = _step_fraction(mu_aff, mu)
+        ap, ad = (min(1.0, gamma * a) for a in _step_lengths(F, FH, D))
         if ap < 1e-12 and ad < 1e-12:
             message = "step sizes collapsed"
             break

@@ -73,6 +73,15 @@ def test_truncate_coords(capsys):
     assert rep["results"]["truncated"]["dim"] == 2
 
 
+def test_truncate_coords_must_be_distinct(capsys):
+    # a repeated index would span a smaller subspace than asked for
+    code, rep, err = run(capsys, "truncate", "--builtin", "qutrit-pair", "--coords", "0,0")
+    assert code == 2 and rep is None
+    assert err == "error: --coords indices must be distinct, got '0,0'\n"
+    code, rep, _ = run(capsys, "truncate", "--builtin", "qutrit-pair", "--coords", "1,0")
+    assert code == 0 and rep["results"]["projector"]["rank"] == 2
+
+
 def test_truncate_basis_file(tmp_path, capsys):
     basis = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
              [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]

@@ -16,6 +16,13 @@ def test_robustness_sharp_xz_pair():
     assert res.verdict == incompat.VERDICT_INCOMPATIBLE
 
 
+def test_robustness_sharp_xz_pair_meets_the_closed_form():
+    # the built-in pair's robustness is 1/sqrt(2) in closed form; the solve
+    # stops at a relative gap of 1e-8 but its last steps reach far closer
+    res = incompat.depolarising_robustness(corpus.build("sigma-xz-sharp"))
+    assert abs(res.eta - SQRT2_INV) <= 1e-11
+
+
 def test_robustness_parent_marginals_match_depolarised_pair():
     a = sigma_xz_pair()
     res = incompat.depolarising_robustness(a)

@@ -582,6 +582,19 @@ def test_batched_step_length_equals_per_block_minimum_bitwise():
         assert sdp._step_lengths(F, F.conj().transpose(0, 2, 1), S) == (np.inf, np.inf)
 
 
+def test_step_fraction_tends_to_one_but_never_reaches_it():
+    # STEP_FRAC while the predictor cuts mu by at most 50x, 1 - mu_aff/mu
+    # below that, and the floor 1 - GAP_TOL however far mu_aff falls
+    mu = 0.37
+    for ratio in (1.0, 0.5, 0.02):
+        assert sdp._step_fraction(ratio * mu, mu) == sdp.STEP_FRAC
+    for ratio in (0.019, 1e-3, 1e-6):
+        assert sdp._step_fraction(ratio * mu, mu) == 1.0 - ratio * mu / mu
+    for mu_aff in (0.0, 1e-20 * mu):
+        assert sdp._step_fraction(mu_aff, mu) == 1.0 - sdp.GAP_TOL
+    assert sdp._step_fraction(-1e-18, mu) == 1.0 - sdp.GAP_TOL < 1.0
+
+
 def test_shared_factor_gives_the_inverse_of_z():
     # the solver factors [X; Z] per block size and takes Z^-1 = F_Z^H F_Z
     rng = np.random.default_rng(7)
@@ -597,9 +610,9 @@ def test_several_free_variables_reach_the_recorded_optimum():
     # min <C,X> + c's with three free variables from a constructed optimal
     # pair, solved as max <-C,X> - c's, as in
     # test_complex_sdp_native_and_embedded_reach_the_same_optimum, padded to
-    # one block dimension; RECORDED is this solve's optimum, 6.1e-9 from the
+    # one block dimension; RECORDED is this solve's optimum, 5.0e-9 from the
     # constructed optimum 3.6939622349693844, inside GAP_TOL * (1 + |optimum|).
-    RECORDED = 3.693962228894751
+    RECORDED = 3.693962229969793
     rng = np.random.default_rng(51)
     dims, m, nf = (3, 2, 1, 1), 9, 3
     xs, zs = [], []

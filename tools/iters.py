@@ -3,10 +3,13 @@ plus one round of each, with ``sdp.solve`` wrapped from outside.
 
 For each workload it prints the solves and their iterations, in all and in
 the round alone, the round's failed operations (the workload's own check),
-a histogram of iterations per solve (iterations:solves) and the solves and
+the solves by status and the Newton systems solved by least squares, a
+histogram of iterations per solve (iterations:solves) and the solves and
 iterations per program shape: block dimension d, blocks nb, kept rows m and
 free variables nf.  Every round is deterministic given the seed, so two runs
-print the same lines.
+print the same lines.  It exits 1 when any solve ends NumericalFailure or any
+operation fails, so a solver failure that a workload's check passes over
+still shows.
 
 usage: python iters.py [TREE] [--seed N] [--workload NAME ...]
 """
@@ -19,10 +22,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def count(workloads, sdp, name: str, seed: int):
-    """The iterations and the (d, nb, m, nf) shape of every solve over the
-    set-up and one round of a workload, the solves of the set-up, and the
-    round's operations and failed operations."""
-    iters, shapes = [], []
+    """The iterations, the (d, nb, m, nf) shape, the status and the
+    least-squares fallbacks of every solve over the set-up and one round of
+    a workload, the solves of the set-up, and the round's operations and
+    failed operations."""
+    iters, shapes, statuses, fallbacks = [], [], [], []
     orig = sdp.solve
 
     def solving(p, *args, **kwargs):
@@ -32,6 +36,8 @@ def count(workloads, sdp, name: str, seed: int):
         sol = orig(p, *args, **kwargs)
         iters.append(sol.iterations)
         shapes.append((c.d, c.nb, c.m, c.nf))
+        statuses.append(sol.status)
+        fallbacks.append(sol.lstsq_fallbacks)
         return sol
 
     w = workloads.WORKLOADS[name]()
@@ -44,11 +50,13 @@ def count(workloads, sdp, name: str, seed: int):
         sdp.solve = orig
     fails = workloads.Fails()
     ops = w.check(out, fails)
-    return iters, shapes, n_setup, ops, len(fails.ops)
+    return iters, shapes, statuses, fallbacks, n_setup, ops, len(fails.ops)
 
 
-def report(name: str, iters: list, shapes: list, n_setup: int, ops: int, failed: int) -> list[str]:
+def report(name: str, iters: list, shapes: list, statuses: list, fallbacks: list,
+           n_setup: int, ops: int, failed: int) -> list[str]:
     hist = collections.Counter(iters)
+    by_status = collections.Counter(statuses)
     per = collections.defaultdict(lambda: [0, 0])
     for k, shape in zip(iters, shapes):
         per[shape][0] += 1
@@ -56,6 +64,8 @@ def report(name: str, iters: list, shapes: list, n_setup: int, ops: int, failed:
     rnd = iters[n_setup:]
     lines = [f"{name}: {len(iters)} solves, {sum(iters)} iterations; round {len(rnd)} solves, "
              f"{sum(rnd)} iterations, {failed} of {ops} ops failed",
+             "  status " + " ".join(f"{k}:{by_status[k]}" for k in sorted(by_status))
+             + f", {sum(fallbacks)} lstsq fallbacks",
              "  histogram " + " ".join(f"{k}:{hist[k]}" for k in sorted(hist))]
     lines += [f"  d={d} nb={nb} m={m} nf={nf}: {n} solves, {t} iterations"
               for (d, nb, m, nf), (n, t) in sorted(per.items())]
@@ -75,13 +85,15 @@ def main(argv=None) -> int:
     from subincompat import sdp
 
     total = [0, 0]
+    bad = False
     for name in args.workload or list(workloads.WORKLOADS):
-        iters, shapes, n_setup, ops, failed = count(workloads, sdp, name, args.seed)
-        print(*report(name, iters, shapes, n_setup, ops, failed), sep="\n")
+        iters, shapes, statuses, fallbacks, n_setup, ops, failed = count(workloads, sdp, name, args.seed)
+        print(*report(name, iters, shapes, statuses, fallbacks, n_setup, ops, failed), sep="\n")
         total[0] += len(iters)
         total[1] += sum(iters)
+        bad |= failed > 0 or sdp.STATUS_NUMERICAL_FAILURE in statuses
     print(f"total: {total[0]} solves, {total[1]} iterations")
-    return 0
+    return int(bad)
 
 
 if __name__ == "__main__":
