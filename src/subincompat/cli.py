@@ -88,13 +88,14 @@ def _hash_builtin(key: str) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _load_from(builtin: str | None, path: str | None, kinds: tuple[str, ...]):
-    """Load one instance addressed by a builtin key or a JSON file path.
+def _load_from(builtin: str | None, path: str | None, kinds: tuple[str, ...], flags: str):
+    """Load one instance addressed by a builtin key or a JSON file path,
+    given by the two flags named in ``flags``.
 
     Returns (object, kind, {input label: sha256}).
     """
     if (builtin is None) == (path is None):
-        raise CliError("exactly one of --input and --builtin is required")
+        raise CliError(f"exactly one of {flags} is required")
     if builtin is not None:
         if builtin not in corpus.CORPUS:
             raise CliError(
@@ -116,7 +117,8 @@ def _load_from(builtin: str | None, path: str | None, kinds: tuple[str, ...]):
 
 
 def _load(args, kinds: tuple[str, ...]):
-    return _load_from(getattr(args, "builtin", None), getattr(args, "input", None), kinds)
+    return _load_from(getattr(args, "builtin", None), getattr(args, "input", None), kinds,
+                      "--input and --builtin")
 
 
 def _jsonable(x):
@@ -273,7 +275,6 @@ def _cmd_seesaw(args) -> int:
     hit_rows = []
     for h in hits:
         pair = Assemblage(args.dim, [h.a1, h.a2])
-        w = incompat.witness(h.a1, h.a2, _options(args))
         hit_rows.append(
             {
                 "seed": h.seed,
@@ -282,7 +283,7 @@ def _cmd_seesaw(args) -> int:
                 "coexistence_slack": h.coexistence_slack,
                 "jm_slack": h.jm_slack,
                 "assemblage": jsonio.assemblage_to_json(pair),
-                "witness": _witness_json(w),
+                "witness": _witness_json(h.witness),
             }
         )
     rep["results"] = {
@@ -410,7 +411,8 @@ def _cmd_steering_pretty_good(args) -> int:
 
 def _cmd_steering_choi(args) -> int:
     rho, _, inputs = _load(args, ("state",))
-    alice, _, alice_inputs = _load_from(args.alice_builtin, args.alice_input, ("assemblage",))
+    alice, _, alice_inputs = _load_from(args.alice_builtin, args.alice_input, ("assemblage",),
+                                        "--alice-input and --alice-builtin")
     inputs.update({f"alice:{k}": v for k, v in alice_inputs.items()})
     if alice.dim != rho.dA:
         raise CliError(

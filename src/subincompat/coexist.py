@@ -1,13 +1,17 @@
-"""Coexistence: joint measurability of all binarisations through one parent
-with complement-respecting deterministic post-processings, the seesaw search
-for coexistent-but-incompatible pairs, and the qubit counterexample obtained
+"""Coexistence: joint measurability of all binarisations (1 - E_S, E_S),
+decided by ``incompat.jm_parent`` on the assemblage of both POVMs'
+binarisations (a parent label holds one bit per binarisation, 1 when S
+occurred) or, beyond ``incompat.JOINT_OUTCOME_GUARD``, by a sufficient
+candidate certificate; the seesaw search for coexistent-but-incompatible
+pairs, whose parent step takes its kernel from ``incompat.marginal_kernel``
+over the same binarisation labels; and the qubit counterexample obtained
 by truncating a qutrit pair."""
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,54 +20,8 @@ from .povm import Assemblage, ParentPovm, Povm, canonical_subsets, random_povm
 
 log = logging.getLogger(__name__)
 
-LABELING_GUARD = 4096
 WITNESS_HIT_MARGIN = 1e-5
 SEESAW_OBJ_TOL = 1e-7
-
-
-class BinarisationLabeling:
-    """Deterministic complement-respecting post-processing labels.
-
-    A label assigns one bit per canonical subset of each measurement; the
-    post-processing function D satisfies D(S|lam) + D(complement|lam) = 1
-    for every proper subset S.
-    """
-
-    def __init__(self, m_a: int, m_b: int):
-        self.m_a, self.m_b = m_a, m_b
-        self.subsets_a = canonical_subsets(m_a)
-        self.subsets_b = canonical_subsets(m_b)
-        self._idx_a = {frozenset(s): k for k, s in enumerate(self.subsets_a)}
-        self._idx_b = {frozenset(s): k for k, s in enumerate(self.subsets_b)}
-        ka, kb = len(self.subsets_a), len(self.subsets_b)
-        if 2**ka * 2**kb > LABELING_GUARD:
-            raise ValueError(
-                f"labeling count 2^{ka} * 2^{kb} exceeds guard {LABELING_GUARD} "
-                f"for outcome counts ({m_a}, {m_b})"
-            )
-        self.ka, self.kb = ka, kb
-        self.labels = list(itertools.product((0, 1), repeat=ka + kb))
-
-    def _d(self, idx: dict, m: int, offset: int, subset, lam) -> int:
-        s = frozenset(subset)
-        if len(s) == 0:
-            return 0
-        if len(s) == m:
-            return 1
-        if 0 in s:
-            return lam[offset + idx[s]]
-        return 1 - lam[offset + idx[frozenset(range(m)) - s]]
-
-    def d_a(self, subset, lam) -> int:
-        """D(S|lam) for a subset S of the first measurement's outcomes."""
-        return self._d(self._idx_a, self.m_a, 0, subset, lam)
-
-    def d_b(self, subset, lam) -> int:
-        return self._d(self._idx_b, self.m_b, self.ka, subset, lam)
-
-    def row(self, d_fn, subset) -> np.ndarray:
-        """Kernel row D(S|lam) over all labels, for d_fn = d_a or d_b."""
-        return np.array([d_fn(subset, lam) for lam in self.labels], dtype=float)
 
 
 @dataclass(eq=False)
@@ -80,10 +38,14 @@ class SeesawHit:
     seed: int
     a1: Povm
     a2: Povm
-    witness_value: float
+    witness: incompat.Witness
     iterations: int
     coexistence_slack: float = float("nan")
     jm_slack: float = float("nan")
+
+    @property
+    def witness_value(self) -> float:
+        return self.witness.value
 
 
 def _binarisation_effects(m: Povm) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -97,21 +59,16 @@ def _binarisation_effects(m: Povm) -> list[tuple[tuple[int, ...], np.ndarray]]:
 
 
 def _coexist_enumeration(a1: Povm, a2: Povm, options) -> CoexistenceResult:
-    """Feasibility over all deterministic complement-respecting labelings:
-    exist G_lam >= 0 with sum_lam D(S|lam) G_lam = sum_{i in S} E_i for every
-    canonical subset S of either measurement and sum_lam G_lam = identity."""
+    """Joint measurability of every binarisation (1 - E_S, E_S) of either
+    POVM, decided by ``incompat.jm_parent``: a parent label holds one bit
+    per binarisation, 1 when S occurred.  A pair without binarisations (one
+    nonzero outcome each) is decided on the trivial measurement alone."""
     d = a1.dim
-    lab = BinarisationLabeling(len(a1.nonzero_outcomes()), len(a2.nonzero_outcomes()))
-    kernel = [lab.row(lab.d_a, s) for s in lab.subsets_a]
-    kernel += [lab.row(lab.d_b, s) for s in lab.subsets_b]
-    rhs = [eff for _, eff in _binarisation_effects(a1) + _binarisation_effects(a2)]
-    prog = incompat.parent_program(d, kernel + [np.ones(len(lab.labels))], rhs + [np.eye(d)])
-    feasible, slack, cert = sdp.feasibility(prog, options)
-    parent = None
-    if feasible and cert is not None:
-        blocks = linalg.hermitianize(cert[:len(lab.labels)])
-        parent = ParentPovm(d, lab.labels, povm.repair(blocks), (2,) * (lab.ka + lab.kb))
-    return CoexistenceResult(bool(feasible), float(slack), "enumeration", parent=parent)
+    eye = np.eye(d)
+    effects = _binarisation_effects(a1) + _binarisation_effects(a2)
+    settings = [Povm(d, [eye - eff, eff]) for _, eff in effects]
+    jm = incompat.jm_parent(Assemblage(d, settings or [Povm(d, [eye])]), options)
+    return CoexistenceResult(bool(jm.feasible), float(jm.slack), "enumeration", parent=jm.parent)
 
 
 def _coexist_candidate(a1: Povm, a2: Povm, candidate: Povm, options) -> CoexistenceResult:
@@ -151,12 +108,13 @@ def coexistent_parent(
 ) -> CoexistenceResult:
     """Decide coexistence of a pair of POVMs.
 
-    Small outcome counts are decided exactly by enumerating all deterministic
-    complement-respecting labelings.  When the labeling count exceeds the
-    guard (or a candidate is passed), a sufficient certificate is attempted
-    instead: each POVM in turn (or the given candidate) is tried as a parent
-    whose elements mix to every binarisation effect.  A certified result has
-    coexistent=True; an inconclusive candidate check has coexistent=None.
+    Small outcome counts are decided exactly, as joint measurability of all
+    binarisations.  When that parent's label count exceeds
+    ``incompat.JOINT_OUTCOME_GUARD`` (or a candidate is passed), a
+    sufficient certificate is attempted instead: each POVM in turn (or the
+    given candidate) is tried as a parent whose elements mix to every
+    binarisation effect.  A certified result has coexistent=True; an
+    inconclusive candidate check has coexistent=None.
     """
     if a1.dim != a2.dim:
         raise ValueError("POVMs must share dimension")
@@ -164,47 +122,67 @@ def coexistent_parent(
         return _coexist_candidate(a1, a2, candidate, options)
     ka = 2 ** (len(a1.nonzero_outcomes()) - 1) - 1
     kb = 2 ** (len(a2.nonzero_outcomes()) - 1) - 1
-    if 2**ka * 2**kb <= LABELING_GUARD:
+    if 2**ka * 2**kb <= incompat.JOINT_OUTCOME_GUARD:
         return _coexist_enumeration(a1, a2, options)
     for cand in (a2, a1):
         res = _coexist_candidate(a1, a2, cand, options)
         if res.coexistent:
             return res
     raise ValueError(
-        f"labeling count 2^{ka} * 2^{kb} exceeds guard {LABELING_GUARD} and the "
+        f"labeling count 2^{ka} * 2^{kb} exceeds guard {incompat.JOINT_OUTCOME_GUARD} and the "
         "sufficient candidate checks were inconclusive"
     )
 
 
-def _seesaw_sdp2(dim, lab: BinarisationLabeling, xs, ys, options):
-    """Maximise the witness functional over parents G_lam subject to the
-    coexistence structure; the POVM pair is read off the singleton subsets."""
-    kernel = [np.ones(len(lab.labels))]  # the parent sums to the identity
-    for m, d_fn in ((lab.m_a, lab.d_a), (lab.m_b, lab.d_b)):
-        single = [lab.row(d_fn, (i,)) for i in range(m)]
-        for s in canonical_subsets(m):
+def _seesaw_kernels(m_a: int, m_b: int):
+    """The seesaw parent's kernel and the singleton rows D({i}|lam) of each
+    measurement, over labels with one bit per binarisation of either
+    measurement (settings x_S: the canonical subsets of the first, then of
+    the second), all from ``incompat.marginal_kernel``: D(S|lam) is row
+    (x_S, 1), D({0}|lam) is (x_(0,), 1) and D({i}|lam) for i >= 1 is
+    (x_(complement of {i}), 0); a one-outcome measurement's singleton is 1."""
+    subsets = [canonical_subsets(m_a), canonical_subsets(m_b)]
+    ka, kb = len(subsets[0]), len(subsets[1])
+    if 2**ka * 2**kb > incompat.JOINT_OUTCOME_GUARD:
+        raise ValueError(
+            f"labeling count 2^{ka} * 2^{kb} exceeds guard {incompat.JOINT_OUTCOME_GUARD} "
+            f"for outcome counts ({m_a}, {m_b})"
+        )
+    labels = list(itertools.product((0, 1), repeat=ka + kb))
+    kernel = [np.ones(len(labels))]  # the parent sums to the identity
+    singles = []
+    for m, subs, offset in ((m_a, subsets[0], 0), (m_b, subsets[1], ka)):
+        x = {s: offset + k for k, s in enumerate(subs)}
+        if m == 1:
+            single = np.ones((1, len(labels)))
+        else:
+            rest = [(x[tuple(j for j in range(m) if j != i)], 0) for i in range(1, m)]
+            single = incompat.marginal_kernel(labels, [(x[(0,)], 1)] + rest)
+        for s, row in zip(subs, incompat.marginal_kernel(labels, [(x[s], 1) for s in subs])):
             if len(s) > 1:  # additivity: the subset effect equals the sum of its singletons
-                kernel.append(lab.row(d_fn, s) - sum(single[i] for i in s))
+                kernel.append(row - sum(single[i] for i in s))
         kernel.append(sum(single) - 1)  # singleton effects form a normalised POVM
-    zero = np.zeros((dim, dim))
+        singles.append(single)
+    return np.array(kernel), singles
+
+
+def _seesaw_sdp2(dim, kernel, singles, xs, ys, options):
+    """Maximise the witness functional over parents G_lam subject to the
+    coexistence structure (the kernel of ``_seesaw_kernels``); the POVM
+    pair is read off the singleton rows."""
+    single_a, single_b = singles
     obj = {}
-    for k, lam in enumerate(lab.labels):
-        c = sum(lab.d_a((i,), lam) * xs[i] for i in range(lab.m_a))
-        obj[k] = c + sum(lab.d_b((j,), lam) * ys[j] for j in range(lab.m_b))
-    rhs = [np.eye(dim)] + [zero] * (len(kernel) - 1)
+    for k in range(kernel.shape[1]):
+        c = sum(single_a[i, k] * xs[i] for i in range(len(single_a)))
+        obj[k] = c + sum(single_b[j, k] * ys[j] for j in range(len(single_b)))
+    rhs = [np.eye(dim)] + [np.zeros((dim, dim))] * (len(kernel) - 1)
     prog = incompat.parent_program(dim, kernel, rhs, objective=obj)
     sol = sdp.solve(prog, options)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"seesaw parent SDP: {sol.status} ({sol.message})")
-    blocks = linalg.hermitianize(sol.primal_blocks[:len(lab.labels)])
-    els_a = [
-        sum(b for b, lam in zip(blocks, lab.labels) if lab.d_a((i,), lam))
-        for i in range(lab.m_a)
-    ]
-    els_b = [
-        sum(b for b, lam in zip(blocks, lab.labels) if lab.d_b((j,), lam))
-        for j in range(lab.m_b)
-    ]
+    blocks = linalg.hermitianize(sol.primal_blocks[:kernel.shape[1]])
+    els_a, els_b = ([sum(b for b, on in zip(blocks, row) if on) for row in single]
+                    for single in singles)
     return Povm(dim, povm.repair(els_a)), Povm(dim, povm.repair(els_b)), float(sol.primal_value)
 
 
@@ -225,7 +203,7 @@ def seesaw(
     1 + 1e-5 there is a find; each find is post-checked definitionally
     (coexistent_parent feasible, jm_parent infeasible) before being kept.
     """
-    lab = BinarisationLabeling(m_a, m_b)
+    kernel, singles = _seesaw_kernels(m_a, m_b)
     hits = []
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
@@ -240,7 +218,7 @@ def seesaw(
                     jm = incompat.jm_parent(Assemblage(dim, [a, b]), options)
                     if coex.coexistent and not jm.feasible:
                         hits.append(
-                            SeesawHit(seed, a, b, w.value, it, coex.slack, jm.slack)
+                            SeesawHit(seed, a, b, w, it, coex.slack, jm.slack)
                         )
                     else:  # witness margin too thin to survive the post-check
                         log.info(
@@ -251,7 +229,7 @@ def seesaw(
                 if prev is not None and abs(w.value - prev) < SEESAW_OBJ_TOL:
                     break
                 prev = w.value
-                a, b, _ = _seesaw_sdp2(dim, lab, w.X, w.Y, options)
+                a, b, _ = _seesaw_sdp2(dim, kernel, singles, w.X, w.Y, options)
         except (sdp.SolverError, np.linalg.LinAlgError) as exc:
             log.warning("seesaw seed %d skipped: %s", seed, exc)
     return hits

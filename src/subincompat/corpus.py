@@ -193,14 +193,3 @@ def write_corpus(directory: str) -> list[str]:
         written.append(path)
     return written
 
-
-def main():  # pragma: no cover - exercised via CLI tests
-    import sys
-
-    out = sys.argv[1] if len(sys.argv) > 1 else "corpus"
-    for path in write_corpus(out):
-        print(path)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

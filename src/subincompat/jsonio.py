@@ -40,10 +40,6 @@ def vector_to_json(v: np.ndarray) -> list:
     return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex).ravel()]
 
 
-def povm_to_json(m: Povm) -> dict:
-    return {"dim": m.dim, "elements": [matrix_to_json(e) for e in m.elements]}
-
-
 def _json_type(v) -> str:
     """The JSON type of a loaded value, or the number itself."""
     names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
@@ -63,13 +59,6 @@ def _array(v, what: str) -> list:
     if not isinstance(v, list):
         raise ValueError(f"{what} must be an array, got {_json_type(v)}")
     return v
-
-
-def povm_from_json(j: dict) -> Povm:
-    if not isinstance(j, dict) or "dim" not in j or "elements" not in j:
-        raise ValueError("povm JSON must have 'dim' and 'elements'")
-    els = _array(j["elements"], "povm field 'elements'")
-    return Povm(_dimension(j, "dim", "povm"), [matrix_from_json(e) for e in els])
 
 
 def assemblage_to_json(a: Assemblage) -> dict:

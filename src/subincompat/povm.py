@@ -1,6 +1,5 @@
 """POVMs, assemblages and the operations performed on them: truncation to
-subspaces, binarisation, coarse-graining, depolarising noise, classical
-post-processing."""
+subspaces, binarisation, coarse-graining and depolarising noise."""
 
 from __future__ import annotations
 
@@ -50,9 +49,6 @@ class Povm:
         ZERO_ELEMENT_TOL: one test over the stacked elements."""
         nonzero = np.abs(np.asarray(self.elements)).max(axis=(1, 2)) >= ZERO_ELEMENT_TOL
         return np.flatnonzero(nonzero).tolist()
-
-    def is_zero_element(self, k: int) -> bool:
-        return k not in self.nonzero_outcomes()
 
 
 @dataclass(eq=False)
@@ -164,26 +160,6 @@ def depolarise(a: Assemblage, eta: float) -> Assemblage:
     out = []
     for m in a.measurements:
         els = [eta * e + (1 - eta) * (np.trace(e).real / d) * eye for e in m.elements]
-        out.append(Povm(d, els))
-    return Assemblage(d, out)
-
-
-def post_process(parent: Povm | ParentPovm, kernels) -> Assemblage:
-    """Classical post-processing M_{a|x} = sum_λ p(a|x,λ) G_λ.
-
-    kernels: one (n_outcomes, n_labels) array per setting; every column must
-    be a probability distribution over a.
-    """
-    gs = parent.elements
-    d = parent.dim
-    out = []
-    for x, ker in enumerate(kernels):
-        k = np.asarray(ker, dtype=float)
-        if k.shape[1] != len(gs):
-            raise ValueError(f"kernel {x} has {k.shape[1]} labels, parent has {len(gs)}")
-        if np.abs(k.sum(axis=0) - 1.0).max() > 1e-10 or k.min() < -1e-12:
-            raise ValueError(f"kernel {x} columns are not probability distributions")
-        els = [sum(k[a, l] * gs[l] for l in range(len(gs))) for a in range(k.shape[0])]
         out.append(Povm(d, els))
     return Assemblage(d, out)
 

@@ -6,6 +6,7 @@ incompressible incompatible assemblage."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ STATE_PSD_TOL = 1e-9
 STATE_TRACE_TOL = 1e-10
 NOSIG_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10
-LHS_GUARD = 4096
 
 
 @dataclass(eq=False)
@@ -108,11 +108,9 @@ def _lhs_solve(sa: StateAssemblage, options):
     strategy.  Returns (feasible, slack, model), the model as
     [(strategy, local hidden state)] when feasible with a certificate."""
     counts = sa.outcome_counts()
-    total = 1
-    for k in counts:
-        total *= k
-    if total > LHS_GUARD:
-        raise ValueError(f"strategy count {total} exceeds guard {LHS_GUARD}")
+    total = math.prod(counts)
+    if total > incompat.JOINT_OUTCOME_GUARD:
+        raise ValueError(f"strategy count {total} exceeds guard {incompat.JOINT_OUTCOME_GUARD}")
     strategies = list(itertools.product(*[range(k) for k in counts]))
     rows = [(x, a) for x in range(sa.n_settings) for a in range(counts[x])]
     kernel = np.vstack([incompat.marginal_kernel(strategies, rows), np.ones(len(strategies))])
@@ -172,18 +170,12 @@ def choi_apply(rho: BipartiteState, alice: Assemblage) -> Assemblage:
     """The channel induced by the state:
     Lambda(A) = reduced^(-1/2) tr_A[(A (x) 1) rho]^T reduced^(-1/2),
     with the transpose taken in the eigenbasis of the reduced state and the
-    inverse on its support.  Identity-preserving on the support."""
-    sa = assemblage_from_state(rho, alice)
-    v, isq, r = _support_isqrt(sa.reduced)
-    ms = []
-    for row in sa.sigmas:
-        els = []
-        for s in row:
-            s_eig = v.conj().T @ s @ v  # express on the support eigenbasis
-            lam = (isq[:, None] * s_eig.T) * isq[None, :]
-            els.append(linalg.hermitianize(lam))
-        ms.append(Povm(r, els))
-    return Assemblage(r, ms)
+    inverse on its support.  Identity-preserving on the support.  That is
+    the transpose of each pretty-good measurement element, for Hermitian
+    elements their entrywise conjugate."""
+    pg = pretty_good(assemblage_from_state(rho, alice))
+    # conj turns a +0 imaginary part into -0; adding 0.0 gives +0 back, so reports print 0.0
+    return Assemblage(pg.dim, [Povm(pg.dim, np.conj(m.elements) + 0.0) for m in pg.measurements])
 
 
 def filter_bob(rho: BipartiteState) -> tuple[BipartiteState, int]:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from subincompat import cli, corpus, jsonio
+from subincompat import cli, coexist, corpus, incompat, jsonio
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS_DIR = os.path.join(ROOT, "corpus")
@@ -176,6 +176,32 @@ def test_seesaw_tiny(capsys):
     assert rep["results"]["hits"] == []
 
 
+def test_seesaw_beyond_the_label_guard_exits_2(capsys):
+    code, rep, err = run(capsys, "seesaw", "--dim", "2", "--outcomes", "5", "5")
+    assert code == 2 and rep is None
+    assert err.startswith("error: labeling count 2^15 * 2^15 exceeds guard")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_seesaw_report_reuses_the_hit_witnesses(capsys, monkeypatch):
+    # the report emits each hit's witness as the seesaw computed it
+    calls = []
+    real = incompat.witness
+
+    def witness(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(incompat, "witness", witness)
+    hits = coexist.seesaw(3, 2, 3, 12)
+    library = len(calls)
+    calls.clear()
+    code, rep, _ = run(capsys, "seesaw", "--dim", "3", "--outcomes", "2", "3", "--seeds", "12")
+    assert code == 0
+    assert [h["seed"] for h in rep["results"]["hits"]] == [h.seed for h in hits] == [10]
+    assert len(calls) == library
+
+
 def test_corpus_list_and_write(tmp_path, capsys):
     code, rep, err = run(capsys, "corpus", "--list")
     assert code == 0
@@ -271,6 +297,12 @@ def test_wrong_kind_for_alice(capsys):
     code, _, err = run(capsys, "steering", "choi", "--builtin", "peres-steerable-state",
                        "--alice-builtin", "peres-steerable-state")
     assert code == 2
+
+
+def test_choi_without_alice_names_the_alice_flags(capsys):
+    code, rep, err = run(capsys, "steering", "choi", "--builtin", "peres-steerable-state")
+    assert code == 2 and rep is None
+    assert err == "error: exactly one of --alice-input and --alice-builtin is required\n"
 
 
 @pytest.mark.parametrize("argv, data, field", [

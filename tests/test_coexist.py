@@ -15,22 +15,9 @@ def test_canonical_subsets():
     assert len(coexist.canonical_subsets(4)) == 2 ** 3 - 1
 
 
-def test_labeling_complement_respecting():
-    lab = coexist.BinarisationLabeling(3, 2)
-    full_a = tuple(range(3))
-    for lam in lab.labels:
-        # D(S) + D(S complement) = 1 for every subset of the a side
-        for subset in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
-            comp = tuple(sorted(set(full_a) - set(subset)))
-            assert lab.d_a(subset, lam) + lab.d_a(comp, lam) == 1
-        assert lab.d_a((), lam) == 0
-        assert lab.d_a(full_a, lam) == 1
-    assert len(lab.labels) == 2 ** (len(lab.subsets_a) + len(lab.subsets_b))
-
-
 def test_labeling_guard():
-    with pytest.raises(ValueError):
-        coexist.BinarisationLabeling(5, 5)  # 2^15 * 2^15 labelings
+    with pytest.raises(ValueError, match="exceeds guard"):
+        coexist.seesaw(2, 5, 5, 1)  # 2^15 * 2^15 labels
 
 
 def test_threshold_pair_coexistent_by_enumeration():
@@ -39,8 +26,33 @@ def test_threshold_pair_coexistent_by_enumeration():
     assert res.coexistent
     assert res.method == "enumeration"
     assert res.slack >= -1e-7
-    # the returned parent marginalises to the binarisation effects
-    assert res.parent is not None
+    assert_parent_gives_binarisations(res.parent, a)
+
+
+def assert_parent_gives_binarisations(parent, pair):
+    """Marginal x of the parent has the effect E_S of binarisation x as its
+    outcome 1, the binarisations of the first POVM before the second's."""
+    effects = coexist._binarisation_effects(pair.measurements[0])
+    effects += coexist._binarisation_effects(pair.measurements[1])
+    assert parent is not None and parent.outcome_counts == (2,) * len(effects)
+    for x, (_, eff) in enumerate(effects):
+        assert np.abs(parent.marginal(x).elements[1] - eff).max() < 1e-9
+
+
+def test_compatible_pair_parent_gives_every_binarisation():
+    pair = compatible_pair(3, 2, 3, np.random.default_rng(1500))
+    res = coexist.coexistent_parent(*pair.measurements)
+    assert res.coexistent and res.method == "enumeration"
+    assert_parent_gives_binarisations(res.parent, pair)
+
+
+def test_pair_without_binarisations_is_coexistent():
+    # one nonzero outcome each: nothing to measure jointly
+    eye = np.eye(2)
+    res = coexist.coexistent_parent(Povm(2, [eye]), Povm(2, [eye, np.zeros((2, 2))]))
+    assert res.coexistent is True
+    assert res.method == "enumeration"
+    assert res.slack > 0.5
 
 
 def test_povm_coexists_with_itself():

@@ -105,11 +105,3 @@ def test_schema_files_published_and_current():
     report = jsonio.SCHEMAS["report.schema.json"]
     for field in ("schema_version", "version", "command", "seed", "inputs"):
         assert field in report["properties"]
-
-
-def test_povm_json_shape():
-    m = corpus.build("sigma-xz-sharp").measurements[0]
-    j = jsonio.povm_to_json(m)
-    back = jsonio.povm_from_json(j)
-    assert back.dim == 2
-    assert all(np.array_equal(x, y) for x, y in zip(m.elements, back.elements))

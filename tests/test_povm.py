@@ -4,13 +4,11 @@ import pytest
 from subincompat import corpus, linalg
 from subincompat.povm import (
     Assemblage,
-    ParentPovm,
     Povm,
     binarisations,
     coarse_grain,
     depolarise,
     from_basis,
-    post_process,
     random_povm,
     repair,
     truncate,
@@ -86,22 +84,6 @@ def test_depolarise_limits_and_bounds():
         depolarise(a, -0.1)
 
 
-def test_post_process_reproduces_marginals():
-    rng = np.random.default_rng(12)
-    g = random_povm(2, 4, rng)
-    par = ParentPovm(2, [(0, 0), (0, 1), (1, 0), (1, 1)], g.elements, (2, 2))
-    # deterministic kernels selecting each coordinate
-    ka = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-    kb = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-    a = post_process(par, [ka, kb])
-    for x in range(2):
-        marg = par.marginal(x)
-        for k in range(2):
-            assert np.abs(a.measurements[x].elements[k] - marg.elements[k]).max() < 1e-12
-    with pytest.raises(ValueError):
-        post_process(par, [ka * 0.5])  # columns no longer sum to one
-
-
 def test_truncate_keeps_zero_elements_and_dimension():
     a = corpus.build("qutrit-pair")
     p = linalg.projector_from_basis(
@@ -159,14 +141,12 @@ def test_repair_clips_and_renormalises():
 def test_zero_element_detection():
     eye = np.eye(2, dtype=complex)
     m = Povm(2, [eye / 2, eye / 2, np.zeros((2, 2), dtype=complex)])
-    assert m.is_zero_element(2)
-    assert not m.is_zero_element(0)
+    assert 2 not in m.nonzero_outcomes()
+    assert 0 in m.nonzero_outcomes()
     assert m.nonzero_outcomes() == [0, 1]
     # either side of ZERO_ELEMENT_TOL = 1e-12
     near = Povm(2, [eye / 2, (0.5 - 3e-12) * eye, 1e-13 * eye, 2.9e-12 * eye])
     assert near.nonzero_outcomes() == [0, 1, 3]
-    for p in (m, near):
-        assert p.nonzero_outcomes() == [k for k in range(p.n_outcomes) if not p.is_zero_element(k)]
 
 
 _EYE2 = np.eye(2, dtype=complex)
