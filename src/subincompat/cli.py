@@ -52,13 +52,6 @@ def _at_least(flag: str, value: int, low: int) -> int:
     return value
 
 
-def _options(args) -> sdp.SolveOptions | None:
-    iters = getattr(args, "sdp_iters", None)
-    if iters is None:
-        return None
-    return sdp.SolveOptions(max_iters=_at_least("--sdp-iters", iters, 1))
-
-
 _PARSERS = {
     "assemblage": jsonio.assemblage_from_json,
     "state": jsonio.state_from_json,
@@ -193,7 +186,7 @@ def _pair(a: Assemblage):
 
 def _cmd_robustness(args) -> int:
     a, _, inputs = _load(args, ("assemblage",))
-    res = incompat.depolarising_robustness(a, _options(args))
+    res = incompat.depolarising_robustness(a)
     rep = jsonio.report_skeleton("robustness", None, inputs)
     rep["results"] = {
         "eta": res.eta,
@@ -206,7 +199,7 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_jm(args) -> int:
     a, _, inputs = _load(args, ("assemblage",))
-    res = incompat.jm_parent(a, _options(args))
+    res = incompat.jm_parent(a)
     rep = jsonio.report_skeleton("jm", None, inputs)
     rep["results"] = {
         "feasible": res.feasible,
@@ -221,7 +214,7 @@ def _cmd_jm(args) -> int:
 def _cmd_witness(args) -> int:
     a, _, inputs = _load(args, ("assemblage",))
     m0, m1 = _pair(a)
-    w = incompat.witness(m0, m1, _options(args))
+    w = incompat.witness(m0, m1)
     rep = jsonio.report_skeleton("witness", None, inputs)
     rep["results"] = _witness_json(w)
     verdict = "incompatible" if w.value > 1.0 + WITNESS_TOL else "no violation"
@@ -229,13 +222,12 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_coexistence(args) -> int:
-    options = _options(args)
     a, _, inputs = _load(args, ("assemblage",))
     rep = jsonio.report_skeleton("coexistence", None, inputs)
     if getattr(args, "builtin", None) == "qubit-counterexample":
         # the flagship instance gets its dedicated full report (linear
         # dependence, Gram rank, coarse-grained variant, all pairings)
-        _at, _bt, _coarse, results = coexist.qubit_counterexample(options)
+        _at, _bt, _coarse, results = coexist.qubit_counterexample()
         rep["results"] = results
         summary = (
             f"coexistent = {results['coexistent']['coexistent']}  "
@@ -244,9 +236,9 @@ def _cmd_coexistence(args) -> int:
         )
         return _emit(args, rep, summary)
     m0, m1 = _pair(a)
-    co = coexist.coexistent_parent(m0, m1, options=options)
-    jm = incompat.jm_parent(a, options)
-    rob = incompat.depolarising_robustness(a, options)
+    co = coexist.coexistent_parent(m0, m1)
+    jm = incompat.jm_parent(a)
+    rob = incompat.depolarising_robustness(a)
     rep["results"] = {
         "coexistent": co.coexistent,
         "slack": co.slack,
@@ -267,10 +259,7 @@ def _cmd_seesaw(args) -> int:
         _at_least("--outcomes", m, 1)
     _at_least("--seeds", args.seeds, 0)
     max_iters = _at_least("--max-iters", args.max_iters, 1)
-    hits = coexist.seesaw(
-        args.dim, args.outcomes[0], args.outcomes[1], args.seeds, max_iters,
-        _options(args),
-    )
+    hits = coexist.seesaw(args.dim, args.outcomes[0], args.outcomes[1], args.seeds, max_iters)
     rep = jsonio.report_skeleton("seesaw", None, {})
     hit_rows = []
     for h in hits:
@@ -341,7 +330,7 @@ def _cmd_truncate(args) -> int:
     if p.dim != a.dim:
         raise CliError(f"projector lives on dimension {p.dim}, assemblage on {a.dim}")
     t = truncate(a, p)
-    rob = incompat.depolarising_robustness(t, _options(args))
+    rob = incompat.depolarising_robustness(t)
     rep = jsonio.report_skeleton("truncate", None, inputs)
     rep["results"] = {
         "projector": _projector_json(p),
@@ -358,10 +347,9 @@ def _cmd_truncate(args) -> int:
 def _cmd_classify(args) -> int:
     samples = _at_least("--samples", args.samples, 0)
     jobs = _at_least("--jobs", args.jobs, 1)
-    options = _options(args)
     a, _, inputs = _load(args, ("assemblage",))
     seed = _resolve_seed(args)
-    report = subspace.classify(a, args.n, samples, seed=seed, jobs=jobs, options=options)
+    report = subspace.classify(a, args.n, samples, seed=seed, jobs=jobs)
     rep = jsonio.report_skeleton("classify", seed, inputs)
     rep["results"] = {
         "n": report.n,
@@ -382,7 +370,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_steering_lhs(args) -> int:
     sa, _, inputs = _load(args, ("state_assemblage",))
-    feasible, slack, model = steering._lhs_solve(sa, _options(args))
+    feasible, slack, model = steering._lhs_solve(sa)
     if model is not None:
         model = [{"strategy": list(vec), "state": jsonio.matrix_to_json(s)} for vec, s in model]
     rep = jsonio.report_skeleton("steering-lhs", None, inputs)
@@ -394,7 +382,7 @@ def _cmd_steering_lhs(args) -> int:
 def _cmd_steering_pretty_good(args) -> int:
     sa, _, inputs = _load(args, ("state_assemblage",))
     pg = steering.pretty_good(sa)
-    rob = incompat.depolarising_robustness(pg, _options(args))
+    rob = incompat.depolarising_robustness(pg)
     rep = jsonio.report_skeleton("steering-pretty-good", None, inputs)
     rep["results"] = {
         "dim": pg.dim,
@@ -445,7 +433,7 @@ def _cmd_peres_construct(args) -> int:
 
 
 def _cmd_peres_scan(args) -> int:
-    points = steering.peres_scan(args.step, options=_options(args))
+    points = steering.peres_scan(args.step)
     adm = [p for p in points if p.admissible]
     steer = [p for p in adm if p.steerable]
     rep = jsonio.report_skeleton("peres-scan", None, {})
@@ -491,7 +479,7 @@ def _cmd_integrals(args) -> int:
 
 
 def _cmd_mub_check(args) -> int:
-    results = subspace.mub_same_povm_check(_options(args))
+    results = subspace.mub_same_povm_check()
     rep = jsonio.report_skeleton("mub-check", None, {})
     rep["results"] = results
     return _emit(
@@ -533,10 +521,6 @@ def _build_parser() -> argparse.ArgumentParser:
     io_p.add_argument("--builtin", help="builtin corpus key (see `corpus --list`)")
     out_p = argparse.ArgumentParser(add_help=False)
     out_p.add_argument("--output", help="write the JSON report here instead of stdout")
-    sdp_p = argparse.ArgumentParser(add_help=False)  # commands that solve SDPs
-    sdp_p.add_argument(
-        "--sdp-iters", type=int, default=None, help="override the SDP iteration cap"
-    )
     seed_p = argparse.ArgumentParser(add_help=False)
     seed_p.add_argument(
         "--seed", type=int, default=None,
@@ -545,23 +529,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("robustness", parents=[io_p, out_p, sdp_p],
+    p = sub.add_parser("robustness", parents=[io_p, out_p],
                        help="depolarising incompatibility robustness eta")
     p.set_defaults(func=_cmd_robustness)
 
-    p = sub.add_parser("jm", parents=[io_p, out_p, sdp_p],
+    p = sub.add_parser("jm", parents=[io_p, out_p],
                        help="joint-measurability feasibility and parent POVM")
     p.set_defaults(func=_cmd_jm)
 
-    p = sub.add_parser("witness", parents=[io_p, out_p, sdp_p],
+    p = sub.add_parser("witness", parents=[io_p, out_p],
                        help="incompatibility witness value for a pair")
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("coexistence", parents=[io_p, out_p, sdp_p],
+    p = sub.add_parser("coexistence", parents=[io_p, out_p],
                        help="coexistence of a pair, with jm and robustness")
     p.set_defaults(func=_cmd_coexistence)
 
-    p = sub.add_parser("seesaw", parents=[out_p, sdp_p],
+    p = sub.add_parser("seesaw", parents=[out_p],
                        help="search for coexistent-but-incompatible pairs")
     p.add_argument("--dim", type=int, required=True, help="Hilbert space dimension")
     p.add_argument("--outcomes", type=int, nargs=2, required=True,
@@ -571,13 +555,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="seesaw iteration cap per seed (default 200)")
     p.set_defaults(func=_cmd_seesaw)
 
-    p = sub.add_parser("truncate", parents=[io_p, out_p, sdp_p],
+    p = sub.add_parser("truncate", parents=[io_p, out_p],
                        help="truncate an assemblage to a subspace")
     p.add_argument("--coords", help="comma-separated coordinate axes, e.g. 0,1")
     p.add_argument("--basis", help="JSON file with subspace basis vectors as [re,im] pairs")
     p.set_defaults(func=_cmd_truncate)
 
-    p = sub.add_parser("classify", parents=[io_p, out_p, sdp_p, seed_p],
+    p = sub.add_parser("classify", parents=[io_p, out_p, seed_p],
                        help="compressibility classification over n-dim subspaces")
     p.add_argument("--n", type=int, required=True, help="subspace dimension")
     p.add_argument("--samples", type=int, default=50,
@@ -587,10 +571,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     steer = sub.add_parser("steering", help="steering assemblage analyses")
     steer_sub = steer.add_subparsers(dest="mode", required=True)
-    p = steer_sub.add_parser("lhs", parents=[io_p, out_p, sdp_p],
+    p = steer_sub.add_parser("lhs", parents=[io_p, out_p],
                              help="local-hidden-state feasibility")
     p.set_defaults(func=_cmd_steering_lhs)
-    p = steer_sub.add_parser("pretty-good", parents=[io_p, out_p, sdp_p],
+    p = steer_sub.add_parser("pretty-good", parents=[io_p, out_p],
                              help="pretty-good measurements and their robustness")
     p.set_defaults(func=_cmd_steering_pretty_good)
     p = steer_sub.add_parser("choi", parents=[io_p, out_p],
@@ -606,7 +590,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=float, required=True)
     p.add_argument("--m2", type=float, required=True)
     p.set_defaults(func=_cmd_peres_construct)
-    p = peres_sub.add_parser("scan", parents=[out_p, sdp_p],
+    p = peres_sub.add_parser("scan", parents=[out_p],
                              help="grid scan for steerable points")
     p.add_argument("--step", type=float, default=0.02, help="grid spacing (default 0.02)")
     p.add_argument("--full", action="store_true",
@@ -621,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo samples (default 20000)")
     p.set_defaults(func=_cmd_integrals)
 
-    p = sub.add_parser("mub-check", parents=[out_p, sdp_p],
+    p = sub.add_parser("mub-check", parents=[out_p],
                        help="two qutrit MUBs that truncate to the same POVM")
     p.set_defaults(func=_cmd_mub_check)
 

@@ -58,7 +58,7 @@ def _binarisation_effects(m: Povm) -> list[tuple[tuple[int, ...], np.ndarray]]:
     return out
 
 
-def _coexist_enumeration(a1: Povm, a2: Povm, options) -> CoexistenceResult:
+def _coexist_enumeration(a1: Povm, a2: Povm) -> CoexistenceResult:
     """Joint measurability of every binarisation (1 - E_S, E_S) of either
     POVM, decided by ``incompat.jm_parent``: a parent label holds one bit
     per binarisation, 1 when S occurred.  A pair without binarisations (one
@@ -67,11 +67,11 @@ def _coexist_enumeration(a1: Povm, a2: Povm, options) -> CoexistenceResult:
     eye = np.eye(d)
     effects = _binarisation_effects(a1) + _binarisation_effects(a2)
     settings = [Povm(d, [eye - eff, eff]) for _, eff in effects]
-    jm = incompat.jm_parent(Assemblage(d, settings or [Povm(d, [eye])]), options)
+    jm = incompat.jm_parent(Assemblage(d, settings or [Povm(d, [eye])]))
     return CoexistenceResult(bool(jm.feasible), float(jm.slack), "enumeration", parent=jm.parent)
 
 
-def _coexist_candidate(a1: Povm, a2: Povm, candidate: Povm, options) -> CoexistenceResult:
+def _coexist_candidate(a1: Povm, a2: Povm, candidate: Povm) -> CoexistenceResult:
     """Sufficient certificate: every binarisation effect of both POVMs is a
     [0,1]-combination sum_lam p_lam G_lam of the candidate parent's elements.
 
@@ -92,7 +92,7 @@ def _coexist_candidate(a1: Povm, a2: Povm, candidate: Povm, options) -> Coexiste
     for side, m in (("a", a1), ("b", a2)):
         for orig, eff in _binarisation_effects(m):
             rhs = ones + [np.array([[v]]) for v in sdp.hvec(eff)]
-            feasible, slack, cert = sdp.feasibility(incompat.parent_program(1, kernel, rhs), options)
+            feasible, slack, cert = sdp.feasibility(incompat.parent_program(1, kernel, rhs))
             min_slack = min(min_slack, slack)
             if not feasible:
                 return CoexistenceResult(None, float(slack), "candidate")
@@ -104,7 +104,6 @@ def coexistent_parent(
     a1: Povm,
     a2: Povm,
     candidate: Povm | None = None,
-    options: sdp.SolveOptions | None = None,
 ) -> CoexistenceResult:
     """Decide coexistence of a pair of POVMs.
 
@@ -119,13 +118,13 @@ def coexistent_parent(
     if a1.dim != a2.dim:
         raise ValueError("POVMs must share dimension")
     if candidate is not None:
-        return _coexist_candidate(a1, a2, candidate, options)
+        return _coexist_candidate(a1, a2, candidate)
     ka = 2 ** (len(a1.nonzero_outcomes()) - 1) - 1
     kb = 2 ** (len(a2.nonzero_outcomes()) - 1) - 1
     if 2**ka * 2**kb <= incompat.JOINT_OUTCOME_GUARD:
-        return _coexist_enumeration(a1, a2, options)
+        return _coexist_enumeration(a1, a2)
     for cand in (a2, a1):
-        res = _coexist_candidate(a1, a2, cand, options)
+        res = _coexist_candidate(a1, a2, cand)
         if res.coexistent:
             return res
     raise ValueError(
@@ -166,7 +165,7 @@ def _seesaw_kernels(m_a: int, m_b: int):
     return np.array(kernel), singles
 
 
-def _seesaw_sdp2(dim, kernel, singles, xs, ys, options):
+def _seesaw_sdp2(dim, kernel, singles, xs, ys):
     """Maximise the witness functional over parents G_lam subject to the
     coexistence structure (the kernel of ``_seesaw_kernels``); the POVM
     pair is read off the singleton rows."""
@@ -177,7 +176,7 @@ def _seesaw_sdp2(dim, kernel, singles, xs, ys, options):
         obj[k] = c + sum(single_b[j, k] * ys[j] for j in range(len(single_b)))
     rhs = [np.eye(dim)] + [np.zeros((dim, dim))] * (len(kernel) - 1)
     prog = incompat.parent_program(dim, kernel, rhs, objective=obj)
-    sol = sdp.solve(prog, options)
+    sol = sdp.solve(prog)
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"seesaw parent SDP: {sol.status} ({sol.message})")
     blocks = linalg.hermitianize(sol.primal_blocks[:kernel.shape[1]])
@@ -192,7 +191,6 @@ def seesaw(
     m_b: int,
     seeds: int,
     max_iters: int = 200,
-    options: sdp.SolveOptions | None = None,
 ) -> list[SeesawHit]:
     """Alternating search for coexistent-but-incompatible pairs.
 
@@ -212,10 +210,10 @@ def seesaw(
         prev = None
         try:
             for it in range(max_iters):
-                w = incompat.witness(a, b, options)
+                w = incompat.witness(a, b)
                 if it >= 1 and w.value > 1.0 + WITNESS_HIT_MARGIN:
-                    coex = coexistent_parent(a, b, options=options)
-                    jm = incompat.jm_parent(Assemblage(dim, [a, b]), options)
+                    coex = coexistent_parent(a, b)
+                    jm = incompat.jm_parent(Assemblage(dim, [a, b]))
                     if coex.coexistent and not jm.feasible:
                         hits.append(
                             SeesawHit(seed, a, b, w, it, coex.slack, jm.slack)
@@ -229,7 +227,7 @@ def seesaw(
                 if prev is not None and abs(w.value - prev) < SEESAW_OBJ_TOL:
                     break
                 prev = w.value
-                a, b, _ = _seesaw_sdp2(dim, kernel, singles, w.X, w.Y, options)
+                a, b, _ = _seesaw_sdp2(dim, kernel, singles, w.X, w.Y)
         except (sdp.SolverError, np.linalg.LinAlgError) as exc:
             log.warning("seesaw seed %d skipped: %s", seed, exc)
     return hits
@@ -248,7 +246,7 @@ def _qutrit_pair() -> tuple[Assemblage, np.ndarray, np.ndarray]:
     return asm, psis[0], psis[1]
 
 
-def qubit_counterexample(options: sdp.SolveOptions | None = None) -> tuple[Povm, Povm, Povm, dict]:
+def qubit_counterexample() -> tuple[Povm, Povm, Povm, dict]:
     """Coexistent-but-incompatible qubit pair from truncating the qutrit
     complement/Fourier pair to the span of the first two Fourier vectors.
 
@@ -276,14 +274,14 @@ def qubit_counterexample(options: sdp.SolveOptions | None = None) -> tuple[Povm,
     )
     report["gram_rank"] = int((np.linalg.eigvalsh(gram) > 1e-10).sum())
 
-    coex = coexistent_parent(at, bt, candidate=bt, options=options)
+    coex = coexistent_parent(at, bt, candidate=bt)
     report["coexistent"] = {"coexistent": coex.coexistent, "slack": coex.slack,
                             "method": coex.method}
 
-    jm = incompat.jm_parent(Assemblage(2, [at, bt]), options)
+    jm = incompat.jm_parent(Assemblage(2, [at, bt]))
     report["jm"] = {"feasible": jm.feasible, "slack": jm.slack}
 
-    rob = incompat.depolarising_robustness(Assemblage(2, [at, bt]), options)
+    rob = incompat.depolarising_robustness(Assemblage(2, [at, bt]))
     report["robustness"] = {"eta": rob.eta, "verdict": rob.verdict}
 
     pairings = {}
@@ -291,7 +289,7 @@ def qubit_counterexample(options: sdp.SolveOptions | None = None) -> tuple[Povm,
     for j, k in itertools.combinations(range(bt.n_outcomes), 2):
         cells = [(j, k)] + [(i,) for i in range(bt.n_outcomes) if i not in (j, k)]
         merged = povm.coarse_grain(bt, cells)
-        r = incompat.depolarising_robustness(Assemblage(2, [at, merged]), options)
+        r = incompat.depolarising_robustness(Assemblage(2, [at, merged]))
         pairings[f"{j},{k}"] = {"eta": r.eta, "verdict": r.verdict}
         if (j, k) == (0, 1):
             coarse = merged

@@ -157,21 +157,19 @@ def marginal_kernel(labels, rows) -> np.ndarray:
     return np.array(k).reshape(len(rows), len(labels))
 
 
-def jm_parent(a: Assemblage, options: sdp.SolveOptions | None = None) -> JmResult:
+def jm_parent(a: Assemblage) -> JmResult:
     """Decide joint measurability by parent-POVM feasibility."""
     labels, rows = _joint_labels(a)
     rhs = [a.measurements[x].elements[out] for x, out in rows]
     prog = parent_program(a.dim, marginal_kernel(labels, rows), rhs)
-    feasible, slack, cert = sdp.feasibility(prog, options)
+    feasible, slack, cert = sdp.feasibility(prog)
     parent = None
     if feasible and cert is not None:
         parent = _parent_from_blocks(a, labels, linalg.hermitianize(cert[:len(labels)]))
     return JmResult(feasible, slack, parent)
 
 
-def depolarising_robustness(
-    a: Assemblage, options: sdp.SolveOptions | None = None
-) -> RobustnessResult:
+def depolarising_robustness(a: Assemblage) -> RobustnessResult:
     """Largest eta <= 1 such that the depolarised assemblage
     eta*M + (1-eta)*tr(M)*1/d is jointly measurable.
 
@@ -183,7 +181,7 @@ def depolarising_robustness(
     # sum G = t*1 + eta*(E - t*1) with t = tr(E)/d, per row
     els = np.array([a.measurements[x].elements[out] for x, out in rows])
     rhs = (np.trace(els, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
-    sol = sdp.solve(parent_program(d, marginal_kernel(labels, rows), rhs, els - rhs), options)
+    sol = sdp.solve(parent_program(d, marginal_kernel(labels, rows), rhs, els - rhs))
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"robustness SDP did not solve: {sol.status} ({sol.message})")
     eta_val = float(sol.scalar_vars[0])
@@ -191,9 +189,7 @@ def depolarising_robustness(
     return RobustnessResult(eta_val, parent, verdict_from_eta(eta_val), sol)
 
 
-def witness(
-    a1: Povm, a2: Povm, options: sdp.SolveOptions | None = None
-) -> Witness:
+def witness(a1: Povm, a2: Povm) -> Witness:
     """Incompatibility witness for a pair of POVMs.
 
     max sum_i tr(X_i A_i) + sum_j tr(Y_j B_j)  over  X_i >= 0, Y_j >= 0,
@@ -204,7 +200,7 @@ def witness(
         raise ValueError("witness requires POVMs on the same space")
     na, nb = len(a1.elements), len(a2.elements)
     obj = dict(enumerate(a1.elements + a2.elements))
-    sol = sdp.solve(_witness_structure(a1.dim, na, nb).bind(C=obj), options)
+    sol = sdp.solve(_witness_structure(a1.dim, na, nb).bind(C=obj))
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"witness SDP did not solve: {sol.status} ({sol.message})")
     blocks = list(linalg.hermitianize(sol.primal_blocks[:na + nb + 1]))

@@ -1,5 +1,6 @@
 """POVMs, assemblages and the operations performed on them: truncation to
-subspaces, binarisation, coarse-graining and depolarising noise."""
+subspaces, coarse-graining and depolarising noise, and the canonical
+subsets that index binarisations."""
 
 from __future__ import annotations
 
@@ -124,20 +125,6 @@ def canonical_subsets(m: int) -> list[tuple[int, ...]]:
     for r in range(0, m - 1):
         for rest in itertools.combinations(range(1, m), r):
             out.append((0,) + rest)
-    return out
-
-
-def binarisations(m: Povm) -> list[tuple[tuple[int, ...], Povm]]:
-    """All two-outcome coarse-grainings (S, complement), S ∋ outcome 0.
-
-    One entry per complementary pair of nonempty proper subsets; the stored
-    subset is the one containing the smallest outcome index.  A k-outcome
-    POVM has 2^(k-1) - 1 binarisations.
-    """
-    out = []
-    for subset in canonical_subsets(m.n_outcomes):
-        e = sum(m.elements[i] for i in subset)
-        out.append((subset, Povm(m.dim, [e, np.eye(m.dim) - e])))
     return out
 
 

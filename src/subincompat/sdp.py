@@ -23,10 +23,12 @@ The solver uses the HKM search direction with a Mehrotra predictor-corrector
 and an augmented system for the free scalar variables.  A solve allocates
 its workspace once: the iterates as one (2nb, d, d) stack S = [X; Z], the
 search direction as one stack D = [dX; dZ] and one Newton right-hand side,
-all updated in place (the best iterate, which a capped solve returns, is
-a copy).  Per iteration one factor F = inv(cholesky(S)) and its conjugate
-transpose give Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of
-F D F^H each).  The corrector takes the share 1 - mu_aff/mu of the largest
+all updated in place; a solve returns the iterate it measured last.  It
+measures at most MAX_ITERS iterates; callers treat any exit other than
+Optimal or a certified divergence as a ``SolverError``.  Per iteration
+one factor F = inv(cholesky(S)) and its conjugate transpose give
+Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of F D F^H
+each).  The corrector takes the share 1 - mu_aff/mu of the largest
 feasible step, at least STEP_FRAC and at most 1 - GAP_TOL, mu_aff being the
 predictor's complementarity: the steps near the optimum approach the
 boundary and the gap falls superlinearly.  The start point is at the
@@ -38,8 +40,7 @@ looks at the rows only, never at their data; a kernel program's basis is
 that of its small kernel, lifted to the d^2 rows of each equality.
 Everything is plain numpy and fully deterministic: identical inputs
 produce identical iterate sequences.
-The tolerances are the module constants below; ``SolveOptions`` holds only
-the iteration cap.
+The tolerances and the iteration cap are the module constants below.
 
 Compile and solve are separate steps.  ``compile_kernel`` compiles a
 program from its kernel, border and free columns; ``compile_program``
@@ -80,6 +81,7 @@ FEAS_TOL = 1e-8  # residual bound of an optimal iterate; tolerance of the data c
 GAP_TOL = 1e-8  # relative duality gap of an optimal iterate
 STEP_FRAC = 0.98  # least share of the largest feasible step taken (see _step_fraction)
 UNBOUNDED_CUTOFF = 1e10  # |objective| beyond which a side is taken to diverge
+MAX_ITERS = 200  # iterates a solve measures at most
 
 # the data check's reports of a zero row with nonzero rhs, and of a row
 # whose rhs contradicts the kept rows
@@ -87,11 +89,6 @@ ZERO_ROW = "row {} is 0 = {:g}"
 INCONSISTENT = "inconsistent affine constraints (row {}, residual {:g})"
 
 _log = logging.getLogger(__name__)
-
-
-@dataclass
-class SolveOptions:
-    max_iters: int = 200
 
 
 @dataclass
@@ -488,10 +485,9 @@ def _lin_solve(a: np.ndarray, rhs: np.ndarray):
     return x, True
 
 
-def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolution:
+def solve(p: SdpProblem | Program) -> SdpSolution:
     """Solve an SdpProblem (compiled here, presolve included) or a Program
     with the interior-point method described above."""
-    opts = opts or SolveOptions()
     if isinstance(p, SdpProblem):
         p = compile_program(p)
     c = p.structure
@@ -548,12 +544,9 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
         linalg.hermitianize((R - X @ dZ) @ Zi, out=dX)
         return ds, dy
 
-    best = None
-    best_err = np.inf
     status = STATUS_NUMERICAL_FAILURE
     message = "iteration cap exceeded"
-    it = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         r_p = bk - (c.apply(X) + Ek @ s)
         r_d = C + Z - c.adjoint(y)
         r_f = p.c - Ek.T @ y
@@ -564,10 +557,6 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
         rp_inf = np.abs(r_p).max(initial=0.0)
         rd_inf = np.abs(r_d).max(initial=0.0)
         rf_inf = np.abs(r_f).max(initial=0.0)
-        err = max(rp_inf, rd_inf, rf_inf, gap / (1.0 + abs(pv)))
-        if err < best_err:  # X is updated in place: keep a copy
-            best_err = err
-            best = (X.copy(), s, pv, dv, gap, rp_inf, rd_inf)
         if (
             rp_inf <= FEAS_TOL
             and rd_inf <= FEAS_TOL
@@ -584,6 +573,8 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
         if dv < -UNBOUNDED_CUTOFF and rd_inf <= 1e-6:
             status = STATUS_PRIMAL_INFEASIBLE
             message = "dual objective diverging: primal infeasible"
+            break
+        if it == MAX_ITERS:
             break
 
         try:
@@ -621,15 +612,10 @@ def solve(p: SdpProblem | Program, opts: SolveOptions | None = None) -> SdpSolut
         y = y + ad * dy
         Z += ad * dZ
 
-    if status == STATUS_OPTIMAL:  # the exit test just measured this iterate
-        best = (X, s, pv, dv, gap, rp_inf, rd_inf)
-    elif best is None:  # no iterate measured: max_iters < 1 or non-finite data
-        best = (X, s, np.nan, np.nan, np.nan, np.inf, np.inf)
-    xs, sv, pv, dv, gap, rp_inf, rd_inf = best
     return SdpSolution(
         status=status,
-        primal_blocks=list(xs),
-        scalar_vars=sv,
+        primal_blocks=list(X),
+        scalar_vars=s,
         primal_value=pv,
         dual_value=dv,
         gap=gap,
@@ -660,37 +646,29 @@ def with_slack(p: SdpProblem) -> SdpProblem:
     return q
 
 
-def feasibility(p: SdpProblem | Program, opts: SolveOptions | None = None):
+def feasibility(p: SdpProblem | Program):
     """Maximise a uniform slack t with every block shifted: X - t*I >= 0.
 
     p is an SdpProblem (its objective is ignored), or a Program whose last
     free variable is such a slack t (compiled from ``with_slack`` of a
     problem, or with the slack column of ``incompat.parent_program``).
-    Returns (feasible, slack, certificate_blocks).  feasible <=> optimal
-    slack >= -1e-7; the certificate blocks, an (nb, d, d) stack, are the
-    unshifted variables X = X~ + t*I, which satisfy the affine rows exactly
-    and are PSD up to the reported slack.
+    Returns (feasible, slack, certificate_blocks).  A PrimalInfeasible
+    exit returns (False, -inf, None).  An Optimal or DualInfeasible exit
+    returns feasible <=> slack t >= -1e-7, t read from the last iterate,
+    and the certificate blocks, an (nb, d, d) stack: the unshifted
+    variables X = X~ + t*I, which satisfy the affine rows exactly and are
+    PSD up to the reported slack.  Any other exit raises ``SolverError``.
     """
     if isinstance(p, SdpProblem):
         p = with_slack(p)
-    sol = solve(p, opts)
+    sol = solve(p)
     if sol.status == STATUS_PRIMAL_INFEASIBLE:
         return False, -np.inf, None
+    if sol.status not in (STATUS_OPTIMAL, STATUS_DUAL_INFEASIBLE):
+        raise SolverError(f"feasibility solve failed: {sol.status} {sol.message}")
     t = float(sol.scalar_vars[-1])
     x = np.asarray(sol.primal_blocks)
-    cert = x + t * np.eye(x.shape[-1])
-    if sol.status not in (STATUS_OPTIMAL, STATUS_DUAL_INFEASIBLE):
-        # Degenerate optima can stall the iteration; the best iterate may
-        # still decide the question.  A near-feasible primal point with
-        # t clear of the threshold certifies feasibility; a near-feasible
-        # dual point bounds t* from above (weak duality) and certifies
-        # infeasibility.  Anything murkier is an error.
-        if sol.residual_primal <= 1e-7 and t >= -FEAS_SLACK_TOL / 2:
-            return True, t, cert
-        if sol.residual_dual <= 1e-7 and sol.dual_value <= -10 * FEAS_SLACK_TOL:
-            return False, float(sol.dual_value), None
-        raise SolverError(f"feasibility solve failed: {sol.status} {sol.message}")
-    return t >= -FEAS_SLACK_TOL, t, cert
+    return t >= -FEAS_SLACK_TOL, t, x + t * np.eye(x.shape[-1])
 
 
 class SolverError(RuntimeError):

@@ -103,7 +103,7 @@ def assemblage_from_state(rho: BipartiteState, alice: Assemblage) -> StateAssemb
     return StateAssemblage(rho.dB, sigmas, rho.reduced_b())
 
 
-def _lhs_solve(sa: StateAssemblage, options):
+def _lhs_solve(sa: StateAssemblage):
     """The local-hidden-state parent program: one block per deterministic
     strategy.  Returns (feasible, slack, model), the model as
     [(strategy, local hidden state)] when feasible with a certificate."""
@@ -116,14 +116,14 @@ def _lhs_solve(sa: StateAssemblage, options):
     kernel = np.vstack([incompat.marginal_kernel(strategies, rows), np.ones(len(strategies))])
     rhs = [sa.sigmas[x][a] for x, a in rows] + [sa.reduced]
     prog = incompat.parent_program(sa.dB, kernel, rhs)
-    feasible, slack, cert = sdp.feasibility(prog, options)
+    feasible, slack, cert = sdp.feasibility(prog)
     model = None
     if feasible and cert is not None:
         model = list(zip(strategies, linalg.hermitianize(cert)))
     return bool(feasible), float(slack), model
 
 
-def lhs_feasible(sa: StateAssemblage, options: sdp.SolveOptions | None = None):
+def lhs_feasible(sa: StateAssemblage):
     """Local-hidden-state feasibility: unsteerable iff there exist
     sigma_vec >= 0, one per deterministic strategy (an outcome per setting),
     with sum_{vec: vec_x = a} sigma_vec = sigma_{a|x} and
@@ -132,14 +132,14 @@ def lhs_feasible(sa: StateAssemblage, options: sdp.SolveOptions | None = None):
     Returns (unsteerable, model): the model lists (strategy, local hidden
     state) pairs when one exists.
     """
-    feasible, _, model = _lhs_solve(sa, options)
+    feasible, _, model = _lhs_solve(sa)
     return feasible, model
 
 
-def lhs_slack(sa: StateAssemblage, options: sdp.SolveOptions | None = None) -> float:
+def lhs_slack(sa: StateAssemblage) -> float:
     """Optimal uniform slack of the local-hidden-state SDP; negative beyond
     tolerance certifies steerability (used for scan certificates)."""
-    return _lhs_solve(sa, options)[1]
+    return _lhs_solve(sa)[1]
 
 
 def _support_isqrt(reduced: np.ndarray):
@@ -225,9 +225,11 @@ def peres_state(m1: float, m2: float) -> tuple[BipartiteState, PeresParameters]:
     |psi3> = m1|01>+m2|10>+m3(|11>+|22>), |psi3~> = m1|02>-m2|20>+m3(|21>-|12>)
     with m3 = sqrt((1-m1^2-m2^2)/2), mixed with weights
     l3 = 1/den, l1 = 1-(2+3 m1 m2)/den, l2 = 1-l1-2 l3,
-    den = 4-2 m1^2+m1 m2-2 m2^2.  Raises on parameters outside the
-    admissible region, naming the violated quantity.
+    den = 4-2 m1^2+m1 m2-2 m2^2.  Raises on non-finite parameters and on
+    parameters outside the admissible region, naming the violated quantity.
     """
+    if not (math.isfinite(m1) and math.isfinite(m2)):
+        raise ValueError(f"m1 and m2 must be finite, got ({m1}, {m2})")
     m3sq = (1.0 - m1 * m1 - m2 * m2) / 2.0
     if m3sq < -1e-12:
         raise ValueError(f"normalisation violated: m3^2 = {m3sq:.6f} < 0")
@@ -291,8 +293,7 @@ class ScanPoint:
     reason: str = ""
 
 
-def peres_scan(grid, mubs: Assemblage | None = None,
-               options: sdp.SolveOptions | None = None) -> list[ScanPoint]:
+def peres_scan(grid, mubs: Assemblage | None = None) -> list[ScanPoint]:
     """Scan (m1, m2) over a grid, testing each admissible point's assemblage
     for steerability under the fixed MUB measurements.
 
@@ -318,7 +319,7 @@ def peres_scan(grid, mubs: Assemblage | None = None,
             continue
         n_adm += 1
         sa = assemblage_from_state(rho, mubs)
-        unsteerable, _ = lhs_feasible(sa, options)
+        unsteerable, _ = lhs_feasible(sa)
         out.append(ScanPoint(u, v, True, steerable=not unsteerable, params=params))
     if n_adm == 0:
         raise ValueError("no admissible grid point")

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from subincompat import cli, coexist, corpus, incompat, jsonio
+from subincompat import cli, coexist, corpus, incompat, jsonio, sdp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS_DIR = os.path.join(ROOT, "corpus")
@@ -144,6 +144,10 @@ def test_peres_construct_and_errors(capsys):
     assert abs(rep["results"]["params"]["l1"] - 0.374541) < 1e-6
     code, _, err = run(capsys, "peres", "construct", "--m1", "0.9", "--m2", "0.9")
     assert code == 2 and "m3" in err
+    for m1, m2 in (("nan", "0.1"), ("0.1", "inf")):  # one line naming both, no warning
+        code, rep, err = run(capsys, "peres", "construct", "--m1", m1, "--m2", m2)
+        assert code == 2 and rep is None
+        assert err == f"error: m1 and m2 must be finite, got ({float(m1)}, {float(m2)})\n"
 
 
 def test_peres_scan_explicit_small(capsys):
@@ -212,7 +216,7 @@ def test_corpus_list_and_write(tmp_path, capsys):
     assert len(list(out.glob("*.json"))) == len(corpus.builtin_keys())
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run(capsys, "robustness", "--builtin", "nope")[0] == 2
     bad = tmp_path / "bad.json"
     bad.write_text('{"broken')
@@ -224,9 +228,9 @@ def test_exit_codes(tmp_path, capsys):
     path = os.path.join(CORPUS_DIR, "sigma-xz-sharp.json")
     assert run(capsys, "robustness", "--builtin", "sigma-xz-sharp",
                "--input", path)[0] == 2  # both
-    # a solver pushed into failure exits 3
-    assert run(capsys, "robustness", "--builtin", "sigma-xz-sharp",
-               "--sdp-iters", "1")[0] == 3
+    with monkeypatch.context() as m:  # a solver pushed into failure exits 3
+        m.setattr(sdp, "MAX_ITERS", 1)
+        assert run(capsys, "robustness", "--builtin", "sigma-xz-sharp")[0] == 3
     empty = tmp_path / "empty.json"
     empty.write_text('{"dim": 2, "measurements": []}')
     code, _, err = run(capsys, "robustness", "--input", str(empty))
@@ -241,8 +245,8 @@ def test_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("robustness", "--sdp-iters", "0"), "--sdp-iters must be at least 1, got 0"),
-    (("robustness", "--sdp-iters", "-1"), "--sdp-iters must be at least 1, got -1"),
+    (("classify", "--n", "2", "--jobs", "0"), "--jobs must be at least 1, got 0"),
+    (("classify", "--n", "2", "--samples", "-1"), "--samples must be at least 0, got -1"),
     (("classify", "--n", "2", "--samples", "-3"), "--samples must be at least 0, got -3"),
     (("classify", "--n", "2", "--jobs", "-2"), "--jobs must be at least 1, got -2"),
     (("seesaw", "--dim", "3", "--outcomes", "2", "3", "--seeds", "-1"),
@@ -265,21 +269,44 @@ def test_count_flags_out_of_range_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"  # one line naming the flag, no traceback
 
 
-def test_sdp_iters_reaches_every_command_that_solves_sdps(capsys):
-    # classify, mub-check and the counterexample report validate the flag and
-    # pass it to their solves, as robustness does
-    for argv in (("classify", "--builtin", "qutrit-pair", "--n", "2"), ("mub-check",),
-                 ("coexistence", "--builtin", "qubit-counterexample"),
-                 ("robustness", "--builtin", "qutrit-pair")):
-        code, rep, err = run(capsys, *argv, "--sdp-iters", "0")
-        assert code == 2 and rep is None
-        assert err == "error: --sdp-iters must be at least 1, got 0\n"
-        assert run(capsys, *argv, "--sdp-iters", "3")[0] == 3
-    # commands that solve no SDP do not offer it
-    for argv in (("integrals",), ("corpus", "--list"), ("peres", "construct", "--m1", "0.2", "--m2", "0.4")):
+SOLVING_COMMANDS = (
+    ("robustness", "--builtin", "qutrit-pair"),
+    ("jm", "--builtin", "sigma-xz-sharp"),
+    ("witness", "--builtin", "sigma-xz-sharp"),
+    ("truncate", "--builtin", "qutrit-pair", "--coords", "0,1"),
+    ("coexistence", "--builtin", "sigma-xz-sharp"),
+    ("coexistence", "--builtin", "qubit-counterexample"),
+    ("classify", "--builtin", "qutrit-pair", "--n", "2", "--jobs", "1"),
+    ("steering", "lhs", "--builtin", "peres-steerable"),
+    ("steering", "pretty-good", "--builtin", "peres-steerable"),
+    ("peres", "scan", "--step", "0.3"),
+    ("mub-check",),
+)
+
+
+def test_a_capped_solve_exits_3_in_every_command_that_solves_sdps(capsys, monkeypatch, caplog):
+    # a solve that stops at the iteration cap decides nothing: every command
+    # reports one solver-failure line; seesaw skips the seed and says so
+    monkeypatch.setattr(sdp, "MAX_ITERS", 3)
+    for argv in SOLVING_COMMANDS:
+        code, rep, err = run(capsys, *argv)
+        assert code == 3 and rep is None, argv
+        assert err.startswith("solver failure: ") and err.count("\n") == 1, argv
+    with caplog.at_level("WARNING", logger="subincompat.coexist"):
+        code, rep, _ = run(capsys, "seesaw", "--dim", "2", "--outcomes", "2", "2", "--seeds", "2")
+    assert code == 0 and rep["results"]["hits"] == []
+    skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    assert [m.split(":")[0] for m in skipped] == ["seesaw seed 0 skipped", "seesaw seed 1 skipped"]
+
+
+def test_no_command_takes_an_iteration_cap_flag(capsys):
+    for argv in (*SOLVING_COMMANDS, ("seesaw", "--dim", "2", "--outcomes", "2", "2"),
+                 ("integrals",), ("corpus", "--list"),
+                 ("peres", "construct", "--m1", "0.2", "--m2", "0.4"),
+                 ("steering", "choi", "--builtin", "peres-steerable-state")):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--sdp-iters", "3"])
-        assert exc.value.code == 2
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 

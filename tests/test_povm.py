@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from subincompat import corpus, linalg
+from subincompat import coexist, corpus, linalg
 from subincompat.povm import (
     Assemblage,
     Povm,
-    binarisations,
     coarse_grain,
     depolarise,
     from_basis,
@@ -45,15 +44,17 @@ def test_parent_povm_marginals():
 
 
 def test_binarisations_count_and_effects():
+    # one effect E_S per complementary pair of subsets of the nonzero
+    # outcomes, S holding the first of them
     rng = np.random.default_rng(10)
-    m = random_povm(3, 4, rng)
-    bins = binarisations(m)
-    assert len(bins) == 2 ** (m.n_outcomes - 1) - 1
-    for subset, b in bins:
-        assert 0 in subset
-        expected = sum(m.elements[i] for i in subset)
-        assert np.abs(b.elements[0] - expected).max() < 1e-12
-        assert np.abs(b.elements[0] + b.elements[1] - np.eye(3)).max() < 1e-12
+    els = random_povm(3, 4, rng).elements
+    m = Povm(3, els[:2] + [np.zeros((3, 3))] + els[2:])
+    keep = m.nonzero_outcomes()
+    bins = coexist._binarisation_effects(m)
+    assert len(keep) == 4 and len(bins) == 2 ** (len(keep) - 1) - 1
+    for subset, eff in bins:
+        assert 0 in subset and set(subset) <= set(keep)
+        assert np.abs(eff - sum(m.elements[i] for i in subset)).max() < 1e-12
 
 
 def test_coarse_grain_validates_partition():

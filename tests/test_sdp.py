@@ -115,9 +115,18 @@ def test_deterministic_reruns_bitwise():
     assert r1.solution.iterations == r2.solution.iterations
 
 
-def test_solver_error_on_iteration_cap():
+def test_solver_error_on_iteration_cap(monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITERS", 1)
     with pytest.raises(sdp.SolverError):
-        incompat.depolarising_robustness(sigma_xz_pair(), sdp.SolveOptions(max_iters=1))
+        incompat.depolarising_robustness(sigma_xz_pair())
+
+
+def test_a_capped_feasibility_solve_decides_nothing(monkeypatch):
+    # four iterates are not the optimum: the slack of the last one is no
+    # verdict, so jm_parent raises instead of reporting it
+    monkeypatch.setattr(sdp, "MAX_ITERS", 4)
+    with pytest.raises(sdp.SolverError, match="feasibility solve failed: NumericalFailure"):
+        incompat.jm_parent(corpus.build("sigma-xz-sharp"))
 
 
 def test_complex_hermitian_block_round_trip():
@@ -856,9 +865,9 @@ def test_parent_programs_keep_one_iterate_stack(monkeypatch):
     seen = []
     real = sdp.solve
 
-    def recording(p, opts=None):
+    def recording(p):
         seen.append(p)
-        return real(p, opts)
+        return real(p)
 
     monkeypatch.setattr(sdp, "solve", recording)
     a = corpus.build("qutrit-pair")
@@ -920,12 +929,13 @@ def test_kernels_match_the_program_written_out_in_full(kind):
         _assert_close(got, ref, floor)
 
 
-def test_a_capped_solve_reports_the_residual_of_the_iterate_it_returns():
-    # the iteration goes on updating its iterates after measuring the best
-    # one, so the best one it returns must be a copy
+def test_a_capped_solve_reports_the_residual_of_the_iterate_it_returns(monkeypatch):
+    # the last pass measures its iterate and stops without stepping, so the
+    # blocks a capped solve returns are the ones its residuals describe
+    monkeypatch.setattr(sdp, "MAX_ITERS", 3)
     a = corpus.build("qutrit-pair")
     prog = incompat.parent_program(*_parent_args([m.elements for m in a.measurements], True))
-    sol = sdp.solve(prog, sdp.SolveOptions(max_iters=3))
+    sol = sdp.solve(prog)
     assert sol.status == sdp.STATUS_NUMERICAL_FAILURE and sol.iterations == 3
     st = prog.structure
     r_p = prog.b - (st.apply(np.array(sol.primal_blocks)) + prog.E @ sol.scalar_vars)
@@ -933,23 +943,25 @@ def test_a_capped_solve_reports_the_residual_of_the_iterate_it_returns():
 
 
 @pytest.mark.parametrize("bmax", [0.25, 20.0])
-def test_the_start_point_is_at_the_scale_of_the_data(bmax):
+def test_the_start_point_is_at_the_scale_of_the_data(monkeypatch, bmax):
     # a capped solve returns the only iterate it measured: X0 = (1 + max|b|) I
+    monkeypatch.setattr(sdp, "MAX_ITERS", 1)
     bld = sdp.Builder()
     x, w = bld.cblock(2), bld.cblock(2)
     bld.eq_scalar([(x, np.eye(2))], [], bmax)
     bld.eq_scalar([(w, np.diag([1.0, -1.0]))], [], -0.1)
     bld.objective([(x, np.diag([1.0, 0.0])), (w, np.eye(2))], [])
-    sol = sdp.solve(bld.prob, sdp.SolveOptions(max_iters=1))
+    sol = sdp.solve(bld.prob)
     assert sol.status == sdp.STATUS_NUMERICAL_FAILURE and sol.iterations == 1
     assert (np.array(sol.primal_blocks) == (1.0 + bmax) * np.eye(2)).all()
 
 
-def test_two_solves_of_one_program_share_no_memory():
+def test_two_solves_of_one_program_share_no_memory(monkeypatch):
     a = corpus.build("qutrit-pair")
     prog = incompat.parent_program(*_parent_args([m.elements for m in a.measurements], True))
-    for opts in (None, sdp.SolveOptions(max_iters=3)):
-        one, two = sdp.solve(prog, opts), sdp.solve(prog, opts)
+    for cap in (sdp.MAX_ITERS, 3):
+        monkeypatch.setattr(sdp, "MAX_ITERS", cap)
+        one, two = sdp.solve(prog), sdp.solve(prog)
         for x in (one.scalar_vars, *one.primal_blocks):
             for y in (two.scalar_vars, *two.primal_blocks):
                 assert not np.shares_memory(x, y)

@@ -223,6 +223,10 @@ def test_peres_state_domain_errors_name_the_quantity():
         peres_state(0.9, 0.9)
     with pytest.raises(ValueError, match="lambda1"):
         peres_state(0.7, 0.7)
+    # NaN passes every comparison of the domain checks: it is refused first
+    for m1, m2 in ((np.nan, 0.1), (0.1, np.inf), (-np.inf, 0.2)):
+        with pytest.raises(ValueError, match=r"^m1 and m2 must be finite, got \("):
+            peres_state(m1, m2)
 
 
 def test_peres_mubs_are_mubs():
@@ -239,9 +243,10 @@ def test_peres_mubs_are_mubs():
 
 
 def test_peres_scan_explicit_points():
-    pts = peres_scan([(0.18, 0.46), (0.9, 0.9)])
+    pts = peres_scan([(0.18, 0.46), (0.9, 0.9), (np.nan, 0.1)])
     assert pts[0].admissible and pts[0].steerable
     assert not pts[1].admissible and "m3" in pts[1].reason
+    assert not pts[2].admissible and pts[2].reason == "m1 and m2 must be finite, got (nan, 0.1)"
     with pytest.raises(ValueError):
         peres_scan([(0.9, 0.9)])  # no admissible point
 

@@ -12,7 +12,7 @@ sys.path[:0] = [tree + "/src", tree]
 import numpy as np  # noqa: E402
 
 from perfbench import workloads as w  # noqa: E402
-from subincompat import coexist, corpus, incompat, steering  # noqa: E402
+from subincompat import coexist, corpus, incompat, steering, subspace  # noqa: E402
 
 
 def h(x):
@@ -53,6 +53,7 @@ for k in corpus.builtin_keys():
     a = corpus.build(k)
     if a.n_settings != 2:
         continue
+    print("witness", k, h(incompat.witness(*a.measurements).value))
     c = coexist.coexistent_parent(*a.measurements)
     print("coex", k, c.method, c.coexistent, h(c.slack))
     if c.parent is not None:
@@ -72,3 +73,9 @@ for hit in coexist.seesaw(3, 2, 3, 24):
     print("seesaw", hit.seed, hit.iterations, h(hit.witness_value),
           h(hit.coexistence_slack), h(hit.jm_slack),
           arr(np.array(hit.a1.elements + hit.a2.elements)))
+
+for k in ("fully-compressible", "qutrit-pair"):
+    rep = subspace.classify(corpus.build(k), 2, 20, seed=5, jobs=1)
+    print("classify", k, rep.verdict, h(rep.full_eta))
+    for i, rec in enumerate(rep.records):
+        print("classify-eta", k, i, h(rec["eta"]))
