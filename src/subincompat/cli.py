@@ -370,9 +370,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_steering_lhs(args) -> int:
     sa, _, inputs = _load(args, ("state_assemblage",))
-    feasible, slack, model = steering._lhs_solve(sa)
-    if model is not None:
-        model = [{"strategy": list(vec), "state": jsonio.matrix_to_json(s)} for vec, s in model]
+    feasible, slack, strategies, states = incompat.labelled_parent(sa.dB, sa.sigmas)
+    model = None if states is None else [
+        {"strategy": list(vec), "state": jsonio.matrix_to_json(s)} for vec, s in zip(strategies, states)
+    ]
     rep = jsonio.report_skeleton("steering-lhs", None, inputs)
     rep["results"] = {"unsteerable": feasible, "slack": slack, "model": model}
     verdict = "unsteerable" if feasible else "steerable"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import incompat, linalg, povm, sdp
+from . import corpus, incompat, linalg, povm, sdp
 from .povm import Assemblage, ParentPovm, Povm, canonical_subsets, random_povm
 
 log = logging.getLogger(__name__)
@@ -50,7 +50,7 @@ class SeesawHit:
 
 def _binarisation_effects(m: Povm) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Deduplicated binarisation effects E_S over nonzero outcomes."""
-    keep = m.nonzero_outcomes()
+    keep = povm.nonzero_outcomes(m.elements)
     out = []
     for s in canonical_subsets(len(keep)):
         orig = tuple(keep[i] for i in s)
@@ -119,8 +119,8 @@ def coexistent_parent(
         raise ValueError("POVMs must share dimension")
     if candidate is not None:
         return _coexist_candidate(a1, a2, candidate)
-    ka = 2 ** (len(a1.nonzero_outcomes()) - 1) - 1
-    kb = 2 ** (len(a2.nonzero_outcomes()) - 1) - 1
+    ka = 2 ** (len(povm.nonzero_outcomes(a1.elements)) - 1) - 1
+    kb = 2 ** (len(povm.nonzero_outcomes(a2.elements)) - 1) - 1
     if 2**ka * 2**kb <= incompat.JOINT_OUTCOME_GUARD:
         return _coexist_enumeration(a1, a2)
     for cand in (a2, a1):
@@ -142,12 +142,7 @@ def _seesaw_kernels(m_a: int, m_b: int):
     (x_(complement of {i}), 0); a one-outcome measurement's singleton is 1."""
     subsets = [canonical_subsets(m_a), canonical_subsets(m_b)]
     ka, kb = len(subsets[0]), len(subsets[1])
-    if 2**ka * 2**kb > incompat.JOINT_OUTCOME_GUARD:
-        raise ValueError(
-            f"labeling count 2^{ka} * 2^{kb} exceeds guard {incompat.JOINT_OUTCOME_GUARD} "
-            f"for outcome counts ({m_a}, {m_b})"
-        )
-    labels = list(itertools.product((0, 1), repeat=ka + kb))
+    labels = incompat.joint_labels([(0, 1)] * (ka + kb))
     kernel = [np.ones(len(labels))]  # the parent sums to the identity
     singles = []
     for m, subs, offset in ((m_a, subsets[0], 0), (m_b, subsets[1], ka)):
@@ -233,19 +228,6 @@ def seesaw(
     return hits
 
 
-def _qutrit_pair() -> tuple[Assemblage, np.ndarray, np.ndarray]:
-    """The qutrit complement/Fourier pair and the two vectors spanning the
-    qubit subspace used for its truncation."""
-    w = np.exp(2j * np.pi / 3)
-    psis = [np.array([1, w**j, w ** (2 * j)], dtype=complex) / np.sqrt(3) for j in range(3)]
-    eye = np.eye(3, dtype=complex)
-    a_els = [(eye - np.outer(eye[:, i], eye[:, i])) / 2 for i in range(3)]
-    b_els = [np.outer(eye[:, j], eye[:, j]) / 2 for j in range(3)]
-    b_els += [np.outer(p, p.conj()) / 2 for p in psis]
-    asm = Assemblage(3, [Povm(3, a_els), Povm(3, b_els)])
-    return asm, psis[0], psis[1]
-
-
 def qubit_counterexample() -> tuple[Povm, Povm, Povm, dict]:
     """Coexistent-but-incompatible qubit pair from truncating the qutrit
     complement/Fourier pair to the span of the first two Fourier vectors.
@@ -257,10 +239,7 @@ def qubit_counterexample() -> tuple[Povm, Povm, Povm, dict]:
     (v) robustness of the coarse-grained variant (first two outcomes of B~
     merged), plus the same for every other pairing of B~'s outcomes.
     """
-    asm, psi0, psi1 = _qutrit_pair()
-    p2 = linalg.projector_from_basis([psi0, psi1])
-    trunc = povm.truncate(asm, p2)
-    at, bt = trunc.measurements
+    at, bt = corpus.build("qubit-counterexample").measurements
     report: dict = {}
 
     lindep = bt.elements[4] - (bt.elements[0] + bt.elements[1] + bt.elements[2] - bt.elements[3])

@@ -50,18 +50,21 @@ def _parent_four_outcome() -> ParentPovm:
     return ParentPovm(2, labels, els, (2, 2))
 
 
-def _qutrit_pair() -> Assemblage:
-    from .coexist import _qutrit_pair as qp
+def _fourier_qutrit() -> list[np.ndarray]:
+    w = np.exp(2j * np.pi / 3)
+    return [np.array([1, w**k, w ** (2 * k)], dtype=complex) / np.sqrt(3.0) for k in range(3)]
 
-    return qp()[0]
+
+def _qutrit_pair() -> Assemblage:
+    eye = np.eye(3, dtype=complex)
+    a_els = [(eye - np.outer(eye[:, i], eye[:, i])) / 2 for i in range(3)]
+    b_els = [np.outer(eye[:, j], eye[:, j]) / 2 for j in range(3)]
+    b_els += [np.outer(p, p.conj()) / 2 for p in _fourier_qutrit()]
+    return Assemblage(3, [Povm(3, a_els), Povm(3, b_els)])
 
 
 def _qubit_counterexample_pair() -> Assemblage:
-    from .coexist import _qutrit_pair as qp
-
-    asm, psi0, psi1 = qp()
-    p2 = linalg.projector_from_basis([psi0, psi1])
-    return truncate(asm, p2)
+    return truncate(_qutrit_pair(), linalg.projector_from_basis(_fourier_qutrit()[:2]))
 
 
 def _e5_basis() -> list[np.ndarray]:
@@ -78,10 +81,8 @@ def _fully_compressible() -> Assemblage:
 
 
 def _mub_qutrit() -> Assemblage:
-    w = np.exp(2j * np.pi / 3)
     comp = [np.eye(3, dtype=complex)[:, k] for k in range(3)]
-    four = [np.array([1, w**k, w ** (2 * k)], dtype=complex) / np.sqrt(3.0) for k in range(3)]
-    return Assemblage(3, [from_basis(comp), from_basis(four)])
+    return Assemblage(3, [from_basis(comp), from_basis(_fourier_qutrit())])
 
 
 def _peres_steerable_state() -> BipartiteState:

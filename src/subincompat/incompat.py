@@ -2,9 +2,9 @@
 blocks G_lam whose kernel-weighted sums equal given Hermitian matrices,
 optionally up to depolarising noise eta <= 1, held by a d x d trace
 slack), which JM, robustness, LHS steering and coexistence all
-instantiate; parent-POVM feasibility, depolarising robustness with verdict
-margins, the two-measurement incompatibility witness, and the
-incompressibility bound."""
+instantiate; the labelled-parent decision behind JM and LHS models,
+depolarising robustness with verdict margins, the two-measurement
+incompatibility witness, and the incompressibility bound."""
 
 from __future__ import annotations
 
@@ -58,22 +58,28 @@ def verdict_from_eta(eta: float) -> str:
     return VERDICT_INDETERMINATE
 
 
-def _joint_labels(a: Assemblage) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
-    """Joint outcome labels, restricted to nonzero elements per setting, and
-    the (setting, outcome) pairs of those elements, in order.
-
-    A zero element forces its parent marginal to vanish, so dropping its
-    labels changes nothing while keeping the SDP strictly feasible inside.
-    """
-    per_setting = [m.nonzero_outcomes() for m in a.measurements]
-    count = math.prod(len(keep) for keep in per_setting)
+def joint_labels(per_setting) -> list[tuple[int, ...]]:
+    """The product of the per-setting outcome lists, its count checked
+    against JOINT_OUTCOME_GUARD before anything is enumerated."""
+    count = math.prod(len(outs) for outs in per_setting)
     if count > JOINT_OUTCOME_GUARD:
         raise ValueError(
             f"joint outcome count {count} exceeds guard {JOINT_OUTCOME_GUARD}; "
             "problem size is exponential in the number of settings"
         )
+    return list(itertools.product(*per_setting))
+
+
+def _joint_labels(settings) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """Joint labels over one stack of d x d matrices per setting, restricted
+    to the nonzero ones, and the (setting, outcome) pairs of those, in order.
+
+    A zero matrix forces its parent marginal to vanish, so dropping its
+    labels changes nothing while keeping the SDP strictly feasible inside.
+    """
+    per_setting = [povm.nonzero_outcomes(s) for s in settings]
     rows = [(x, out) for x, keep in enumerate(per_setting) for out in keep]
-    return list(itertools.product(*per_setting)), rows
+    return joint_labels(per_setting), rows
 
 
 def _parent_from_blocks(a: Assemblage, labels, blocks) -> ParentPovm:
@@ -126,8 +132,8 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
     compiled once and cached; a call binds its data to it, and
     ``Program.bind`` checks that the kernel rows the structure leaves out
     (rows that combine earlier rows, and rows without a nonzero entry; for
-    marginal kernels one outcome row per setting after the first, and an
-    all-ones row) still match.
+    marginal kernels one outcome row per setting after the first) still
+    match.
     """
     kernel = np.ascontiguousarray(kernel, dtype=float)
     kind = "noise" if noise is not None else "objective" if objective is not None else "feasibility"
@@ -157,15 +163,23 @@ def marginal_kernel(labels, rows) -> np.ndarray:
     return np.array(k).reshape(len(rows), len(labels))
 
 
+def labelled_parent(d: int, settings):
+    """Feasibility of PSD blocks G_lam, one per joint label, with marginals
+    sum_{lam: lam_x = a} G_lam = settings[x][a]: JM for POVM elements, an
+    LHS model (labels: Alice's deterministic strategies) for conditional
+    states.  Returns (feasible, slack, labels, blocks), the Hermitian
+    certificate blocks in label order when feasible, else None."""
+    labels, rows = _joint_labels(settings)
+    rhs = [settings[x][a] for x, a in rows]
+    feasible, slack, cert = sdp.feasibility(parent_program(d, marginal_kernel(labels, rows), rhs))
+    blocks = linalg.hermitianize(cert) if feasible else None
+    return feasible, slack, labels, blocks
+
+
 def jm_parent(a: Assemblage) -> JmResult:
     """Decide joint measurability by parent-POVM feasibility."""
-    labels, rows = _joint_labels(a)
-    rhs = [a.measurements[x].elements[out] for x, out in rows]
-    prog = parent_program(a.dim, marginal_kernel(labels, rows), rhs)
-    feasible, slack, cert = sdp.feasibility(prog)
-    parent = None
-    if feasible and cert is not None:
-        parent = _parent_from_blocks(a, labels, linalg.hermitianize(cert[:len(labels)]))
+    feasible, slack, labels, blocks = labelled_parent(a.dim, [m.elements for m in a.measurements])
+    parent = None if blocks is None else _parent_from_blocks(a, labels, blocks)
     return JmResult(feasible, slack, parent)
 
 
@@ -176,7 +190,7 @@ def depolarising_robustness(a: Assemblage) -> RobustnessResult:
     The returned parent is a parent POVM for the assemblage depolarised at
     the optimal eta (for a compatible assemblage, the assemblage itself).
     """
-    labels, rows = _joint_labels(a)
+    labels, rows = _joint_labels([m.elements for m in a.measurements])
     d = a.dim
     # sum G = t*1 + eta*(E - t*1) with t = tr(E)/d, per row
     els = np.array([a.measurements[x].elements[out] for x, out in rows])

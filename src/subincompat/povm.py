@@ -5,7 +5,7 @@ subsets that index binarisations."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +45,12 @@ class Povm:
     def n_outcomes(self) -> int:
         return len(self.elements)
 
-    def nonzero_outcomes(self) -> list[int]:
-        """The outcomes whose element has an entry of modulus at least
-        ZERO_ELEMENT_TOL: one test over the stacked elements."""
-        nonzero = np.abs(np.asarray(self.elements)).max(axis=(1, 2)) >= ZERO_ELEMENT_TOL
-        return np.flatnonzero(nonzero).tolist()
+
+def nonzero_outcomes(stack) -> list[int]:
+    """The indices of the matrices of a stack (a POVM's elements, a setting's
+    conditional states) with an entry of modulus at least ZERO_ELEMENT_TOL."""
+    nonzero = np.abs(np.asarray(stack)).max(axis=(1, 2)) >= ZERO_ELEMENT_TOL
+    return np.flatnonzero(nonzero).tolist()
 
 
 @dataclass(eq=False)
@@ -81,17 +82,12 @@ class ParentPovm:
     dim: int
     outcome_labels: list[tuple[int, ...]]
     elements: list[np.ndarray]
-    outcome_counts: tuple[int, ...] = field(default=())
+    outcome_counts: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.outcome_labels) != len(self.elements):
             raise ValueError("labels/elements length mismatch")
         self.elements = Povm(self.dim, self.elements).elements  # povm invariants
-        if not self.outcome_counts:
-            n = len(self.outcome_labels[0])
-            self.outcome_counts = tuple(
-                1 + max(lab[x] for lab in self.outcome_labels) for x in range(n)
-            )
 
     def marginal(self, x: int) -> Povm:
         """Sum over all-but-one label index; reproduces measurement x."""

@@ -1,17 +1,17 @@
 """Steering side of the subspace story: state assemblages, local-hidden-state
-models, pretty-good measurements, the Choi channel, and the PPT-invariant
+models (``incompat.labelled_parent`` of Bob's conditional states),
+pretty-good measurements, the Choi channel, and the PPT-invariant
 two-parameter family whose steerability makes its pretty-good pair an
 incompressible incompatible assemblage."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import incompat, linalg, povm, sdp
+from . import incompat, linalg, povm
 from .povm import Assemblage, Povm
 
 STATE_PSD_TOL = 1e-9
@@ -103,43 +103,24 @@ def assemblage_from_state(rho: BipartiteState, alice: Assemblage) -> StateAssemb
     return StateAssemblage(rho.dB, sigmas, rho.reduced_b())
 
 
-def _lhs_solve(sa: StateAssemblage):
-    """The local-hidden-state parent program: one block per deterministic
-    strategy.  Returns (feasible, slack, model), the model as
-    [(strategy, local hidden state)] when feasible with a certificate."""
-    counts = sa.outcome_counts()
-    total = math.prod(counts)
-    if total > incompat.JOINT_OUTCOME_GUARD:
-        raise ValueError(f"strategy count {total} exceeds guard {incompat.JOINT_OUTCOME_GUARD}")
-    strategies = list(itertools.product(*[range(k) for k in counts]))
-    rows = [(x, a) for x in range(sa.n_settings) for a in range(counts[x])]
-    kernel = np.vstack([incompat.marginal_kernel(strategies, rows), np.ones(len(strategies))])
-    rhs = [sa.sigmas[x][a] for x, a in rows] + [sa.reduced]
-    prog = incompat.parent_program(sa.dB, kernel, rhs)
-    feasible, slack, cert = sdp.feasibility(prog)
-    model = None
-    if feasible and cert is not None:
-        model = list(zip(strategies, linalg.hermitianize(cert)))
-    return bool(feasible), float(slack), model
-
-
 def lhs_feasible(sa: StateAssemblage):
     """Local-hidden-state feasibility: unsteerable iff there exist
     sigma_vec >= 0, one per deterministic strategy (an outcome per setting),
-    with sum_{vec: vec_x = a} sigma_vec = sigma_{a|x} and
-    sum_vec sigma_vec = reduced.
+    with sum_{vec: vec_x = a} sigma_vec = sigma_{a|x}; no-signalling makes
+    sum_vec sigma_vec the reduced state.  Strategies naming a zero
+    sigma_{a|x} are left out.
 
     Returns (unsteerable, model): the model lists (strategy, local hidden
     state) pairs when one exists.
     """
-    feasible, _, model = _lhs_solve(sa)
-    return feasible, model
+    feasible, _, strategies, states = incompat.labelled_parent(sa.dB, sa.sigmas)
+    return feasible, None if states is None else list(zip(strategies, states))
 
 
 def lhs_slack(sa: StateAssemblage) -> float:
     """Optimal uniform slack of the local-hidden-state SDP; negative beyond
     tolerance certifies steerability (used for scan certificates)."""
-    return _lhs_solve(sa)[1]
+    return incompat.labelled_parent(sa.dB, sa.sigmas)[1]
 
 
 def _support_isqrt(reduced: np.ndarray):
@@ -293,7 +274,7 @@ class ScanPoint:
     reason: str = ""
 
 
-def peres_scan(grid, mubs: Assemblage | None = None) -> list[ScanPoint]:
+def peres_scan(grid) -> list[ScanPoint]:
     """Scan (m1, m2) over a grid, testing each admissible point's assemblage
     for steerability under the fixed MUB measurements.
 
@@ -308,7 +289,7 @@ def peres_scan(grid, mubs: Assemblage | None = None) -> list[ScanPoint]:
         points = [(float(u), float(v)) for u in vals for v in vals]
     else:
         points = [(float(u), float(v)) for u, v in grid]
-    mubs = mubs or peres_mubs()
+    mubs = peres_mubs()
     out = []
     n_adm = 0
     for u, v in points:

@@ -183,7 +183,7 @@ def test_seesaw_tiny(capsys):
 def test_seesaw_beyond_the_label_guard_exits_2(capsys):
     code, rep, err = run(capsys, "seesaw", "--dim", "2", "--outcomes", "5", "5")
     assert code == 2 and rep is None
-    assert err.startswith("error: labeling count 2^15 * 2^15 exceeds guard")
+    assert err.startswith("error: joint outcome count 1073741824 exceeds guard 4096")
     assert err.count("\n") == 1  # one line, no traceback
 
 

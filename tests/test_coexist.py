@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subincompat import coexist, incompat, linalg, sdp
+from subincompat import coexist, corpus, incompat, linalg, sdp
 from subincompat.povm import Assemblage, Povm, random_povm, truncate
 
 from helpers import compatible_pair, sigma_xz_pair
@@ -63,7 +63,7 @@ def test_povm_coexists_with_itself():
 
 
 def test_qutrit_pair_coexistent_via_candidate_route():
-    a = coexist._qutrit_pair()[0]
+    a = corpus.build("qutrit-pair")
     res = coexist.coexistent_parent(a.measurements[0], a.measurements[1])
     assert res.coexistent
     assert res.method == "candidate"
@@ -72,7 +72,7 @@ def test_qutrit_pair_coexistent_via_candidate_route():
 
 def test_explicit_candidate_route():
     # the six-outcome measurement is a coexistence certificate for the pair
-    a = coexist._qutrit_pair()[0]
+    a = corpus.build("qutrit-pair")
     res = coexist.coexistent_parent(
         a.measurements[0], a.measurements[1], candidate=a.measurements[1]
     )
@@ -143,7 +143,7 @@ def test_relabelling_invariance():
 
 
 def test_truncation_preserves_coexistence():
-    qp = coexist._qutrit_pair()[0]
+    qp = corpus.build("qutrit-pair")
     for i in range(20):
         if i < 14:
             pair = compatible_pair(3, 2, 2, np.random.default_rng(1600 + i))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from subincompat import corpus, incompat
-from subincompat.povm import depolarise
+from subincompat import coexist, corpus, incompat, steering
+from subincompat.povm import Assemblage, depolarise, random_povm
 
-from helpers import compatible_pair, sharp_pair, sigma_xz_pair
+from helpers import compatible_pair, random_mixed_state, sharp_pair, sigma_xz_pair
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -125,10 +125,32 @@ def test_verdict_margins():
 def test_three_setting_assemblage_supported():
     # robustness and jm also accept more than two measurements
     rng = np.random.default_rng(55)
-    from subincompat.povm import Assemblage, random_povm
-
     a = Assemblage(2, [random_povm(2, 2, rng) for _ in range(3)])
     res = incompat.depolarising_robustness(a)
     jm = incompat.jm_parent(a)
     assert 0 < res.eta <= 1.0 + 1e-9
     assert jm.feasible == (res.eta >= 1 - 1e-6)
+
+
+def test_labelled_parent_decides_jm():
+    # jm_parent is the labelled parent of the POVM elements, bit for bit
+    for key in ("sigma-xz-noisy", "qutrit-pair"):
+        a = corpus.build(key)
+        feasible, slack, _, blocks = incompat.labelled_parent(
+            a.dim, [m.elements for m in a.measurements])
+        jm = incompat.jm_parent(a)
+        assert (feasible, slack.hex()) == (jm.feasible, jm.slack.hex())
+        assert (blocks is None) == (jm.parent is None) == (not feasible)
+
+
+def test_jm_lhs_and_seesaw_share_one_guard_message():
+    rng = np.random.default_rng(37)
+    alice = Assemblage(2, [random_povm(2, 2, rng) for _ in range(13)])
+    sa = steering.assemblage_from_state(random_mixed_state(2, 2, rng), alice)
+    tail = " exceeds guard 4096; problem size is exponential in the number of settings"
+    for decide, count in ((lambda: incompat.jm_parent(alice), 2**13),
+                          (lambda: steering.lhs_feasible(sa), 2**13),
+                          (lambda: coexist.seesaw(2, 5, 5, 1), 2**30)):
+        with pytest.raises(ValueError) as exc:
+            decide()
+        assert str(exc.value) == f"joint outcome count {count}{tail}"

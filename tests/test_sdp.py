@@ -844,7 +844,7 @@ def test_parent_programs_emit_full_rank_rows(monkeypatch):
     steering.lhs_feasible(steering.assemblage_from_state(rho, steering.peres_mubs()))
     coexist.coexistent_parent(*corpus.build("sigma-xz-sharp").measurements)
     coexist.seesaw(3, 2, 3, 1)
-    qutrit = coexist._qutrit_pair()[0].measurements
+    qutrit = corpus.build("qutrit-pair").measurements
     coexist.coexistent_parent(*qutrit, candidate=qutrit[1])
     dropped = []
     for full, prog in seen:
@@ -853,7 +853,7 @@ def test_parent_programs_emit_full_rank_rows(monkeypatch):
         assert prog.structure.kept.tolist() == kept
         dropped.append(len(full.constraints) - len(kept))
     n = 2 * len([k for k in corpus.builtin_keys() if corpus.kind_of(k) == "assemblage"])
-    assert all(dropped[:n]) and dropped[n] == 2 * 9  # a setting's last row and the all-ones row
+    assert all(dropped[:n]) and dropped[n] == 9  # the second setting's last row
 
 
 def test_parent_programs_keep_one_iterate_stack(monkeypatch):

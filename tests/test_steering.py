@@ -129,6 +129,22 @@ def test_lhs_guard():
         lhs_feasible(sa)
 
 
+def test_lhs_drops_strategies_of_zero_states():
+    # on the edge m1 = 0 the second MUB's first outcome leaves Bob in the
+    # zero state: the model keeps the 3 x 2 strategies that avoid it
+    rho, _ = peres_state(0.0, 0.3)
+    sa = assemblage_from_state(rho, peres_mubs())
+    assert np.abs(sa.sigmas[1][0]).max() == 0.0
+    unsteerable, model = lhs_feasible(sa)
+    assert unsteerable
+    assert [vec for vec, _ in model] == [(a, b) for a in range(3) for b in (1, 2)]
+    for x, row in enumerate(sa.sigmas):
+        for a, sigma in enumerate(row):
+            tot = sum((state for vec, state in model if vec[x] == a), np.zeros((3, 3)))
+            assert np.abs(tot - sigma).max() < 1e-8
+    assert abs(lhs_slack(sa)) < 1e-8
+
+
 def test_pretty_good_of_maximally_entangled_is_transpose():
     rho = _max_entangled(3)
     alice = Assemblage(3, [random_povm(3, 2, np.random.default_rng(38)),

@@ -60,7 +60,7 @@ for k in corpus.builtin_keys():
         print("coex-parent-hash", k, arr(np.array(c.parent.elements)))
 
 at, bt, _, _ = coexist.qubit_counterexample()
-qutrit = coexist._qutrit_pair()[0].measurements
+qutrit = corpus.build("qutrit-pair").measurements
 for name, (a, b, c) in (("qubit-counterexample/B~", (at, bt, bt)),
                         ("qutrit-pair/B", (*qutrit, qutrit[1])),
                         ("qutrit-pair/A", (*qutrit, qutrit[0]))):
