@@ -467,6 +467,7 @@ def _cmd_peres_scan(args) -> int:
 
 def _cmd_integrals(args) -> int:
     seed = _resolve_seed(args)
+    _at_least("--samples", args.samples, 1000)
     results = subspace.integral_identities_check(args.d, args.n, args.samples, seed=seed)
     rep = jsonio.report_skeleton("integrals", seed, {})
     rep["results"] = results

@@ -163,15 +163,21 @@ def marginal_kernel(labels, rows) -> np.ndarray:
     return np.array(k).reshape(len(rows), len(labels))
 
 
-def labelled_parent(d: int, settings):
+def labelled_parent(d: int, settings, decide: bool = False):
     """Feasibility of PSD blocks G_lam, one per joint label, with marginals
     sum_{lam: lam_x = a} G_lam = settings[x][a]: JM for POVM elements, an
     LHS model (labels: Alice's deterministic strategies) for conditional
     states.  Returns (feasible, slack, labels, blocks), the Hermitian
-    certificate blocks in label order when feasible, else None."""
+    certificate blocks in label order when feasible, else None.
+
+    The slack is the optimal one, unless ``decide`` asks for the verdict
+    only (``sdp.feasibility``): then the solve stops at the first
+    certificate, and the slack is the certified bound, the model's t when
+    feasible, the dual bound b.y < -1e-7 when not."""
     labels, rows = _joint_labels(settings)
     rhs = [settings[x][a] for x, a in rows]
-    feasible, slack, cert = sdp.feasibility(parent_program(d, marginal_kernel(labels, rows), rhs))
+    prog = parent_program(d, marginal_kernel(labels, rows), rhs)
+    feasible, slack, cert = sdp.feasibility(prog, decide=decide)
     blocks = linalg.hermitianize(cert) if feasible else None
     return feasible, slack, labels, blocks
 

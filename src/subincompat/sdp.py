@@ -25,7 +25,7 @@ its workspace once: the iterates as one (2nb, d, d) stack S = [X; Z], the
 search direction as one stack D = [dX; dZ] and one Newton right-hand side,
 all updated in place; a solve returns the iterate it measured last.  It
 measures at most MAX_ITERS iterates; callers treat any exit other than
-Optimal or a certified divergence as a ``SolverError``.  Per iteration
+Optimal, Decided or a certified divergence as a ``SolverError``.  Per iteration
 one factor F = inv(cholesky(S)) and its conjugate transpose give
 Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of F D F^H
 each).  The corrector takes the share 1 - mu_aff/mu of the largest
@@ -57,7 +57,14 @@ compiled on the spot, or a Program.
 scalar is a 1 x 1 block), and expands each d x d matrix equality in the
 Hermitian basis into d^2 real rows.  Feasibility questions
 are answered by ``feasibility``, which maximises a uniform slack t with
-every block shifted to X - t*I >= 0 (the rewrite ``with_slack``).
+every block shifted to X - t*I >= 0 (the rewrite ``with_slack``).  A
+caller that wants the verdict only, not t, binds ``decide``
+(``feasibility(p, decide=True)``), and the solve gets two more exits,
+tested after the Optimal one, primal first, both reported Decided: a
+primal iterate whose rows are met (residual <= FEAS_TOL) with t >=
+-FEAS_SLACK_TOL is a feasible certificate; a dual iterate whose rows are
+met with b.y < -FEAS_SLACK_TOL proves infeasibility, as weak duality
+bounds the optimal slack by t* <= b.y.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ STATUS_OPTIMAL = "Optimal"
 STATUS_PRIMAL_INFEASIBLE = "PrimalInfeasible"
 STATUS_DUAL_INFEASIBLE = "DualInfeasible"
 STATUS_NUMERICAL_FAILURE = "NumericalFailure"
+STATUS_DECIDED = "Decided"  # a verdict-only feasibility solve met its certificate
 
 FEAS_SLACK_TOL = 1e-7  # feasibility margin: feasible <=> slack >= -1e-7
 FEAS_TOL = 1e-8  # residual bound of an optimal iterate; tolerance of the data check
@@ -87,6 +95,9 @@ MAX_ITERS = 200  # iterates a solve measures at most
 # whose rhs contradicts the kept rows
 ZERO_ROW = "row {} is 0 = {:g}"
 INCONSISTENT = "inconsistent affine constraints (row {}, residual {:g})"
+# the messages of a Decided exit: which certificate fired
+DECIDED_FEASIBLE = "primal iterate certifies slack >= -FEAS_SLACK_TOL"
+DECIDED_INFEASIBLE = "dual iterate certifies slack < -FEAS_SLACK_TOL"
 
 _log = logging.getLogger(__name__)
 
@@ -303,7 +314,10 @@ class Program:
     ``C`` the objective's block coefficients as an (nb, d, d) stack and
     ``c`` its free coefficients, and ``message`` the first left-out row
     whose rhs the kept rows contradict, found by ``bind``, which ``solve``
-    reports as PrimalInfeasible without iterating.
+    reports as PrimalInfeasible without iterating.  ``decide`` marks a
+    feasibility program (last free variable the slack t, objective max t)
+    asked for its verdict only: ``solve`` also stops, Decided, at the first
+    iterate that certifies the sign of t (see ``feasibility``).
     """
 
     structure: _Structure
@@ -312,6 +326,7 @@ class Program:
     C: np.ndarray
     c: np.ndarray
     message: str = ""
+    decide: bool = False
 
     @property
     def blocks(self) -> list[int]:
@@ -566,6 +581,13 @@ def solve(p: SdpProblem | Program) -> SdpSolution:
             status = STATUS_OPTIMAL
             message = ""
             break
+        if p.decide:
+            if rp_inf <= FEAS_TOL and s[-1] >= -FEAS_SLACK_TOL:
+                status, message = STATUS_DECIDED, DECIDED_FEASIBLE
+                break
+            if rd_inf <= FEAS_TOL and rf_inf <= FEAS_TOL and dv < -FEAS_SLACK_TOL:
+                status, message = STATUS_DECIDED, DECIDED_INFEASIBLE
+                break
         if pv > UNBOUNDED_CUTOFF and rp_inf <= 1e-6:
             status = STATUS_DUAL_INFEASIBLE
             message = "primal objective diverging: dual infeasible"
@@ -646,7 +668,7 @@ def with_slack(p: SdpProblem) -> SdpProblem:
     return q
 
 
-def feasibility(p: SdpProblem | Program):
+def feasibility(p: SdpProblem | Program, decide: bool = False):
     """Maximise a uniform slack t with every block shifted: X - t*I >= 0.
 
     p is an SdpProblem (its objective is ignored), or a Program whose last
@@ -658,13 +680,27 @@ def feasibility(p: SdpProblem | Program):
     and the certificate blocks, an (nb, d, d) stack: the unshifted
     variables X = X~ + t*I, which satisfy the affine rows exactly and are
     PSD up to the reported slack.  Any other exit raises ``SolverError``.
+
+    With ``decide`` only the verdict is asked for, and the solve stops at
+    the first iterate that certifies it (status Decided), the verdict
+    taken from the exit that fired, never from t alone:
+    - a primal iterate whose rows are met (residual <= FEAS_TOL) with
+      t >= -1e-7: feasible, slack t, certificate X~ + t*I as above;
+    - a dual iterate whose rows are met with b.y < -1e-7: infeasible, as
+      weak duality bounds the optimal slack by t* <= b.y; the slack
+      returned is that bound and the certificate None.
+    An iterate that meets neither goes on to the Optimal exit as before.
     """
     if isinstance(p, SdpProblem):
-        p = with_slack(p)
+        p = compile_program(with_slack(p))
+    if decide:
+        p = replace(p, decide=True)
     sol = solve(p)
     if sol.status == STATUS_PRIMAL_INFEASIBLE:
         return False, -np.inf, None
-    if sol.status not in (STATUS_OPTIMAL, STATUS_DUAL_INFEASIBLE):
+    if sol.status == STATUS_DECIDED and sol.message == DECIDED_INFEASIBLE:
+        return False, float(sol.dual_value), None
+    if sol.status not in (STATUS_OPTIMAL, STATUS_DUAL_INFEASIBLE, STATUS_DECIDED):
         raise SolverError(f"feasibility solve failed: {sol.status} {sol.message}")
     t = float(sol.scalar_vars[-1])
     x = np.asarray(sol.primal_blocks)

@@ -111,9 +111,13 @@ def lhs_feasible(sa: StateAssemblage):
     sigma_{a|x} are left out.
 
     Returns (unsteerable, model): the model lists (strategy, local hidden
-    state) pairs when one exists.
+    state) pairs when one exists.  Only the verdict is asked for, so the
+    solve stops at its first certificate: a model whose marginals are met
+    and whose states are PSD up to -1e-7, or a dual iterate (a steering
+    witness) bounding the optimal slack below -1e-7.  ``lhs_slack`` solves
+    to optimality.
     """
-    feasible, _, strategies, states = incompat.labelled_parent(sa.dB, sa.sigmas)
+    feasible, _, strategies, states = incompat.labelled_parent(sa.dB, sa.sigmas, decide=True)
     return feasible, None if states is None else list(zip(strategies, states))
 
 

@@ -260,6 +260,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
      "--max-iters must be at least 1, got -1"),
     (("classify", "--n", "2", "--seed", "-1"), "--seed must be at least 0, got -1"),
     (("integrals", "--seed", "-5", "--samples", "1000"), "--seed must be at least 0, got -5"),
+    (("integrals", "--samples", "500"), "--samples must be at least 1000, got 500"),
 ])
 def test_count_flags_out_of_range_exit_2(capsys, argv, message):
     builtin = {"robustness": ("--builtin", "sigma-xz-sharp"),

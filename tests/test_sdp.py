@@ -1,5 +1,6 @@
 import itertools
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -805,6 +806,21 @@ def test_dropped_rows_are_checked_per_call():
     d, kernel, rhs, noise = _parent_args(good, True)
     with pytest.raises(ValueError, match="row relations"):
         incompat.parent_program(d, kernel, rhs, noise[:-1] + [2 * noise[-1]])
+
+
+def test_a_decided_verdict_comes_from_the_exit_not_from_t(monkeypatch):
+    # a dual-certified exit is infeasible, with b.y as its slack and no
+    # certificate, even where the last iterate's t still reads >= -1e-7
+    prog = incompat.parent_program(2, np.array([[1.0, 1.0]]), [np.eye(2)])
+    real = sdp.solve
+
+    def fabricated(p):
+        assert p.decide
+        return replace(real(p), status=sdp.STATUS_DECIDED, message=sdp.DECIDED_INFEASIBLE,
+                       scalar_vars=np.array([0.0]), dual_value=-1e-3)
+
+    monkeypatch.setattr(sdp, "solve", fabricated)
+    assert sdp.feasibility(prog, decide=True) == (False, -1e-3, None)
 
 
 def test_zero_kernel_rows_are_checked_like_any_other():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subincompat import corpus, incompat, linalg, steering
+from subincompat import corpus, incompat, linalg, sdp, steering
 from subincompat.povm import Assemblage, from_basis, random_povm
 from subincompat.steering import (
     BipartiteState,
@@ -118,6 +118,41 @@ def test_lhs_model_reconstructs_assemblage():
             assert np.abs(tot - sa.sigmas[x][a]).max() < 1e-6
     for _, state in model:
         assert linalg.min_eigenvalue(state) > -1e-6
+
+
+@pytest.mark.parametrize("m1, m2, steerable", [(0.2, 0.48, True), (0.2, 0.8, False)])
+def test_lhs_feasible_stops_at_its_first_certificate(monkeypatch, m1, m2, steerable):
+    # the verdict-only solve agrees with the sign of the optimal slack, in
+    # fewer iterations, and ends Decided rather than Optimal
+    rho, _ = peres_state(m1, m2)
+    sa = assemblage_from_state(rho, peres_mubs())
+    sols, real = [], sdp.solve
+
+    def recording(p):
+        sols.append(real(p))
+        return sols[-1]
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    unsteerable, _ = lhs_feasible(sa)
+    slack = lhs_slack(sa)
+    decided, optimal = sols
+    assert unsteerable == (slack >= -sdp.FEAS_SLACK_TOL) == (not steerable)
+    assert decided.status == sdp.STATUS_DECIDED and optimal.status == sdp.STATUS_OPTIMAL
+    assert decided.iterations < optimal.iterations
+
+
+def test_decided_lhs_model_reproduces_the_assemblage():
+    # at an unsteerable point the model of the first certifying iterate
+    # meets every marginal and is PSD up to the verdict's own -1e-7
+    rho, _ = peres_state(0.2, 0.8)
+    sa = assemblage_from_state(rho, peres_mubs())
+    unsteerable, model = lhs_feasible(sa)
+    assert unsteerable
+    for x, row in enumerate(sa.sigmas):
+        for a, sigma in enumerate(row):
+            tot = sum((state for vec, state in model if vec[x] == a), np.zeros((3, 3)))
+            assert np.abs(tot - sigma).max() < 1e-8
+    assert min(linalg.min_eigenvalue(state) for _, state in model) >= -sdp.FEAS_SLACK_TOL
 
 
 def test_lhs_guard():

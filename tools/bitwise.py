@@ -44,6 +44,7 @@ for u in vals:
             continue
         sa = steering.assemblage_from_state(rho, mubs)
         print("lhs", w.point_key(u, v), h(steering.lhs_slack(sa)))
+        print("scan", w.point_key(u, v), steering.lhs_feasible(sa)[0])
         n += 1
 print("lhs-points", n)
 

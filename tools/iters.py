@@ -3,7 +3,9 @@ plus one round of each, with ``sdp.solve`` wrapped from outside.
 
 For each workload it prints the solves and their iterations, in all and in
 the round alone, the round's failed operations (the workload's own check),
-the solves by status and the Newton systems solved by least squares, a
+the solves by status (Optimal, or Decided for a verdict-only feasibility
+solve that stopped at its first certificate: the Peres scan's LHS solves)
+and the Newton systems solved by least squares, a
 histogram of iterations per solve (iterations:solves) and the solves and
 iterations per program shape: block dimension d, blocks nb, kept rows m and
 free variables nf.  Every round is deterministic given the seed, so two runs
