@@ -52,30 +52,6 @@ def _at_least(flag: str, value: int, low: int) -> int:
     return value
 
 
-_PARSERS = {
-    "assemblage": jsonio.assemblage_from_json,
-    "state": jsonio.state_from_json,
-    "state_assemblage": jsonio.state_assemblage_from_json,
-}
-
-
-def _infer_kind(data) -> str:
-    if not isinstance(data, dict):
-        raise CliError("input must be a JSON object")
-    if "kind" in data:
-        return str(data["kind"])
-    if "measurements" in data:
-        return "assemblage"
-    if "sigmas" in data:
-        return "state_assemblage"
-    if "matrix" in data and "dA" in data:
-        return "state"
-    raise CliError(
-        "cannot determine the input kind (expected assemblage, state or "
-        "state_assemblage fields)"
-    )
-
-
 def _hash_builtin(key: str) -> str:
     payload = json.dumps(corpus.to_json(key), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
@@ -103,10 +79,10 @@ def _load_from(builtin: str | None, path: str | None, kinds: tuple[str, ...], fl
             )
         return corpus.build(builtin), kind, {f"builtin:{builtin}": _hash_builtin(builtin)}
     data = jsonio.load_json(path)
-    kind = _infer_kind(data)
+    kind = jsonio.kind_of(data)
     if kind not in kinds:
         raise CliError(f"{path} holds a {kind}; this command needs " + " or ".join(kinds))
-    return _PARSERS[kind](data), kind, {path: jsonio.sha256_file(path)}
+    return jsonio.READERS[kind](data), kind, {path: jsonio.sha256_file(path)}
 
 
 def _load(args, kinds: tuple[str, ...]):

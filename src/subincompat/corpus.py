@@ -156,17 +156,7 @@ def build(key: str):
 
 def to_json(key: str) -> dict:
     kind, builder, desc = CORPUS[key]
-    obj = builder()
-    if kind == "assemblage":
-        payload = jsonio.assemblage_to_json(obj)
-    elif kind == "parent":
-        payload = jsonio.parent_to_json(obj)
-    elif kind == "state":
-        payload = jsonio.state_to_json(obj)
-    elif kind == "state_assemblage":
-        payload = jsonio.state_assemblage_to_json(obj)
-    else:  # pragma: no cover
-        raise ValueError(kind)
+    payload = jsonio.WRITERS[kind](builder())
     payload["key"] = key
     payload["kind"] = kind
     payload["description"] = desc

@@ -123,6 +123,41 @@ def state_assemblage_from_json(j: dict) -> StateAssemblage:
     )
 
 
+# one reader and one writer per instance kind; docs/schema/<kind>.schema.json
+# publishes each kind's format (a parent is written, never read)
+READERS = {
+    "assemblage": assemblage_from_json,
+    "state": state_from_json,
+    "state_assemblage": state_assemblage_from_json,
+}
+
+WRITERS = {
+    "assemblage": assemblage_to_json,
+    "parent": parent_to_json,
+    "state": state_to_json,
+    "state_assemblage": state_assemblage_to_json,
+}
+
+
+def kind_of(data) -> str:
+    """The instance kind of a loaded JSON object: its "kind" field, else the
+    kind whose fields it has."""
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
+    if "kind" in data:
+        return str(data["kind"])
+    if "measurements" in data:
+        return "assemblage"
+    if "sigmas" in data:
+        return "state_assemblage"
+    if "matrix" in data and "dA" in data:
+        return "state"
+    raise ValueError(
+        "cannot determine the input kind (expected assemblage, state or "
+        "state_assemblage fields)"
+    )
+
+
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -147,96 +182,3 @@ def report_skeleton(command: str, seed, inputs: dict[str, str]) -> dict:
         "inputs": dict(inputs),
     }
 
-
-# --- JSON Schemas (draft-07), published under docs/schema -----------------
-
-_MATRIX_SCHEMA = {
-    "type": "array",
-    "items": {
-        "type": "array",
-        "items": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    },
-    "description": "complex matrix, row-major, entries as [re, im]",
-}
-
-ASSEMBLAGE_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": "assemblage.schema.json",
-    "title": "Measurement assemblage",
-    "type": "object",
-    "required": ["dim", "measurements"],
-    "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "measurements": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["elements"],
-                "properties": {
-                    "elements": {"type": "array", "minItems": 1, "items": _MATRIX_SCHEMA}
-                },
-            },
-        },
-    },
-}
-
-STATE_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": "state.schema.json",
-    "title": "Bipartite state",
-    "type": "object",
-    "required": ["dA", "dB", "matrix"],
-    "properties": {
-        "dA": {"type": "integer", "minimum": 1},
-        "dB": {"type": "integer", "minimum": 1},
-        "matrix": _MATRIX_SCHEMA,
-    },
-}
-
-STATE_ASSEMBLAGE_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": "state_assemblage.schema.json",
-    "title": "State assemblage",
-    "type": "object",
-    "required": ["dB", "sigmas", "reduced"],
-    "properties": {
-        "dB": {"type": "integer", "minimum": 1},
-        "sigmas": {
-            "type": "array",
-            "items": {"type": "array", "items": _MATRIX_SCHEMA},
-        },
-        "reduced": _MATRIX_SCHEMA,
-    },
-}
-
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": "report.schema.json",
-    "title": "Analysis report",
-    "type": "object",
-    "required": ["schema_version", "version", "command", "seed", "inputs", "results"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "version": {"type": "string"},
-        "command": {"type": "string"},
-        "seed": {"type": ["integer", "null"]},
-        "inputs": {
-            "type": "object",
-            "additionalProperties": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        },
-        "results": {"type": "object"},
-    },
-}
-
-SCHEMAS = {
-    "assemblage.schema.json": ASSEMBLAGE_SCHEMA,
-    "state.schema.json": STATE_SCHEMA,
-    "state_assemblage.schema.json": STATE_ASSEMBLAGE_SCHEMA,
-    "report.schema.json": REPORT_SCHEMA,
-}

@@ -16,7 +16,7 @@ stochastic routine takes an explicit integer seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,36 +112,56 @@ def partial_transpose(m, dims, side: str = "A") -> np.ndarray:
     raise ValueError("side must be 'A' or 'B'")
 
 
+def orthonormal_columns(vectors) -> np.ndarray:
+    """The vectors (rows of an array, or a list) as the columns of a d x n
+    complex array, checked to be a basis of their span: at least one
+    vector, equal lengths, and orthonormal within PROJ_TOL."""
+    vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
+    if not vs:
+        raise ValueError("no basis vectors given")
+    lengths = sorted({v.size for v in vs})
+    if len(lengths) > 1:
+        raise ValueError(f"basis vectors have unequal lengths {lengths}")
+    b = np.column_stack(vs)
+    dev = np.abs(b.conj().T @ b - np.eye(len(vs))).max()
+    if not dev <= PROJ_TOL:  # also refuses NaN
+        raise ValueError(f"basis vectors are not orthonormal (deviation {dev:.3e} > {PROJ_TOL:.1e})")
+    return b
+
+
+def compress(stack, w) -> np.ndarray:
+    """The compression w^H S w of one matrix S, or of every matrix of an
+    (n, d, d) stack, made exactly Hermitian.  With w a subspace basis this is
+    truncation onto the subspace, read on that basis."""
+    return hermitianize(w.conj().T @ np.asarray(stack, dtype=complex) @ w)
+
+
 @dataclass(eq=False)
 class Projector:
-    """Rank-n orthogonal projector with an explicit orthonormal range basis."""
+    """Orthogonal projector onto the span of an orthonormal basis."""
 
-    dim: int
-    rank: int
-    matrix: np.ndarray
-    basis: np.ndarray = field(repr=False)  # dim x rank, orthonormal columns
+    basis: np.ndarray  # dim x rank, orthonormal columns
 
     def __post_init__(self):
-        p = check_hermitian(self.matrix, tol=1e-10)
-        if np.abs(p @ p - p).max() > PROJ_TOL:
-            raise ValueError("matrix is not idempotent")
-        if abs(np.trace(p).real - self.rank) > PROJ_TOL:
-            raise ValueError("trace does not match rank")
-        b = np.asarray(self.basis, dtype=complex)
-        if b.shape != (self.dim, self.rank):
-            raise ValueError("basis shape mismatch")
-        gram = b.conj().T @ b
-        if np.abs(gram - np.eye(self.rank)).max() > PROJ_TOL:
-            raise ValueError("basis is not orthonormal")
+        self.basis = orthonormal_columns(np.asarray(self.basis).T)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        b = self.basis
+        return hermitianize(b @ b.conj().T)
 
 
 def projector_from_basis(vectors) -> Projector:
-    """Build a Projector from orthonormal spanning vectors (rows or list)."""
-    vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    d = vs[0].size
-    b = np.column_stack(vs)
-    p = b @ b.conj().T
-    return Projector(dim=d, rank=len(vs), matrix=hermitianize(p), basis=b)
+    """The projector onto the span of orthonormal vectors (rows or list)."""
+    return Projector(orthonormal_columns(vectors))
 
 
 def _mgs(columns: np.ndarray) -> np.ndarray:
@@ -168,6 +188,4 @@ def haar_subspace(d: int, n: int, seed: int) -> Projector:
         raise ValueError(f"need 1 <= n < d, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-    b = _mgs(g)
-    p = b @ b.conj().T
-    return Projector(dim=d, rank=n, matrix=hermitianize(p), basis=b)
+    return Projector(_mgs(g))

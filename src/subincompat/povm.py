@@ -106,12 +106,7 @@ def truncate(a: Assemblage, p: linalg.Projector) -> Assemblage:
     """
     if p.dim != a.dim:
         raise ValueError(f"projector dimension {p.dim} != assemblage dimension {a.dim}")
-    if p.rank < 1:
-        raise ValueError("projector has rank 0")
-    b = p.basis
-    bh = b.conj().T
-    out = [Povm(p.rank, linalg.hermitianize(bh @ np.array(m.elements) @ b)) for m in a.measurements]
-    return Assemblage(p.rank, out)
+    return Assemblage(p.rank, [Povm(p.rank, linalg.compress(m.elements, p.basis)) for m in a.measurements])
 
 
 def canonical_subsets(m: int) -> list[tuple[int, ...]]:
@@ -149,14 +144,11 @@ def depolarise(a: Assemblage, eta: float) -> Assemblage:
 
 def from_basis(vectors) -> Povm:
     """Rank-one PVM from an orthonormal basis."""
-    vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    d = vs[0].size
-    if len(vs) != d:
-        raise ValueError(f"need {d} vectors for a basis, got {len(vs)}")
-    gram = np.array([[np.vdot(u, v) for v in vs] for u in vs])
-    if np.abs(gram - np.eye(d)).max() > 1e-10:
-        raise ValueError("vectors are not orthonormal")
-    return Povm(d, [np.outer(v, v.conj()) for v in vs])
+    b = linalg.orthonormal_columns(vectors)
+    d, n = b.shape
+    if n != d:
+        raise ValueError(f"need {d} vectors for a basis, got {n}")
+    return Povm(d, [np.outer(v, v.conj()) for v in b.T])
 
 
 def renormalise(elements) -> np.ndarray:

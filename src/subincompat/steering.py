@@ -147,8 +147,7 @@ def pretty_good(sa: StateAssemblage) -> Assemblage:
     unsteerable."""
     v, isq, r = _support_isqrt(sa.reduced)
     w = v * isq  # columns scaled: W = V diag(1/sqrt(vals))
-    wh = w.conj().T
-    return Assemblage(r, [Povm(r, linalg.hermitianize(wh @ np.array(row) @ w)) for row in sa.sigmas])
+    return Assemblage(r, [Povm(r, linalg.compress(row, w)) for row in sa.sigmas])
 
 
 def choi_apply(rho: BipartiteState, alice: Assemblage) -> Assemblage:
@@ -169,10 +168,8 @@ def filter_bob(rho: BipartiteState) -> tuple[BipartiteState, int]:
     so performing Alice's measurements on it yields the pretty-good
     measurements divided by the support dimension."""
     v, isq, r = _support_isqrt(rho.reduced_b())
-    w = v * isq
-    r4 = rho.matrix.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
-    filt = np.einsum("bm,abcd,dn->amcn", w.conj(), r4, w).reshape(rho.dA * r, rho.dA * r)
-    return BipartiteState(rho.dA, r, linalg.hermitianize(filt / r)), r
+    filt = linalg.compress(rho.matrix, np.kron(np.eye(rho.dA), v * isq))
+    return BipartiteState(rho.dA, r, filt / r), r
 
 
 def truncate_bob(rho: BipartiteState, p: linalg.Projector):
@@ -181,25 +178,20 @@ def truncate_bob(rho: BipartiteState, p: linalg.Projector):
     trace of the unnormalised filtered operator)."""
     if p.dim != rho.dB:
         raise ValueError("projector dimension must match dB")
-    r4 = rho.matrix.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
-    k = p.basis
-    filt = np.einsum("bm,abcd,dn->amcn", k.conj(), r4, k).reshape(
-        rho.dA * p.rank, rho.dA * p.rank
-    )
+    filt = linalg.compress(rho.matrix, np.kron(np.eye(rho.dA), p.basis))
     tr = np.trace(filt).real
     if tr <= 0:
         raise ValueError("filtered state has nonpositive trace")
-    return BipartiteState(rho.dA, p.rank, linalg.hermitianize(filt / tr)), tr
+    return BipartiteState(rho.dA, p.rank, filt / tr), tr
 
 
 def truncate_state_assemblage(sa: StateAssemblage, p: linalg.Projector) -> StateAssemblage:
-    """Conjugate every conditional state by the subspace basis (Bob side)."""
+    """Compress every conditional state, and the reduced state, by the
+    subspace basis (Bob side)."""
     if p.dim != sa.dB:
         raise ValueError("projector dimension must match dB")
-    b = p.basis
-    sig = [[linalg.hermitianize(b.conj().T @ s @ b) for s in row] for row in sa.sigmas]
-    red = linalg.hermitianize(b.conj().T @ sa.reduced @ b)
-    return StateAssemblage(p.rank, sig, red)
+    sig = [list(linalg.compress(row, p.basis)) for row in sa.sigmas]
+    return StateAssemblage(p.rank, sig, linalg.compress(sa.reduced, p.basis))
 
 
 def peres_state(m1: float, m2: float) -> tuple[BipartiteState, PeresParameters]:

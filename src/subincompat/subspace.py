@@ -66,7 +66,7 @@ def _probe_projectors(a: Assemblage, n: int) -> list[tuple[str, linalg.Projector
             q = linalg._mgs(np.column_stack([pool[i] for i in combo]))
         except ValueError:  # linearly dependent span, no n-dim subspace
             continue
-        probes.append((f"eigenspan{list(combo)}", linalg.projector_from_basis(q.T)))
+        probes.append((f"eigenspan{list(combo)}", linalg.Projector(q)))
     return probes
 
 
@@ -163,18 +163,14 @@ def fully_compressible_criterion(basisA, basisB):
     the witness is ('overlap', a, alpha) or ('triple', a, b, c, alpha,
     beta, gamma) for the first violated condition, None when holds.
     """
-    va = [np.asarray(v, dtype=complex).ravel() for v in basisA]
-    vb = [np.asarray(v, dtype=complex).ravel() for v in basisB]
-    d = va[0].size
+    va = linalg.orthonormal_columns(basisA)
+    vb = linalg.orthonormal_columns(basisB)
+    d = va.shape[0]
     if d < 3:
         raise ValueError("the criterion requires d >= 3")
-    for vs in (va, vb):
-        if len(vs) != d:
-            raise ValueError("both inputs must be complete bases")
-        gram = np.array([[np.vdot(u, v) for v in vs] for u in vs])
-        if np.abs(gram - np.eye(d)).max() > 1e-10:
-            raise ValueError("basis vectors are not orthonormal")
-    o = np.array([[np.vdot(u, v) for v in vb] for u in va])
+    if va.shape != (d, d) or vb.shape != (d, d):
+        raise ValueError("both inputs must be complete bases")
+    o = va.conj().T @ vb
     for a in range(d):
         for al in range(d):
             if abs(o[a, al]) <= CRITERION_TOL:
@@ -223,8 +219,7 @@ def mub_same_povm_check() -> dict:
     # truncated pair on the range of R (rank 2)
     r = eye - np.outer(psi, psi.conj())
     vals, vecs = linalg.eig_hermitian(r)
-    basis = vecs[:, :2]
-    p = linalg.projector_from_basis(basis.T)
+    p = linalg.Projector(vecs[:, :2])
     pair = Assemblage(3, [from_basis(comp), from_basis(four)])
     rob = incompat.depolarising_robustness(truncate(pair, p))
 

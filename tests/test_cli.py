@@ -93,6 +93,22 @@ def test_truncate_basis_file(tmp_path, capsys):
     assert str(path) in rep["inputs"]
 
 
+@pytest.mark.parametrize("basis, message", [
+    ([[[1, 0], [0, 0], [0, 0]], [[1, 0], [1, 0], [0, 0]]],
+     "basis vectors are not orthonormal (deviation 1.000e+00 > 1.0e-10)"),
+    ([[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]],
+      [[1, 0], [0, 0], [0, 0]]],  # four vectors in C^3
+     "basis vectors are not orthonormal (deviation 1.000e+00 > 1.0e-10)"),
+    ([[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0]]], "basis vectors have unequal lengths [2, 3]"),
+], ids=["non-orthonormal", "four-in-C3", "unequal-lengths"])
+def test_truncate_bad_basis_file_names_the_basis_vectors(tmp_path, capsys, basis, message):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(basis))
+    code, rep, err = run(capsys, "truncate", "--builtin", "qutrit-pair", "--basis", str(path))
+    assert code == 2 and rep is None
+    assert err == f"error: {message}\n"  # one line, about the vectors the user gave
+
+
 def test_classify_fully_compressible(capsys):
     code, rep, err = run(capsys, "classify", "--builtin", "fully-compressible",
                          "--n", "2", "--samples", "3", "--seed", "3")
@@ -244,7 +260,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert err == "error: an assemblage needs at least one setting, got none\n"
 
 
-@pytest.mark.parametrize("argv, message", [
+COUNT_FLAG_CASES = [
     (("classify", "--n", "2", "--jobs", "0"), "--jobs must be at least 1, got 0"),
     (("classify", "--n", "2", "--samples", "-1"), "--samples must be at least 0, got -1"),
     (("classify", "--n", "2", "--samples", "-3"), "--samples must be at least 0, got -3"),
@@ -261,6 +277,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     (("classify", "--n", "2", "--seed", "-1"), "--seed must be at least 0, got -1"),
     (("integrals", "--seed", "-5", "--samples", "1000"), "--seed must be at least 0, got -5"),
     (("integrals", "--samples", "500"), "--samples must be at least 1000, got 500"),
+]
+
+
+# each case is named by its flag and value (e.g. "jobs=0"), not by its position
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=f"{message.split()[0][2:]}={message.split()[-1]}")
+    for argv, message in COUNT_FLAG_CASES
 ])
 def test_count_flags_out_of_range_exit_2(capsys, argv, message):
     builtin = {"robustness": ("--builtin", "sigma-xz-sharp"),

@@ -8,6 +8,7 @@ import pytest
 from subincompat import corpus, jsonio
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCHEMA_DIR = os.path.join(ROOT, "docs", "schema")
 
 
 def test_matrix_round_trip_complex():
@@ -53,14 +54,10 @@ def test_corpus_files_exist_and_validate_on_load():
     for path in files:
         data = jsonio.load_json(path)
         kind = data["kind"]
-        if kind == "assemblage":
-            jsonio.assemblage_from_json(data)  # Povm's constructor enforces invariants
-        elif kind == "state":
-            jsonio.state_from_json(data)  # constructor enforces invariants
-        elif kind == "state_assemblage":
-            jsonio.state_assemblage_from_json(data)
+        if kind in jsonio.READERS:
+            jsonio.READERS[kind](data)  # the constructors enforce invariants
         else:
-            assert kind == "parent"
+            assert kind == "parent" and kind in jsonio.WRITERS  # written, never read
         assert "description" in data
 
 
@@ -96,12 +93,37 @@ def test_sha256_file_stable(tmp_path):
     assert len(h1) == 64
 
 
+def _schema(name):
+    with open(os.path.join(SCHEMA_DIR, f"{name}.schema.json"), "r", encoding="utf-8") as f:
+        return json.load(f)
+
+
 def test_schema_files_published_and_current():
-    for name, schema in jsonio.SCHEMAS.items():
-        path = os.path.join(ROOT, "docs", "schema", name)
-        assert os.path.exists(path), name
-        with open(path, "r", encoding="utf-8") as f:
-            assert json.load(f) == schema
-    report = jsonio.SCHEMAS["report.schema.json"]
-    for field in ("schema_version", "version", "command", "seed", "inputs"):
-        assert field in report["properties"]
+    # one schema file per kind the CLI reads, plus the report's
+    names = sorted(os.listdir(SCHEMA_DIR))
+    assert names == sorted([f"{k}.schema.json" for k in jsonio.READERS] + ["report.schema.json"])
+    for name in names:
+        assert _schema(name.split(".")[0])["$id"] == name
+    report = _schema("report")
+    skeleton = jsonio.report_skeleton("robustness", 0, {"x.json": "ab" * 32})
+    assert sorted(report["required"]) == sorted([*skeleton, "results"])
+    assert report["properties"]["schema_version"]["const"] == jsonio.SCHEMA_VERSION
+
+
+@pytest.mark.parametrize("kind", sorted(jsonio.READERS))
+def test_schema_matches_the_writer_and_the_reader(kind):
+    schema = _schema(kind)
+    keys = [k for k in corpus.builtin_keys() if corpus.kind_of(k) == kind]
+    assert keys
+    for key in keys:
+        data = jsonio.WRITERS[kind](corpus.build(key))
+        assert set(schema["required"]) <= set(data), key
+        jsonio.READERS[kind](data)
+        for field in schema["required"]:
+            with pytest.raises(ValueError):
+                jsonio.READERS[kind]({k: v for k, v in data.items() if k != field})
+        dims = [f for f, spec in schema["properties"].items() if spec.get("minimum") == 1]
+        assert dims
+        for field in dims:
+            with pytest.raises(ValueError, match=field):
+                jsonio.READERS[kind]({**data, field: 0})

@@ -89,6 +89,42 @@ def test_projector_from_basis_rejects_non_orthonormal():
         )
 
 
+def test_projector_is_its_basis():
+    p = linalg.haar_subspace(4, 2, seed=7)
+    b = p.basis
+    assert (p.dim, p.rank) == b.shape == (4, 2)
+    assert np.array_equal(p.matrix, linalg.hermitianize(b @ b.conj().T))
+    with pytest.raises(ValueError, match="basis vectors are not orthonormal"):
+        linalg.Projector(2 * b)
+
+
+def test_orthonormal_columns_names_the_basis_vectors():
+    e = np.eye(3, dtype=complex)
+    b = linalg.orthonormal_columns([e[0], e[2]])
+    assert np.array_equal(b, e[:, [0, 2]])
+    with pytest.raises(ValueError, match=r"basis vectors have unequal lengths \[2, 3\]"):
+        linalg.orthonormal_columns([e[0], e[1, :2]])
+    with pytest.raises(ValueError, match="basis vectors are not orthonormal"):
+        linalg.orthonormal_columns([*e, e[0]])  # four vectors in C^3
+    with pytest.raises(ValueError, match="basis vectors are not orthonormal"):
+        linalg.orthonormal_columns([e[0] * np.nan])
+    with pytest.raises(ValueError, match="no basis vectors"):
+        linalg.orthonormal_columns([])
+
+
+def test_compress_is_the_sandwich():
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    els = list(linalg.hermitianize(g))
+    b = linalg.haar_subspace(4, 2, seed=3).basis
+    bh = b.conj().T
+    assert np.array_equal(linalg.compress(els, b), linalg.hermitianize(bh @ np.array(els) @ b))
+    w = b * np.array([0.5, 2.0])  # scaled columns, as the pretty-good map uses
+    one = linalg.compress(els[0], w)
+    assert one.shape == (2, 2)
+    assert np.abs(one - w.conj().T @ els[0] @ w).max() < 1e-14
+
+
 def test_haar_subspace_deterministic_and_valid():
     p1 = linalg.haar_subspace(4, 2, seed=7)
     p2 = linalg.haar_subspace(4, 2, seed=7)

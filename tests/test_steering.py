@@ -243,6 +243,28 @@ def test_truncate_bob_trace_and_normalisation():
     assert trunc.dB == 2
 
 
+def _einsum_filter(rho, k):
+    """Bob's side filtered by the columns of k, as one einsum over rho's
+    tensor indices: the reference for the compression by 1 (x) k."""
+    r4 = rho.matrix.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
+    n = k.shape[1]
+    return np.einsum("bm,abcd,dn->amcn", k.conj(), r4, k).reshape(rho.dA * n, rho.dA * n)
+
+
+def test_bob_filters_match_the_einsum_reference():
+    rng = np.random.default_rng(41)
+    for rho in (peres_state(0.18, 0.46)[0], random_mixed_state(2, 3, rng)):
+        filt, r = filter_bob(rho)
+        vals, vecs = linalg.eig_hermitian(rho.reduced_b())
+        ref = _einsum_filter(rho, vecs[:, :r] / np.sqrt(vals[:r])) / r
+        assert np.abs(filt.matrix - ref).max() < 1e-14
+        p = linalg.haar_subspace(3, 2, seed=9)
+        trunc, tr = truncate_bob(rho, p)
+        ref = _einsum_filter(rho, p.basis)
+        assert abs(tr - np.trace(ref).real) < 1e-14
+        assert np.abs(trunc.matrix - ref / np.trace(ref).real).max() < 1e-14
+
+
 def test_peres_qubit_truncations_ppt_and_unsteerable():
     rho, _ = peres_state(0.18, 0.46)
     filt, _ = filter_bob(rho)
