@@ -90,27 +90,10 @@ def _load(args, kinds: tuple[str, ...]):
                       "--input and --builtin")
 
 
-def _jsonable(x):
-    """Recursively convert report values to JSON-serialisable types."""
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return jsonio.matrix_to_json(x) if x.ndim == 2 else jsonio.vector_to_json(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    return x
-
-
 def _emit(args, report: dict, summary: str) -> int:
-    text = json.dumps(_jsonable(report), indent=1, sort_keys=True) + "\n"
+    """Write the report as built (dicts with str keys, lists, str, bool,
+    None, int and float only) and the one-line summary on stderr."""
+    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     out = getattr(args, "output", None)
     if out:
         with open(out, "w", encoding="utf-8") as f:
@@ -121,9 +104,7 @@ def _emit(args, report: dict, summary: str) -> int:
     return EXIT_OK
 
 
-def _solver_stats(sol: sdp.SdpSolution | None):
-    if sol is None:
-        return None
+def _solver_stats(sol: sdp.SdpSolution) -> dict:
     return {
         "status": sol.status,
         "iterations": sol.iterations,
@@ -167,7 +148,7 @@ def _cmd_robustness(args) -> int:
     rep["results"] = {
         "eta": res.eta,
         "verdict": res.verdict,
-        "parent": jsonio.parent_to_json(res.parent) if res.parent is not None else None,
+        "parent": jsonio.parent_to_json(res.parent),
         "solver": _solver_stats(res.solution),
     }
     return _emit(args, rep, f"eta = {res.eta:.8f}  verdict = {res.verdict}")
@@ -234,8 +215,7 @@ def _cmd_seesaw(args) -> int:
     for m in args.outcomes:
         _at_least("--outcomes", m, 1)
     _at_least("--seeds", args.seeds, 0)
-    max_iters = _at_least("--max-iters", args.max_iters, 1)
-    hits = coexist.seesaw(args.dim, args.outcomes[0], args.outcomes[1], args.seeds, max_iters)
+    hits = coexist.seesaw(args.dim, args.outcomes[0], args.outcomes[1], args.seeds)
     rep = jsonio.report_skeleton("seesaw", None, {})
     hit_rows = []
     for h in hits:
@@ -255,7 +235,7 @@ def _cmd_seesaw(args) -> int:
         "dim": args.dim,
         "outcomes": list(args.outcomes),
         "seeds": args.seeds,
-        "max_iters": args.max_iters,
+        "max_iters": coexist.SEESAW_MAX_STEPS,
         "hits": hit_rows,
     }
     return _emit(
@@ -529,8 +509,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcomes", type=int, nargs=2, required=True,
                    metavar=("MA", "MB"), help="outcome counts of the two POVMs")
     p.add_argument("--seeds", type=int, default=50, help="number of seeds (default 50)")
-    p.add_argument("--max-iters", type=int, default=200,
-                   help="seesaw iteration cap per seed (default 200)")
     p.set_defaults(func=_cmd_seesaw)
 
     p = sub.add_parser("truncate", parents=[io_p, out_p],

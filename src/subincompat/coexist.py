@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 
 WITNESS_HIT_MARGIN = 1e-5
 SEESAW_OBJ_TOL = 1e-7
+SEESAW_MAX_STEPS = 200  # witness steps a seed takes at most
 
 
 @dataclass(eq=False)
@@ -40,8 +41,8 @@ class SeesawHit:
     a2: Povm
     witness: incompat.Witness
     iterations: int
-    coexistence_slack: float = float("nan")
-    jm_slack: float = float("nan")
+    coexistence_slack: float
+    jm_slack: float
 
     @property
     def witness_value(self) -> float:
@@ -177,16 +178,10 @@ def _seesaw_sdp2(dim, kernel, singles, xs, ys):
     blocks = linalg.hermitianize(sol.primal_blocks[:kernel.shape[1]])
     els_a, els_b = ([sum(b for b, on in zip(blocks, row) if on) for row in single]
                     for single in singles)
-    return Povm(dim, povm.repair(els_a)), Povm(dim, povm.repair(els_b)), float(sol.primal_value)
+    return Povm(dim, povm.repair(els_a)), Povm(dim, povm.repair(els_b))
 
 
-def seesaw(
-    dim: int,
-    m_a: int,
-    m_b: int,
-    seeds: int,
-    max_iters: int = 200,
-) -> list[SeesawHit]:
+def seesaw(dim: int, m_a: int, m_b: int, seeds: int) -> list[SeesawHit]:
     """Alternating search for coexistent-but-incompatible pairs.
 
     Per seed: draw random POVMs, then alternate the witness SDP with the
@@ -195,6 +190,8 @@ def seesaw(
     parent step is coexistent by construction, so a witness value above
     1 + 1e-5 there is a find; each find is post-checked definitionally
     (coexistent_parent feasible, jm_parent infeasible) before being kept.
+    A seed stops at a find, once the witness value moves by less than
+    SEESAW_OBJ_TOL, or after SEESAW_MAX_STEPS witness steps.
     """
     kernel, singles = _seesaw_kernels(m_a, m_b)
     hits = []
@@ -204,7 +201,7 @@ def seesaw(
         b = random_povm(dim, m_b, rng)
         prev = None
         try:
-            for it in range(max_iters):
+            for it in range(SEESAW_MAX_STEPS):
                 w = incompat.witness(a, b)
                 if it >= 1 and w.value > 1.0 + WITNESS_HIT_MARGIN:
                     coex = coexistent_parent(a, b)
@@ -222,7 +219,7 @@ def seesaw(
                 if prev is not None and abs(w.value - prev) < SEESAW_OBJ_TOL:
                     break
                 prev = w.value
-                a, b, _ = _seesaw_sdp2(dim, kernel, singles, w.X, w.Y)
+                a, b = _seesaw_sdp2(dim, kernel, singles, w.X, w.Y)
         except (sdp.SolverError, np.linalg.LinAlgError) as exc:
             log.warning("seesaw seed %d skipped: %s", seed, exc)
     return hits

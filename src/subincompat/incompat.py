@@ -37,9 +37,9 @@ class JmResult:
 @dataclass(eq=False)
 class RobustnessResult:
     eta: float
-    parent: ParentPovm | None
+    parent: ParentPovm
     verdict: str
-    solution: sdp.SdpSolution | None = None
+    solution: sdp.SdpSolution
 
 
 @dataclass(eq=False)

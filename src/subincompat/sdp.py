@@ -25,7 +25,8 @@ its workspace once: the iterates as one (2nb, d, d) stack S = [X; Z], the
 search direction as one stack D = [dX; dZ] and one Newton right-hand side,
 all updated in place; a solve returns the iterate it measured last.  It
 measures at most MAX_ITERS iterates; callers treat any exit other than
-Optimal, Decided or a certified divergence as a ``SolverError``.  Per iteration
+Optimal or Decided as a ``SolverError``.  Every program the package builds
+is feasible and bounded, so no exit waits for a side to diverge.  Per iteration
 one factor F = inv(cholesky(S)) and its conjugate transpose give
 Z^-1 = F_Z^H F_Z and all four step lengths (one eigvalsh of F D F^H
 each).  The corrector takes the share 1 - mu_aff/mu of the largest
@@ -80,7 +81,6 @@ from . import linalg
 
 STATUS_OPTIMAL = "Optimal"
 STATUS_PRIMAL_INFEASIBLE = "PrimalInfeasible"
-STATUS_DUAL_INFEASIBLE = "DualInfeasible"
 STATUS_NUMERICAL_FAILURE = "NumericalFailure"
 STATUS_DECIDED = "Decided"  # a verdict-only feasibility solve met its certificate
 
@@ -88,7 +88,6 @@ FEAS_SLACK_TOL = 1e-7  # feasibility margin: feasible <=> slack >= -1e-7
 FEAS_TOL = 1e-8  # residual bound of an optimal iterate; tolerance of the data check
 GAP_TOL = 1e-8  # relative duality gap of an optimal iterate
 STEP_FRAC = 0.98  # least share of the largest feasible step taken (see _step_fraction)
-UNBOUNDED_CUTOFF = 1e10  # |objective| beyond which a side is taken to diverge
 MAX_ITERS = 200  # iterates a solve measures at most
 
 # the data check's reports of a zero row with nonzero rhs, and of a row
@@ -588,14 +587,6 @@ def solve(p: SdpProblem | Program) -> SdpSolution:
             if rd_inf <= FEAS_TOL and rf_inf <= FEAS_TOL and dv < -FEAS_SLACK_TOL:
                 status, message = STATUS_DECIDED, DECIDED_INFEASIBLE
                 break
-        if pv > UNBOUNDED_CUTOFF and rp_inf <= 1e-6:
-            status = STATUS_DUAL_INFEASIBLE
-            message = "primal objective diverging: dual infeasible"
-            break
-        if dv < -UNBOUNDED_CUTOFF and rd_inf <= 1e-6:
-            status = STATUS_PRIMAL_INFEASIBLE
-            message = "dual objective diverging: primal infeasible"
-            break
         if it == MAX_ITERS:
             break
 
@@ -675,11 +666,12 @@ def feasibility(p: SdpProblem | Program, decide: bool = False):
     free variable is such a slack t (compiled from ``with_slack`` of a
     problem, or with the slack column of ``incompat.parent_program``).
     Returns (feasible, slack, certificate_blocks).  A PrimalInfeasible
-    exit returns (False, -inf, None).  An Optimal or DualInfeasible exit
-    returns feasible <=> slack t >= -1e-7, t read from the last iterate,
-    and the certificate blocks, an (nb, d, d) stack: the unshifted
-    variables X = X~ + t*I, which satisfy the affine rows exactly and are
-    PSD up to the reported slack.  Any other exit raises ``SolverError``.
+    exit (rows that ``bind`` found contradictory) returns (False, -inf,
+    None).  An Optimal exit returns feasible <=> slack t >= -1e-7, t read
+    from the last iterate, and the certificate blocks, an (nb, d, d) stack:
+    the unshifted variables X = X~ + t*I, which satisfy the affine rows
+    exactly and are PSD up to the reported slack.  Any other exit raises
+    ``SolverError``.
 
     With ``decide`` only the verdict is asked for, and the solve stops at
     the first iterate that certifies it (status Decided), the verdict
@@ -700,7 +692,7 @@ def feasibility(p: SdpProblem | Program, decide: bool = False):
         return False, -np.inf, None
     if sol.status == STATUS_DECIDED and sol.message == DECIDED_INFEASIBLE:
         return False, float(sol.dual_value), None
-    if sol.status not in (STATUS_OPTIMAL, STATUS_DUAL_INFEASIBLE, STATUS_DECIDED):
+    if sol.status not in (STATUS_OPTIMAL, STATUS_DECIDED):
         raise SolverError(f"feasibility solve failed: {sol.status} {sol.message}")
     t = float(sol.scalar_vars[-1])
     x = np.asarray(sol.primal_blocks)

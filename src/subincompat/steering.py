@@ -18,6 +18,7 @@ STATE_PSD_TOL = 1e-9
 STATE_TRACE_TOL = 1e-10
 NOSIG_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10
+PERES_SCAN_GUARD = 250_000  # grid points a step scan builds at most (step 0.002)
 
 
 @dataclass(eq=False)
@@ -275,12 +276,18 @@ def peres_scan(grid) -> list[ScanPoint]:
     for steerability under the fixed MUB measurements.
 
     grid: a float step (full [0,1)^2 lattice at that spacing) or an iterable
-    of (m1, m2) pairs.  Raises when no grid point is admissible.
+    of (m1, m2) pairs.  A step's point count, ceil(1/step)^2 as np.arange
+    counts it, is checked against PERES_SCAN_GUARD before anything is
+    built.  Raises when no grid point is admissible.
     """
     if isinstance(grid, (int, float)):
         step = float(grid)
         if not 0 < step < 1:
             raise ValueError("grid step must lie in (0, 1)")
+        count = math.ceil(1.0 / step) ** 2
+        if count > PERES_SCAN_GUARD:
+            raise ValueError(f"grid point count {count} exceeds guard {PERES_SCAN_GUARD}; "
+                             "the count grows as 1/step^2")
         vals = np.arange(0.0, 1.0, step)
         points = [(float(u), float(v)) for u in vals for v in vals]
     else:

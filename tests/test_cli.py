@@ -1,10 +1,11 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
-from subincompat import cli, coexist, corpus, incompat, jsonio, sdp
+from subincompat import cli, coexist, corpus, incompat, jsonio, sdp, steering
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS_DIR = os.path.join(ROOT, "corpus")
@@ -175,6 +176,23 @@ def test_peres_scan_explicit_small(capsys):
     assert rep["results"]["n_admissible"] >= 1
 
 
+def test_peres_scan_refuses_a_grid_beyond_its_guard_before_building_it(capsys, monkeypatch):
+    # 1e9 points per axis would take 8 GB for np.arange alone; the count is
+    # refused first, so the command exits 2 at once
+    start = time.perf_counter()
+    code, rep, err = run(capsys, "peres", "scan", "--step", "1e-9")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and rep is None
+    assert err == (f"error: grid point count {10**18} exceeds guard {steering.PERES_SCAN_GUARD}; "
+                   "the count grows as 1/step^2\n")
+    # the count is np.arange's: 16 points at the guard run, a finer step's 25 do not
+    monkeypatch.setattr(steering, "PERES_SCAN_GUARD", 16)
+    code, rep, err = run(capsys, "peres", "scan", "--step", "0.25")
+    assert code == 0 and rep["results"]["n_points"] == 16
+    code, rep, err = run(capsys, "peres", "scan", "--step", "0.2499")
+    assert code == 2 and rep is None and err.startswith("error: grid point count 25 exceeds guard 16;")
+
+
 def test_integrals(capsys):
     code, rep, _ = run(capsys, "integrals", "--d", "3", "--n", "1",
                        "--samples", "2000", "--seed", "0")
@@ -270,10 +288,6 @@ COUNT_FLAG_CASES = [
     (("seesaw", "--dim", "0", "--outcomes", "2", "3"), "--dim must be at least 1, got 0"),
     (("seesaw", "--dim", "3", "--outcomes", "0", "3"), "--outcomes must be at least 1, got 0"),
     (("seesaw", "--dim", "3", "--outcomes", "2", "-1"), "--outcomes must be at least 1, got -1"),
-    (("seesaw", "--dim", "3", "--outcomes", "2", "3", "--max-iters", "0"),
-     "--max-iters must be at least 1, got 0"),
-    (("seesaw", "--dim", "3", "--outcomes", "2", "3", "--max-iters", "-1"),
-     "--max-iters must be at least 1, got -1"),
     (("classify", "--n", "2", "--seed", "-1"), "--seed must be at least 0, got -1"),
     (("integrals", "--seed", "-5", "--samples", "1000"), "--seed must be at least 0, got -5"),
     (("integrals", "--samples", "500"), "--samples must be at least 1000, got 500"),
@@ -331,6 +345,9 @@ def test_no_command_takes_an_iteration_cap_flag(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--sdp-iters", "3"])
         assert exc.value.code == 2, argv
+    with pytest.raises(SystemExit) as exc:  # the seesaw's step cap is a constant too
+        cli.main(["seesaw", "--dim", "2", "--outcomes", "2", "2", "--max-iters", "3"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

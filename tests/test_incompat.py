@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from subincompat import coexist, corpus, incompat, steering
-from subincompat.povm import Assemblage, depolarise, random_povm
+from subincompat import coexist, corpus, incompat, linalg, sdp, steering
+from subincompat.povm import Assemblage, Povm, depolarise, random_povm
 
-from helpers import compatible_pair, random_mixed_state, sharp_pair, sigma_xz_pair
+from helpers import compatible_pair, haar_basis, random_mixed_state, sharp_pair, sigma_xz_pair
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -130,6 +130,31 @@ def test_three_setting_assemblage_supported():
     jm = incompat.jm_parent(a)
     assert 0 < res.eta <= 1.0 + 1e-9
     assert jm.feasible == (res.eta >= 1 - 1e-6)
+
+
+CORPUS_ASSEMBLAGES = [k for k in corpus.builtin_keys() if corpus.kind_of(k) == "assemblage"]
+
+
+@pytest.mark.parametrize("key", CORPUS_ASSEMBLAGES)
+def test_robustness_is_unitarily_invariant(key):
+    # eta depends on the assemblage up to a common unitary U E U^H; the two
+    # solves agree within the solver's relative gap
+    a = corpus.build(key)
+    u = np.column_stack(haar_basis(a.dim, np.random.default_rng(17)))
+    turned = Assemblage(a.dim, [Povm(a.dim, linalg.hermitianize(u @ m.elements @ u.conj().T))
+                                for m in a.measurements])
+    eta = incompat.depolarising_robustness(a).eta
+    assert abs(incompat.depolarising_robustness(turned).eta - eta) <= sdp.GAP_TOL * (1 + eta)
+
+
+@pytest.mark.parametrize("key", CORPUS_ASSEMBLAGES)
+def test_a_trivial_setting_leaves_robustness_bit_for_bit(key):
+    # the one-outcome setting {1}: its row is the sum of another setting's
+    # rows, so the presolve leaves it out and the solve is the same
+    a = corpus.build(key)
+    more = Assemblage(a.dim, [*a.measurements, Povm(a.dim, [np.eye(a.dim)])])
+    assert (incompat.depolarising_robustness(more).eta.hex()
+            == incompat.depolarising_robustness(a).eta.hex())
 
 
 def test_labelled_parent_decides_jm():

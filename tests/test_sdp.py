@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from subincompat import coexist, corpus, incompat, linalg, sdp, steering
-from subincompat.povm import Assemblage, depolarise, from_basis, random_povm
+from subincompat.povm import Assemblage, Povm, depolarise, from_basis, random_povm
 
 from helpers import real_embedding, sigma_xz_pair
 
@@ -700,12 +700,13 @@ def test_presolve_panels_match_the_mgs_reference():
             assert got[0] is None and got[1].startswith(message)
 
 
-def test_robustness_of_a_fourier_mub_pair_at_d5():
-    # two mutually unbiased bases: eta = (1 + (sqrt d - 1)/(d - 1))/2
-    d = 5
+@pytest.mark.parametrize("d", range(2, 8), ids=lambda d: f"d={d}")
+def test_robustness_of_a_fourier_mub_pair(d):
+    # the computational basis and its Fourier basis: eta = (1 + 1/(sqrt d + 1))/2
+    # (Carmeli, Heinosaari & Toigo, PRA 85, 012109 (2012))
     a = _fourier_pair(d)
     res = incompat.depolarising_robustness(a)
-    assert abs(res.eta - (1 + (np.sqrt(d) - 1) / (d - 1)) / 2) < 1e-6
+    assert abs(res.eta - (1 + 1 / (np.sqrt(d) + 1)) / 2) < 1e-6
     assert res.verdict == incompat.VERDICT_INCOMPATIBLE
     noisy = depolarise(a, res.eta)
     for x in range(2):
@@ -716,6 +717,28 @@ def test_robustness_of_a_fourier_mub_pair_at_d5():
     assert again.eta == res.eta
     assert again.solution.iterations == res.solution.iterations
     assert all(np.array_equal(g, h) for g, h in zip(res.parent.elements, again.parent.elements))
+
+
+def test_robustness_of_unbiased_qubit_pairs_meets_busch():
+    # (1 +- a.sigma)/2 and (1 +- b.sigma)/2 are jointly measurable iff
+    # |a + b| + |a - b| <= 2 (Busch, Phys. Rev. D 33, 2253 (1986)); the noise
+    # tr(E) 1/2 = 1/2 scales the Bloch vectors, so eta = min(1, 2/(|a + b| + |a - b|)).
+    # An Optimal solve's objective is within its gap GAP_TOL * (1 + |eta|).
+    rng = np.random.default_rng(1986)
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    eye = np.eye(2)
+
+    def bloch():
+        u = rng.standard_normal(3)
+        return rng.uniform() * u / np.linalg.norm(u)
+
+    for _ in range(100):
+        a, b = bloch(), bloch()
+        pair = [Povm(2, [(eye + s * np.einsum("k,kij->ij", v, paulis)) / 2 for s in (1, -1)])
+                for v in (a, b)]
+        eta = incompat.depolarising_robustness(Assemblage(2, pair)).eta
+        expected = min(1.0, 2 / (np.linalg.norm(a + b) + np.linalg.norm(a - b)))
+        assert abs(eta - expected) <= sdp.GAP_TOL * (1 + eta), (a, b)
 
 
 def _parent_args(settings, noisy):
