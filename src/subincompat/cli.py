@@ -522,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="subspace dimension")
     p.add_argument("--samples", type=int, default=50,
                    help="Haar-random subspaces to test (default 50)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1, at most the CPU count)")
     p.set_defaults(func=_cmd_classify)
 
     steer = sub.add_parser("steering", help="steering assemblage analyses")

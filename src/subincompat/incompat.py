@@ -125,8 +125,8 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
     max eta; noise must obey the kernel's row relations (depolarising noise
     does).  With an objective {lam: Hermitian matrix}, the program
     maximises sum_lam <objective[lam], G_lam>.  With neither it is the
-    feasibility program, as ``sdp.with_slack`` writes it, to be answered by
-    ``sdp.feasibility``.
+    feasibility program, as ``sdp.Builder.feasibility_program`` writes it,
+    to be answered by ``sdp.feasibility``.
 
     The structure, everything that depends only on (d, kernel, kind), is
     compiled once and cached; a call binds its data to it, and
@@ -150,7 +150,7 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
 
     b = coords(rhs)
     if kind == "noise":
-        N = coords(-np.asarray(noise)) + 0.0  # a zero coefficient is +0, as in the Builder's rows
+        N = coords(-np.asarray(noise)) + 0.0  # zeros as +0, not -0; tools/bitwise.py output is the same without it
         return prog.bind(b=np.append(b, 1.0), E=np.append(N, 1.0).reshape(-1, 1))
     if kind == "objective":
         return prog.bind(b=b, C=dict(objective))

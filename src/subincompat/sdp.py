@@ -44,35 +44,25 @@ produce identical iterate sequences.
 The tolerances and the iteration cap are the module constants below.
 
 Compile and solve are separate steps.  ``compile_kernel`` compiles a
-program from its kernel, border and free columns; ``compile_program``
-compiles an ``SdpProblem`` (one block dimension) as border rows only.
-Either returns a read-only ``_Structure`` bound to the program's data as a
-``Program``; ``Program.bind`` swaps in another call's data (rhs, free
-columns, objective) without compiling again, so a caller that caches a
-structure solves many programs of one shape for the cost of their data.
-Binding is the one place that checks data: the rows the structure leaves
-out must still match the kept rows.  ``solve`` accepts an ``SdpProblem``,
-compiled on the spot, or a Program.
+program from its kernel, border and free columns, and ``Builder`` writes a
+program out row by row and compiles it with border rows only.  Either
+gives a read-only ``_Structure`` bound to the program's data as a
+``Program``, the one input of ``solve``; ``Program.bind`` swaps in another
+call's data (rhs, free columns, objective) without compiling again, so a
+caller that caches a structure solves many programs of one shape for the
+cost of their data.  Binding is the one place that checks data: the rows
+the structure leaves out must still match the kept rows.
 
-``Builder`` declares Hermitian variables, one block kind (a nonnegative
-scalar is a 1 x 1 block), and expands each d x d matrix equality in the
-Hermitian basis into d^2 real rows.  Feasibility questions
-are answered by ``feasibility``, which maximises a uniform slack t with
-every block shifted to X - t*I >= 0 (the rewrite ``with_slack``).  A
-caller that wants the verdict only, not t, binds ``decide``
-(``feasibility(p, decide=True)``), and the solve gets two more exits,
-tested after the Optimal one, primal first, both reported Decided: a
-primal iterate whose rows are met (residual <= FEAS_TOL) with t >=
--FEAS_SLACK_TOL is a feasible certificate; a dual iterate whose rows are
-met with b.y < -FEAS_SLACK_TOL proves infeasibility, as weak duality
-bounds the optimal slack by t* <= b.y.
+``feasibility`` answers a feasibility question: it maximises a uniform
+slack t with every block shifted to X - t*I >= 0, and with ``decide`` it
+stops, Decided, at the first iterate that certifies the sign of t.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -99,22 +89,6 @@ DECIDED_FEASIBLE = "primal iterate certifies slack >= -FEAS_SLACK_TOL"
 DECIDED_INFEASIBLE = "dual iterate certifies slack < -FEAS_SLACK_TOL"
 
 _log = logging.getLogger(__name__)
-
-
-@dataclass
-class SdpProblem:
-    """Block-diagonal SDP data.
-
-    constraints: list of (block_coeffs, free_coeffs, rhs) with block_coeffs a
-    dict {block index -> Hermitian coefficient matrix} and free_coeffs a dict
-    {free var index -> float}.  objective likewise, maximised: (block dict,
-    free dict).  ``compile_program`` accepts blocks of one dimension only.
-    """
-
-    blocks: list[int]
-    n_free: int = 0
-    objective: tuple[dict, dict] = field(default_factory=lambda: ({}, {}))
-    constraints: list[tuple[dict, dict, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -404,54 +378,6 @@ def compile_kernel(d: int, kernel, border=None, E=None, c=None) -> Program:
     return unbound.bind(b=np.zeros(R * n + len(T)), E=E)
 
 
-def _dense(p: SdpProblem):
-    """Check p's data: blocks of one dimension d, coefficients d x d and
-    Hermitian, free indices in range, finite rhs.  Returns (d, T, E, b, C,
-    c): per constraint the hvec coordinates T (m, nb, d^2) of its block
-    coefficients and its free coefficients E (m, n_free), the rhs b, and the
-    objective's block stack C (nb, d, d) and free coefficients c."""
-    dims = sorted(set(p.blocks))
-    if len(dims) != 1:
-        raise ValueError(f"a program needs blocks of one dimension, got dimensions {dims}")
-    d = dims[0]
-    if d < 1:
-        raise ValueError(f"blocks of dimension {d}")
-    nb, nf, m = len(p.blocks), p.n_free, len(p.constraints)
-    rows = [p.objective] + p.constraints
-    coef = np.zeros((m + 1, nb, d, d), dtype=complex)  # row 0: the objective
-    E = np.zeros((m + 1, nf))
-
-    def where(k):
-        return "objective" if k == 0 else f"constraint {k - 1}"
-
-    for k, (bc, fc, *_) in enumerate(rows):
-        for blk, mat in bc.items():
-            if np.shape(mat) != (d, d):
-                raise ValueError(f"{where(k)}: block {blk} coefficient shape {np.shape(mat)}")
-            coef[k, blk] = mat
-        for j, v in fc.items():
-            if not 0 <= j < nf:
-                raise ValueError(f"{where(k)}: free index {j} out of range")
-            E[k, j] = v
-    bad = np.argwhere(np.abs(coef - coef.conj().transpose(0, 1, 3, 2)).max(axis=(2, 3)) > 1e-10)
-    if bad.size:
-        raise ValueError(f"{where(bad[0][0])}: block {bad[0][1]} coefficient not Hermitian")
-    b = np.array([rhs for *_, rhs in p.constraints], dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError(f"constraint {np.flatnonzero(~np.isfinite(b))[0]}: non-finite rhs")
-    return d, hvec(coef[1:]), E[1:], b, coef[0], E[0]
-
-
-def compile_program(p: SdpProblem) -> Program:
-    """Compile p's structure, every row a border row (p has no kernel), and
-    bind p's own data to it.  The presolve reads p's block and free
-    coefficients, so binding checks only p's rhs."""
-    d, T, E, b, C, c = _dense(p)
-    kept, weights = _presolve(np.hstack([T.reshape(len(T), -1), E]))
-    st = _Structure(d, np.zeros((0, len(p.blocks))), T[kept], p.n_free, kept, weights)
-    return Program(st, None, _frozen(E[kept]), _frozen(C), _frozen(c)).bind(b=b)
-
-
 def _factor(S: np.ndarray) -> np.ndarray:
     """F = inv(cholesky(S)) for a stack S of Hermitian positive definite
     matrices: S^-1 = F^H F, and S + a*D >= 0 iff I + a*F D F^H >= 0."""
@@ -499,11 +425,9 @@ def _lin_solve(a: np.ndarray, rhs: np.ndarray):
     return x, True
 
 
-def solve(p: SdpProblem | Program) -> SdpSolution:
-    """Solve an SdpProblem (compiled here, presolve included) or a Program
-    with the interior-point method described above."""
-    if isinstance(p, SdpProblem):
-        p = compile_program(p)
+def solve(p: Program) -> SdpSolution:
+    """Solve a compiled program with the interior-point method described
+    above."""
     c = p.structure
     nb, d = c.nb, c.d
     if p.message:
@@ -640,31 +564,12 @@ def solve(p: SdpProblem | Program) -> SdpSolution:
     )
 
 
-def with_slack(p: SdpProblem) -> SdpProblem:
-    """The feasibility program of p: maximise a uniform slack t, a new last
-    free variable, with every block shifted, X - t*I >= 0 (each row gains t
-    times the trace of its block coefficients).  p's objective is ignored."""
-    q = SdpProblem(
-        blocks=list(p.blocks),
-        n_free=p.n_free + 1,
-        objective=({}, {p.n_free: 1.0}),
-        constraints=[],
-    )
-    for bc, fc, rhs in p.constraints:
-        fc2 = dict(fc)
-        tr = sum(np.trace(np.asarray(mat)).real for mat in bc.values())
-        if tr != 0.0:
-            fc2[p.n_free] = fc2.get(p.n_free, 0.0) + tr
-        q.constraints.append((bc, fc2, rhs))
-    return q
-
-
-def feasibility(p: SdpProblem | Program, decide: bool = False):
+def feasibility(p: Program, decide: bool = False):
     """Maximise a uniform slack t with every block shifted: X - t*I >= 0.
 
-    p is an SdpProblem (its objective is ignored), or a Program whose last
-    free variable is such a slack t (compiled from ``with_slack`` of a
-    problem, or with the slack column of ``incompat.parent_program``).
+    p is a Program whose last free variable is such a slack t and whose
+    objective is max t (``Builder.feasibility_program``, or the
+    feasibility kind of ``incompat.parent_program``).
     Returns (feasible, slack, certificate_blocks).  A PrimalInfeasible
     exit (rows that ``bind`` found contradictory) returns (False, -inf,
     None).  An Optimal exit returns feasible <=> slack t >= -1e-7, t read
@@ -683,8 +588,6 @@ def feasibility(p: SdpProblem | Program, decide: bool = False):
       returned is that bound and the certificate None.
     An iterate that meets neither goes on to the Optimal exit as before.
     """
-    if isinstance(p, SdpProblem):
-        p = compile_program(with_slack(p))
     if decide:
         p = replace(p, decide=True)
     sol = solve(p)
@@ -708,81 +611,123 @@ class SolverError(RuntimeError):
 
 
 class Builder:
-    """Assemble SDPs over complex Hermitian blocks.
+    """Write a program over complex Hermitian blocks of one dimension d out
+    row by row, and compile it.
 
-    A Hermitian variable of dimension d is a d x d solver block, and its
-    coefficients are the Hermitian matrices themselves (a nonnegative
-    scalar is a 1 x 1 block).  Matrix equalities are expanded against the
-    orthonormal basis ``_hermitian_basis(d)``, so each d x d constraint
-    contributes d^2 real rows, row k taking the coordinates hvec(T)[k] of
-    the right-hand side.  ``prob`` is the assembled ``SdpProblem``, for
-    ``solve`` or ``feasibility``.
+    A Hermitian variable is a d x d block (a nonnegative scalar a 1 x 1
+    block) and its coefficients are Hermitian matrices.  Rows are recorded
+    in hvec coordinates: a scalar equality is one row, a d x d matrix
+    equality d^2 rows, row k taking coordinate k of either side (its block
+    coefficients are units).  ``program`` compiles the rows for ``solve``,
+    ``feasibility_program`` for ``feasibility``, every row a border row.
+    Each method checks its arguments and raises ValueError.
     """
 
     def __init__(self):
-        self.prob = SdpProblem(blocks=[], n_free=0)
+        self.blocks: list[int] = []
+        self.n_free = 0
+        # per equality: {block: hvec coefficients (r, d^2)}, {free index: (r,)}, rhs (r,)
+        self._rows: list[tuple[dict, dict, np.ndarray]] = []
+        self._objective: tuple[dict, dict] = ({}, {})
 
     def cblock(self, d: int) -> int:
         """New complex Hermitian PSD variable of dimension d."""
-        self.prob.blocks.append(d)
-        return len(self.prob.blocks) - 1
+        if d < 1:
+            raise ValueError(f"blocks of dimension {d}")
+        self.blocks.append(d)
+        return len(self.blocks) - 1
 
     def free(self) -> int:
         """New free scalar variable."""
-        idx = self.prob.n_free
-        self.prob.n_free += 1
-        return idx
+        self.n_free += 1
+        return self.n_free - 1
 
-    def _expand(self, terms, free_terms, rhs_mat, d):
-        for blk, _ in terms:
-            if self.prob.blocks[blk] != d:
-                raise ValueError("block dimension mismatch in matrix equality")
-        rhs = hvec(rhs_mat).tolist()
-        fvecs = [(j, hvec(f).tolist()) for j, f in free_terms]
-        rows = []
-        for k, h in enumerate(_hermitian_basis(d)):
-            bc = {}
-            for blk, coef in terms:
-                mat = coef * h
-                bc[blk] = bc[blk] + mat if blk in bc else mat
-            fc = {}
-            for j, fv in fvecs:
-                if fv[k] != 0.0:
-                    fc[j] = fc.get(j, 0.0) + fv[k]
-            rows.append((bc, fc, rhs[k]))
-        return rows
+    def _free(self, j: int) -> int:
+        if not 0 <= j < self.n_free:
+            raise ValueError(f"free index {j} out of range")
+        return j
+
+    def _coef(self, blk: int, mat) -> np.ndarray:
+        """mat as a coefficient of block blk: Hermitian, of the block's dimension."""
+        if not 0 <= blk < len(self.blocks):
+            raise ValueError(f"block index {blk} out of range")
+        if np.shape(mat) != (self.blocks[blk],) * 2:
+            raise ValueError(f"block {blk} coefficient shape {np.shape(mat)}")
+        return linalg.check_hermitian(mat, tol=1e-9)
 
     def eq_matrix(self, terms, rhs_mat, free_terms=()):
-        """Add sum_v coef_v * X_v + sum_j s_j * F_j = T (Hermitian d x d).
-
-        terms: [(cblock, real coef)]; free_terms: [(free idx, Hermitian F)];
-        rhs_mat: Hermitian T.
-        """
+        """Add sum_v coef_v * X_v + sum_j s_j * F_j = T: terms [(block, real
+        coef)], free_terms [(free index, Hermitian F)], T = rhs_mat Hermitian."""
         t = linalg.check_hermitian(rhs_mat, tol=1e-9)
-        d = t.shape[0]
-        fts = [(j, linalg.check_hermitian(f, tol=1e-9)) for j, f in free_terms]
-        self.prob.constraints.extend(self._expand(terms, fts, t, d))
+        bc, fc = {}, {}
+        for blk, coef in terms:  # block blk's coefficient is coef * 1, of T's shape
+            bc[blk] = bc.get(blk, 0.0) + coef * np.eye(self._coef(blk, t).size)
+        for j, f in free_terms:
+            if np.shape(f) != t.shape:
+                raise ValueError(f"free {j} coefficient shape {np.shape(f)}")
+            fc[self._free(j)] = fc.get(j, 0.0) + hvec(linalg.check_hermitian(f, tol=1e-9))
+        self._rows.append((bc, fc, hvec(t)))
 
     def eq_scalar(self, block_terms=(), free_terms=(), rhs=0.0):
-        """Add sum_v <K_v, X_v> + sum_j c_j s_j = rhs (one real row).
-
-        block_terms: [(block, Hermitian K)].
-        """
-        bc = {}
+        """Add sum_v <K_v, X_v> + sum_j c_j s_j = rhs (one real row):
+        block_terms [(block, Hermitian K)], free_terms [(free index, c)]."""
+        if not math.isfinite(rhs):
+            raise ValueError(f"non-finite rhs {rhs}")
+        bc, fc = {}, {}
         for blk, k in block_terms:
-            mat = linalg.check_hermitian(k, tol=1e-9)
-            bc[blk] = bc[blk] + mat if blk in bc else mat
-        fc = {}
+            bc[blk] = bc.get(blk, 0.0) + hvec(self._coef(blk, k))
         for j, v in free_terms:
-            fc[j] = fc.get(j, 0.0) + float(v)
-        self.prob.constraints.append((bc, fc, float(rhs)))
+            fc[self._free(j)] = fc.get(j, 0.0) + float(v)
+        self._rows.append((bc, fc, np.array([float(rhs)])))
 
     def objective(self, block_terms=(), free_terms=()):
         """Set the objective, maximised: sum_v <O_v, X_v> + sum_j c_j s_j."""
-        bo = {blk: linalg.check_hermitian(o, tol=1e-9) for blk, o in block_terms}
-        fo = {j: float(v) for j, v in free_terms}
-        self.prob.objective = (bo, fo)
+        self._objective = ({blk: self._coef(blk, o) for blk, o in block_terms},
+                           {self._free(j): float(v) for j, v in free_terms})
 
     def extract(self, blocks: list[np.ndarray], blk: int) -> np.ndarray:
         """Complex Hermitian matrix of block blk from solver blocks."""
         return linalg.hermitianize(blocks[blk])
+
+    def _arrays(self):
+        """Every row's hvec block coefficients T (m, nb, d^2), free
+        coefficients E (m, n_free) and rhs b (m,)."""
+        dims = sorted(set(self.blocks))
+        if len(dims) != 1:
+            raise ValueError(f"a program needs blocks of one dimension, got dimensions {dims}")
+        m = sum(len(rhs) for *_, rhs in self._rows)
+        T, E, b = np.zeros((m, len(self.blocks), dims[0] ** 2)), np.zeros((m, self.n_free)), np.zeros(m)
+        k = 0
+        for bc, fc, rhs in self._rows:
+            rows = slice(k, k + len(rhs))
+            for blk, v in bc.items():
+                T[rows, blk] = v
+            for j, v in fc.items():
+                E[rows, j] = v
+            b[rows], k = rhs, rows.stop
+        return T, E, b
+
+    def program(self) -> Program:
+        """The program, compiled and bound to its data."""
+        return _compile(*self._arrays(), *self._objective)
+
+    def feasibility_program(self) -> Program:
+        """The feasibility program, compiled and bound to its data: maximise
+        a uniform slack t, a new last free variable, with every block
+        shifted, X - t*I >= 0 (each row gains t times the trace of its block
+        coefficients).  The objective is not read."""
+        T, E, b = self._arrays()
+        tr = T.sum(axis=1) @ hvec(np.eye(math.isqrt(T.shape[2])))
+        return _compile(T, np.hstack([E, tr[:, None]]), b, {}, {self.n_free: 1.0})
+
+
+def _compile(T, E, b, C: dict, c: dict) -> Program:
+    """Compile rows (hvec block coefficients T (m, nb, d^2), free ones E
+    (m, nf)), every one a border row, and bind the rhs b and the objective
+    (C {block: Hermitian matrix}, c {free index: float}).  The presolve
+    reads every row's coefficients, so binding checks only b."""
+    kept, weights = _presolve(np.hstack([T.reshape(len(T), -1), E]))
+    st = _Structure(math.isqrt(T.shape[2]), np.zeros((0, T.shape[1])), T[kept], E.shape[1], kept, weights)
+    free = np.zeros(st.nf)
+    free[list(c)] = list(c.values())
+    return Program(st, None, _frozen(E[kept]), None, _frozen(free)).bind(b=b, C=C)

@@ -6,6 +6,7 @@ random-subspace integral identities."""
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -92,7 +93,9 @@ def classify(
     from `seed`.  Verdicts aggregate to Incompressible (every truncation
     compatible), FullyCompressible (every truncation incompatible),
     PartlyCompressible (both observed, with witnessing projectors) or
-    Indeterminate; they are evidence, not proof.
+    Indeterminate; they are evidence, not proof.  With ``jobs`` > 1 the
+    truncations run in min(jobs, truncations, CPU count) worker processes
+    (in this process when that is 1); the report does not depend on it.
     """
     if not 2 <= n < a.dim:
         raise ValueError(f"need 2 <= n < dim, got n={n}, dim={a.dim}")
@@ -111,8 +114,9 @@ def classify(
     tasks = _probe_projectors(a, n)
     for s in np.random.SeedSequence(seed).generate_state(samples):
         tasks.append((int(s), linalg.haar_subspace(a.dim, n, int(s))))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_classify_one, itertools.repeat(a), *zip(*tasks)))
     else:
         results = [_classify_one(a, label, p) for label, p in tasks]

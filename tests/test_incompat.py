@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subincompat import coexist, corpus, incompat, linalg, sdp, steering
-from subincompat.povm import Assemblage, Povm, depolarise, random_povm
+from subincompat.povm import Assemblage, Povm, coarse_grain, depolarise, random_povm
 
 from helpers import compatible_pair, haar_basis, random_mixed_state, sharp_pair, sigma_xz_pair
 
@@ -155,6 +155,20 @@ def test_a_trivial_setting_leaves_robustness_bit_for_bit(key):
     more = Assemblage(a.dim, [*a.measurements, Povm(a.dim, [np.eye(a.dim)])])
     assert (incompat.depolarising_robustness(more).eta.hex()
             == incompat.depolarising_robustness(a).eta.hex())
+
+
+@pytest.mark.parametrize("key", CORPUS_ASSEMBLAGES)
+def test_coarse_graining_never_lowers_robustness(key):
+    # merging outcomes 0 and 1 of the last setting is a post-processing, so
+    # any parent of the noisy data gives one of the coarse data: the exact
+    # eta never falls; each solve's eta is within its own gap of the exact
+    # one, its residuals within FEAS_TOL
+    a = corpus.build(key)
+    last = a.measurements[-1]
+    merged = coarse_grain(last, [(0, 1), *[(k,) for k in range(2, last.n_outcomes)]])
+    fine = incompat.depolarising_robustness(a)
+    coarse = incompat.depolarising_robustness(Assemblage(a.dim, [*a.measurements[:-1], merged]))
+    assert coarse.eta >= fine.eta - (fine.solution.gap + coarse.solution.gap + sdp.FEAS_TOL)
 
 
 def test_labelled_parent_decides_jm():

@@ -17,7 +17,7 @@ def test_trivial_lp_max_x_below_one():
     s = bld.cblock(1)
     bld.eq_scalar([(s, np.eye(1))], [(x, 1.0)], 1.0)  # x + s = 1, s >= 0
     bld.objective([], [(x, 1.0)])
-    sol = sdp.solve(bld.prob)
+    sol = sdp.solve(bld.program())
     assert sol.status == "Optimal"
     assert abs(sol.primal_value - 1.0) < 1e-7
 
@@ -31,7 +31,7 @@ def test_largest_eigenvalue_sdp():
     x = bld.cblock(3)
     bld.eq_scalar([(x, np.eye(3, dtype=complex))], [], 1.0)
     bld.objective([(x, m)], [])
-    sol = sdp.solve(bld.prob)
+    sol = sdp.solve(bld.program())
     top = np.linalg.eigvalsh(m).max()
     assert sol.status == "Optimal"
     assert abs(sol.primal_value - top) < 1e-7
@@ -57,12 +57,8 @@ def test_random_instances_with_known_optimum():
             g = rng.standard_normal((d, d))
             amats.append((g + g.T) / 2)
         c = sum(y * a for y, a in zip(ystar, amats)) + zstar
-        prob = sdp.SdpProblem(
-            blocks=[d],
-            objective=({0: -c}, {}),
-            constraints=[({0: a}, {}, float(np.tensordot(a, xstar))) for a in amats],
-        )
-        sol = sdp.solve(prob)
+        rows = [({0: a}, {}, float(np.tensordot(a, xstar))) for a in amats]
+        sol = sdp.solve(_written([d], rows, objective=({0: -c}, {})).program())
         target = float(np.tensordot(c, xstar))
         assert sol.status == "Optimal"
         assert abs(-sol.primal_value - target) <= 1e-6 * (1 + abs(target))
@@ -74,7 +70,7 @@ def test_inconsistent_rows_detected_infeasible():
     y = bld.cblock(2)
     bld.eq_scalar([(y, np.eye(2, dtype=complex))], [], 1.0)
     bld.eq_scalar([(y, np.eye(2, dtype=complex))], [], 2.0)
-    feasible, slack, cert = sdp.feasibility(bld.prob)
+    feasible, slack, cert = sdp.feasibility(bld.feasibility_program())
     assert feasible is False
     assert cert is None
 
@@ -84,7 +80,7 @@ def test_feasibility_positive_slack_certificate():
     bld = sdp.Builder()
     x = bld.cblock(2)
     bld.eq_scalar([(x, np.eye(2, dtype=complex))], [], 2.0)
-    feasible, slack, cert = sdp.feasibility(bld.prob)
+    feasible, slack, cert = sdp.feasibility(bld.feasibility_program())
     assert feasible and slack > 0.1
     xm = bld.extract(cert, x)
     assert abs(np.trace(xm).real - 2.0) < 1e-6
@@ -101,7 +97,7 @@ def test_eq_matrix_with_free_terms():
     t = bld.free()
     bld.eq_matrix([(x, 1.0)], t_mat, free_terms=[(t, f)])
     bld.objective([], [(t, 1.0)])
-    sol = sdp.solve(bld.prob)
+    sol = sdp.solve(bld.program())
     assert abs(sol.primal_value - 1.0) < 1e-6  # limited by the smaller eigenvalue
 
 
@@ -137,7 +133,7 @@ def test_complex_hermitian_block_round_trip():
     bld = sdp.Builder()
     x = bld.cblock(2)
     bld.eq_matrix([(x, 1.0)], h)
-    feasible, slack, cert = sdp.feasibility(bld.prob)
+    feasible, slack, cert = sdp.feasibility(bld.feasibility_program())
     assert feasible
     xm = bld.extract(cert, x)
     assert np.abs(xm - h).max() < 1e-7
@@ -157,33 +153,35 @@ def _random_pd(rng, d):
     return g @ g.T + 0.5 * np.eye(d)
 
 
-def _random_problem(rng, d=3, nb=5, n_free=2, m=30):
-    """Rows mention a random subset of nb blocks of dimension d and of the
-    free variables."""
-    cons = []
+def _random_rows(rng, d=3, nb=5, n_free=2, m=30):
+    """Rows ({block: coefficient}, {free index: coefficient}, rhs) that
+    mention a random subset of nb blocks of dimension d and of the free
+    variables."""
+    rows = []
     for _ in range(m):
         picked = [b for b in range(nb) if rng.random() < 0.5] or [0]
         bc = {b: _random_sym(rng, d) for b in picked}
         fc = {j: float(rng.standard_normal()) for j in range(n_free) if rng.random() < 0.5}
-        cons.append((bc, fc, float(rng.standard_normal())))
-    return sdp.SdpProblem(blocks=[d] * nb, n_free=n_free, constraints=cons)
+        rows.append((bc, fc, float(rng.standard_normal())))
+    return rows
 
 
-def _dense_stack(p, rows):
-    """Dense (len(rows), nb, d, d) coefficient stack of the given rows."""
-    out = np.zeros((len(rows), len(p.blocks), p.blocks[0], p.blocks[0]), dtype=complex)
-    for i, k in enumerate(rows):
-        for b, mat in p.constraints[k][0].items():
+def _coef_stack(nb, d, rows, kept):
+    """Dense (len(kept), nb, d, d) coefficient stack of the kept rows."""
+    out = np.zeros((len(kept), nb, d, d), dtype=complex)
+    for i, k in enumerate(kept):
+        for b, mat in rows[k][0].items():
             out[i, b] = mat
     return out
 
 
-def _structure(p, kept):
-    """p's structure over an arbitrary row subset (no row basis: the kernels
-    never read the weights), every row a border row."""
-    d, T, *_ = sdp._dense(p)
-    weights = np.zeros((len(p.constraints) - len(kept), len(kept)))
-    return sdp._Structure(d, np.zeros((0, len(p.blocks))), T[kept], p.n_free, kept, weights)
+def _structure(nb, d, rows, n_free, kept):
+    """The structure of rows over nb blocks of dimension d, on an arbitrary
+    row subset (no row basis: the kernels never read the weights), every row
+    a border row."""
+    T = sdp.hvec(_coef_stack(nb, d, rows, kept))
+    weights = np.zeros((len(rows) - len(kept), len(kept)))
+    return sdp._Structure(d, np.zeros((0, nb)), T, n_free, kept, weights)
 
 
 def _kernels(st, X, Zi, y):
@@ -191,7 +189,7 @@ def _kernels(st, X, Zi, y):
     return st.apply(X), st.adjoint(y), st.schur(X, Zi, np.empty((st.m, st.m)))
 
 
-def _dense_kernels(A, X, Zi, y):
+def _einsum_kernels(A, X, Zi, y):
     """The same from the dense coefficient stack A (rows, nb, d, d):
     sum_b <A_kb, X_b>, sum_k y_k A_kb and sum_b Re tr(A_kb X_b A_lb Zi_b)."""
     xaz = X @ (A @ Zi)
@@ -205,13 +203,13 @@ def _assert_close(got, ref, floor=0.0):
 
 def test_schur_per_block_matches_dense_einsum():
     rng = np.random.default_rng(11)
-    p = _random_problem(rng)
-    kept = [k for k in range(len(p.constraints)) if k % 3]  # drop every third row
-    c = _structure(p, kept)
-    X = np.array([_random_pd(rng, 3) for _ in p.blocks])
-    Zi = np.array([np.linalg.inv(_random_pd(rng, 3)) for _ in p.blocks])
+    rows = _random_rows(rng)
+    kept = [k for k in range(len(rows)) if k % 3]  # drop every third row
+    c = _structure(5, 3, rows, 2, kept)
+    X = np.array([_random_pd(rng, 3) for _ in range(5)])
+    Zi = np.array([np.linalg.inv(_random_pd(rng, 3)) for _ in range(5)])
     y = rng.standard_normal(len(kept))
-    refs = _dense_kernels(_dense_stack(p, kept), X, Zi, y)
+    refs = _einsum_kernels(_coef_stack(5, 3, rows, kept), X, Zi, y)
     for got, ref, floor in zip(_kernels(c, X, Zi, y), refs, (0.0, 1.0, 0.0)):
         _assert_close(got, ref, floor)
 
@@ -254,59 +252,75 @@ def test_hvec_rows_are_cached_read_only():
             rows[0, 0] = 1.0
 
 
-def _random_complex_problem(rng, d=3, nb=5, n_free=2, m=40):
-    """Rows mention a random subset of nb Hermitian blocks of dimension d
-    and of the free variables."""
-    cons = []
+def _random_complex_rows(rng, d=3, nb=5, n_free=2, m=40):
+    """Rows that mention a random subset of nb Hermitian blocks of dimension
+    d and of the free variables, as ``_random_rows``."""
+    rows = []
     for _ in range(m):
         picked = [b for b in range(nb) if rng.random() < 0.5] or [0]
         bc = {b: _random_herm(rng, d) for b in picked}
         fc = {j: float(rng.standard_normal()) for j in range(n_free) if rng.random() < 0.5}
-        cons.append((bc, fc, float(rng.standard_normal())))
-    return sdp.SdpProblem(blocks=[d] * nb, n_free=n_free, constraints=cons)
+        rows.append((bc, fc, float(rng.standard_normal())))
+    return rows
 
 
 def test_complex_kernels_match_the_real_embedding():
     # the same kernels on the real embedding: coefficients A~ = emb(A)/2,
     # iterates X~ = emb(X) and Z~^-1 = 2 emb(Z^-1)
     rng = np.random.default_rng(12)
-    p = _random_complex_problem(rng)
-    kept = [k for k in range(len(p.constraints)) if k % 4 != 1]
-    c = _structure(p, kept)
-    X = np.array([_random_hpd(rng, 3) for _ in p.blocks])
-    Zi = np.array([linalg.hermitianize(np.linalg.inv(_random_hpd(rng, 3))) for _ in p.blocks])
-    emb = np.zeros((len(kept), len(p.blocks), 6, 6))
+    rows = _random_complex_rows(rng)
+    kept = [k for k in range(len(rows)) if k % 4 != 1]
+    c = _structure(5, 3, rows, 2, kept)
+    X = np.array([_random_hpd(rng, 3) for _ in range(5)])
+    Zi = np.array([linalg.hermitianize(np.linalg.inv(_random_hpd(rng, 3))) for _ in range(5)])
+    emb = np.zeros((len(kept), 5, 6, 6))
     for i, k in enumerate(kept):
-        for b, mat in p.constraints[k][0].items():
+        for b, mat in rows[k][0].items():
             emb[i, b] = real_embedding(mat) / 2
     xe = np.array([real_embedding(x) for x in X])
     zie = np.array([2 * real_embedding(z) for z in Zi])
     y = rng.standard_normal(len(kept))
-    ref_apply, ref_adj, ref = _dense_kernels(emb, xe, zie, y)
+    ref_apply, ref_adj, ref = _einsum_kernels(emb, xe, zie, y)
     got_apply, got_adj, got = _kernels(c, X, Zi, y)
     _assert_close(got, ref)
     _assert_close(got_apply, ref_apply)
     _assert_close(np.array([real_embedding(g) / 2 for g in got_adj]), ref_adj)
 
 
-def _padded(p):
-    """p as a program over one block dimension D, the largest of p's: each
+def _written(blocks, rows, n_free=0, objective=({}, {})):
+    """A Builder with the given blocks and free variables, each row
+    ({block: Hermitian coefficient}, {free index: coefficient}, rhs) written
+    as one ``eq_scalar`` row, and the objective ({block: Hermitian
+    coefficient}, {free index: coefficient})."""
+    bld = sdp.Builder()
+    for d in blocks:
+        bld.cblock(d)
+    for _ in range(n_free):
+        bld.free()
+    for bc, fc, rhs in rows:
+        bld.eq_scalar(list(bc.items()), list(fc.items()), rhs)
+    bld.objective(*(list(terms.items()) for terms in objective))
+    return bld
+
+
+def _padded(blocks, rows, n_free=0, objective=({}, {})):
+    """``_written`` over one block dimension D, the largest of blocks: each
     smaller block becomes the leading corner of a D x D block.  Rows pin the
     real and imaginary parts of the padding's off-diagonal entries to 0, and
     a cost-free row fixes the trace of the spare diagonal corner to its
     size, so both sides keep interior points.  The rewrite is exact: a
     padded block is PSD iff its corner is."""
-    D = max(p.blocks)
+    D = max(blocks)
 
     def pad(bc):
         out = {}
         for b, mat in bc.items():
             out[b] = np.zeros((D, D), dtype=complex)
-            out[b][:p.blocks[b], :p.blocks[b]] = mat
+            out[b][:blocks[b], :blocks[b]] = mat
         return out
 
-    cons = [(pad(bc), fc, rhs) for bc, fc, rhs in p.constraints]
-    for b, d in enumerate(p.blocks):
+    cons = [(pad(bc), fc, rhs) for bc, fc, rhs in rows]
+    for b, d in enumerate(blocks):
         if d == D:
             continue
         for i in range(D):
@@ -317,8 +331,7 @@ def _padded(p):
                     cons.append(({b: e}, {}, 0.0))
         spare = np.diag([0.0] * d + [1.0] * (D - d))
         cons.append(({b: spare}, {}, float(D - d)))
-    return sdp.SdpProblem(blocks=[D] * len(p.blocks), n_free=p.n_free,
-                          objective=(pad(p.objective[0]), p.objective[1]), constraints=cons)
+    return _written([D] * len(blocks), cons, n_free, (pad(objective[0]), objective[1]))
 
 
 def test_complex_sdp_native_and_embedded_reach_the_same_optimum():
@@ -345,30 +358,101 @@ def test_complex_sdp_native_and_embedded_reach_the_same_optimum():
     cmat = [sum(ystar[k] * coefs[k][b] for k in range(m)) + zs[b] for b in range(len(dims))]
     cfree = float(e @ ystar)
     target = sum(np.trace(c @ x).real for c, x in zip(cmat, xs)) + cfree * sstar
-    native = sdp.SdpProblem(
-        blocks=list(dims), n_free=1, objective=({b: -c for b, c in enumerate(cmat)}, {0: -cfree}),
-        constraints=cons,
-    )
+    native = _padded(dims, cons, 1, ({b: -c for b, c in enumerate(cmat)}, {0: -cfree}))
     half = lambda h: real_embedding(h) / 2  # noqa: E731
-    embedded = sdp.SdpProblem(
-        blocks=[2 * d for d in dims], n_free=1,
-        objective=({b: -half(c) for b, c in enumerate(cmat)}, {0: -cfree}),
-        constraints=[({b: half(a) for b, a in bc.items()}, fc, r) for bc, fc, r in cons],
-    )
-    sol_n, sol_e = sdp.solve(_padded(native)), sdp.solve(_padded(embedded))
+    embedded = _padded([2 * d for d in dims],
+                       [({b: half(a) for b, a in bc.items()}, fc, r) for bc, fc, r in cons], 1,
+                       ({b: -half(c) for b, c in enumerate(cmat)}, {0: -cfree}))
+    sol_n, sol_e = sdp.solve(native.program()), sdp.solve(embedded.program())
     assert sol_n.status == sol_e.status == sdp.STATUS_OPTIMAL
     assert abs(sol_n.primal_value - sol_e.primal_value) <= 1e-7
     assert abs(-sol_n.primal_value - target) <= 1e-6 * (1 + abs(target))
     assert sol_n.lstsq_fallbacks == sol_e.lstsq_fallbacks == 0
 
 
-def test_mixed_block_dimensions_are_rejected():
-    eye = np.eye(2)
-    p = sdp.SdpProblem(blocks=[2, 1], constraints=[({0: eye, 1: np.ones((1, 1))}, {}, 1.0)])
-    for call in (sdp.compile_program, sdp.solve, sdp.feasibility):
-        with pytest.raises(ValueError, match="blocks of one dimension"):
-            call(p)
-    assert sdp.compile_program(_padded(p)).blocks == [2, 2]
+def _mixed_block_dimensions(bld):
+    # a 2 x 2 and a 1 x 1 block compile in neither form; padded, the same
+    # row compiles to blocks of one dimension
+    rows = [({0: np.eye(2), 1: np.ones((1, 1))}, {}, 1.0)]
+    assert _padded([2, 1], rows).program().blocks == [2, 2]
+    with pytest.raises(ValueError, match=r"got dimensions \[1, 2\]"):
+        _written([2, 1], rows).feasibility_program()
+    _written([2, 1], rows).program()
+
+
+# per input check of the Builder: what breaks it, on a Builder with two 2 x 2
+# blocks and one free variable (the mixed case writes its own), and the
+# message it raises
+BUILDER_CHECKS = {
+    "mixed-block-dimensions": (
+        _mixed_block_dimensions, r"a program needs blocks of one dimension, got dimensions \[1, 2\]"),
+    "coefficient-shape": (
+        lambda bld: bld.eq_scalar([(0, np.eye(3))], [], 1.0), r"block 0 coefficient shape \(3, 3\)"),
+    "matrix-equality-shape": (
+        lambda bld: bld.eq_matrix([(1, 1.0)], np.eye(3)), r"block 1 coefficient shape \(3, 3\)"),
+    "free-term-shape": (
+        lambda bld: bld.eq_matrix([(0, 1.0)], np.eye(2), [(0, np.eye(3))]), r"free 0 coefficient shape \(3, 3\)"),
+    "free-index-out-of-range": (
+        lambda bld: bld.eq_scalar([(0, np.eye(2))], [(1, 1.0)], 1.0), "free index 1 out of range"),
+    "free-index-negative": (lambda bld: bld.objective([], [(-1, 1.0)]), "free index -1 out of range"),
+    "block-index-negative": (
+        lambda bld: bld.eq_scalar([(-1, np.eye(2))], [], 1.0), "block index -1 out of range"),
+    "block-dimension": (lambda bld: bld.cblock(0), "blocks of dimension 0"),
+    "non-finite-rhs": (lambda bld: bld.eq_scalar([(0, np.eye(2))], [], np.inf), "non-finite rhs inf"),
+    "non-hermitian-coefficient": (
+        lambda bld: bld.objective([(1, np.array([[0.0, 1.0], [0.0, 0.0]]))]), "matrix is not Hermitian"),
+}
+
+
+@pytest.mark.parametrize("check", list(BUILDER_CHECKS))
+def test_builder_rejects_malformed_input(check):
+    write, message = BUILDER_CHECKS[check]
+    bld = sdp.Builder()
+    bld.cblock(2), bld.cblock(2), bld.free()
+    with pytest.raises(ValueError, match=message):
+        write(bld)
+
+
+def _planted(rng, d, nf, nb=4, r=2, g=2):
+    """A kernel program over nb blocks of dimension d with r random kernel
+    rows, g random border rows and nf free variables, planted around a
+    primal-dual pair: per block X*, Z* >= 0 with X* Z* = 0 and a random rank
+    k of X* (0 to d, Z* of rank d - k), y* and s* random.  The data
+    b = A(X*) + E s*, C = A*(y*) - Z* and c = E'y* make both points
+    feasible and the optimum b.y*.  Returns (program, X*, y*, s*)."""
+    n = d * d
+    E = rng.standard_normal((r * n + g, nf))
+    ys, ss = rng.standard_normal(r * n + g), rng.standard_normal(nf)
+    prog = sdp.compile_kernel(d, rng.standard_normal((r, nb)), rng.standard_normal((g, nb, n)), E, E.T @ ys)
+    st = prog.structure
+    assert st.m == r * n + g  # every row kept: A(X*) is every row's value
+    X, Z = np.zeros((2, nb, d, d), dtype=complex)
+    for b in range(nb):
+        q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        rank_x = np.arange(d) < rng.integers(0, d + 1)
+        lam = 0.5 + rng.random(d)
+        X[b] = (q * np.where(rank_x, lam, 0.0)) @ q.conj().T
+        Z[b] = (q * np.where(rank_x, 0.0, lam)) @ q.conj().T
+    prog = prog.bind(b=st.apply(X) + E @ ss, C=dict(enumerate(st.adjoint(ys) - Z)))
+    return prog, X, ys, ss
+
+
+@pytest.mark.parametrize("nf", [0, 2], ids=lambda nf: f"nf={nf}")
+@pytest.mark.parametrize("d", range(1, 5), ids=lambda d: f"d={d}")
+def test_planted_kernel_programs_reach_their_optimum(d, nf):
+    # compile_kernel and solve alone, against the planted optimum b.y*.
+    # Weak duality with the exit's residuals: pv - b.y* <= |y*|_1 FEAS_TOL
+    # and b.y* - dv <= (sum |X*_ij| + |s*|_1) FEAS_TOL, so an Optimal solve
+    # (gap <= GAP_TOL (1 + |pv|)) is within the sum of both of b.y*
+    rng = np.random.default_rng(100 * d + nf)
+    for _ in range(5):
+        prog, X, ys, ss = _planted(rng, d, nf)
+        opt = prog.b @ ys
+        sol = sdp.solve(prog)
+        assert sol.status == sdp.STATUS_OPTIMAL
+        tol = sdp.GAP_TOL * (1 + abs(sol.primal_value)) + sdp.FEAS_TOL * (
+            np.abs(ys).sum() + np.abs(X).sum() + np.abs(ss).sum())
+        assert abs(sol.primal_value - opt) <= tol
 
 
 def test_lstsq_fallback_is_counted_and_logged(monkeypatch, caplog):
@@ -391,7 +475,7 @@ def test_lstsq_fallback_is_counted_and_logged(monkeypatch, caplog):
         x = bld.cblock(2)
         bld.eq_scalar([(x, np.eye(2))], [], 1.0)
         bld.objective([(x, np.diag([2.0, 1.0]))], [])
-        sol = sdp.solve(bld.prob)
+        sol = sdp.solve(bld.program())
     assert sol.status == sdp.STATUS_OPTIMAL
     assert sol.lstsq_fallbacks == 2 * (sol.iterations - 1) > 0
     assert len(caplog.records) == sol.lstsq_fallbacks
@@ -421,18 +505,18 @@ def test_corpus_robustness_solves_take_no_lstsq_fallback():
             assert incompat.depolarising_robustness(corpus.build(k)).solution.lstsq_fallbacks == 0
 
 
-def _rows(p):
-    """Fresh presolve input of p: its dense rows [hvec(A_k1)|...|E_k] and rhs."""
-    _, T, E, b, *_ = sdp._dense(p)
+def _rows(bld):
+    """Presolve input of a Builder's program: its dense rows
+    [hvec(A_k1)|...|E_k] and rhs."""
+    T, E, b = bld._arrays()
     return np.hstack([T.reshape(len(T), -1), E]), b
 
 
-def _presolved(p):
-    """(kept, message) of p in the form of ``_presolve_mgs``: the presolve's
-    kept rows, or None and the message of p compiled, which binding p's
-    data to its structure sets."""
-    message = sdp.compile_program(p).message
-    return (None, message) if message else (sdp._presolve(_rows(p)[0])[0], None)
+def _presolved(prog):
+    """(kept, message) of a compiled program in the form of
+    ``_presolve_mgs``: the presolve's kept rows, or None and the message
+    that binding the program's data to its structure set."""
+    return (None, prog.message) if prog.message else (prog.structure.kept.tolist(), None)
 
 
 def _presolve_mgs(rows, b, feas_tol):
@@ -474,8 +558,8 @@ def test_presolve_keeps_the_rows_of_the_mgs_reference(monkeypatch):
     real = incompat.parent_program
 
     def recording(d, kernel, rhs, noise=None, objective=None):
-        p = _parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
-        seen.append((_presolved(p), _presolve_mgs(*_rows(p), 1e-8)))
+        bld = _parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
+        seen.append((_presolved(bld.program()), _presolve_mgs(*_rows(bld), 1e-8)))
         return real(d, kernel, rhs, noise, objective)
 
     monkeypatch.setattr(incompat, "parent_program", recording)
@@ -490,19 +574,17 @@ def test_presolve_keeps_the_rows_of_the_mgs_reference(monkeypatch):
 
 def test_presolve_reports_both_inconsistencies():
     eye = np.eye(2)
-    zero_row = sdp.SdpProblem(blocks=[2], constraints=[({0: eye}, {}, 1.0), ({}, {}, 3.0)])
-    sol = sdp.solve(zero_row)
+    zero_row = _written([2], [({0: eye}, {}, 1.0), ({}, {}, 3.0)])
+    sol = sdp.solve(zero_row.program())
     assert sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
     assert sol.message == "row 1 is 0 = 3"
-    clash = _padded(sdp.SdpProblem(
-        blocks=[2, 1], constraints=[({0: eye, 1: np.ones((1, 1))}, {}, 1.0),
-                                    ({0: 2 * eye, 1: 2 * np.ones((1, 1))}, {}, 3.0)]
-    ))
-    sol = sdp.solve(clash)
+    clash = _padded([2, 1], [({0: eye, 1: np.ones((1, 1))}, {}, 1.0),
+                             ({0: 2 * eye, 1: 2 * np.ones((1, 1))}, {}, 3.0)])
+    sol = sdp.solve(clash.program())
     assert sol.status == sdp.STATUS_PRIMAL_INFEASIBLE
     assert sol.message.startswith("inconsistent affine constraints (row 1, residual")
-    assert _presolved(clash) == _presolve_mgs(*_rows(clash), 1e-8)
-    assert _presolved(zero_row) == _presolve_mgs(*_rows(zero_row), 1e-8)
+    assert _presolved(clash.program()) == _presolve_mgs(*_rows(clash), 1e-8)
+    assert _presolved(zero_row.program()) == _presolve_mgs(*_rows(zero_row), 1e-8)
 
 
 def test_bind_checks_the_rows_a_structure_leaves_out():
@@ -512,12 +594,11 @@ def test_bind_checks_the_rows_a_structure_leaves_out():
 
     def problem(b, e):
         coefs = [{0: a0}, {0: a1}, {0: a0 + 2 * a1}, {}]
-        return sdp.SdpProblem(blocks=[2], n_free=1, constraints=[
-            (bc, {0: ej} if ej else {}, bj) for bc, ej, bj in zip(coefs, e, b)])
+        return _written([2], [(bc, {0: ej} if ej else {}, bj) for bc, ej, bj in zip(coefs, e, b)], 1)
 
     e = [0.3, -0.2, -0.1, 0.0]
     good = [1.0, 0.5, 2.0, 0.0]
-    prog = sdp.compile_program(problem(good, e))
+    prog = problem(good, e).program()
     assert prog.message == "" and prog.structure.kept.tolist() == [0, 1]
     assert prog.structure.left_out.tolist() == [2, 3]
     assert np.abs(prog.structure.weights - [[1.0, 2.0], [0.0, 0.0]]).max() <= 1e-12
@@ -526,7 +607,7 @@ def test_bind_checks_the_rows_a_structure_leaves_out():
                        ([1.0, 0.5, 2.5, 0.25], "inconsistent affine constraints (row 2, residual 0.5)")):
         rebound = prog.bind(b=b)
         assert rebound.message == message
-        assert sdp.compile_program(problem(b, e)).message == message
+        assert problem(b, e).program().message == message
         assert _presolve_mgs(*_rows(problem(b, e)), 1e-8) == (None, message)
         assert sdp.solve(rebound).status == sdp.STATUS_PRIMAL_INFEASIBLE
         assert rebound.bind(b=good).message == ""
@@ -542,8 +623,7 @@ def test_bind_checks_the_rows_a_structure_leaves_out():
     # compiling checks only the rhs: the presolve reads the free coefficients,
     # and drops a row whose free coefficient is 1e-11 of its norm
     h = np.diag([1.0, 2.0])
-    scaled = sdp.compile_program(sdp.SdpProblem(blocks=[2], n_free=1, constraints=[
-        ({0: h}, {}, 1.0), ({0: 1e6 * h}, {0: 1e-5}, 1e6)]))
+    scaled = _written([2], [({0: h}, {}, 1.0), ({0: 1e6 * h}, {0: 1e-5}, 1e6)], 1).program()
     assert scaled.structure.kept.tolist() == [0] and scaled.message == ""
 
 
@@ -641,11 +721,8 @@ def test_several_free_variables_reach_the_recorded_optimum():
     cmat = [sum(ystar[k] * cons[k][0][b] for k in range(m)) + zs[b] for b in range(len(dims))]
     cfree = e.T @ ystar
     target = sum(np.trace(c @ x).real for c, x in zip(cmat, xs)) + cfree @ sstar
-    p = sdp.SdpProblem(
-        blocks=list(dims), n_free=nf, constraints=cons,
-        objective=({b: -c for b, c in enumerate(cmat)}, {j: -float(v) for j, v in enumerate(cfree)}),
-    )
-    sol = sdp.solve(_padded(p))
+    p = _padded(dims, cons, nf, ({b: -c for b, c in enumerate(cmat)}, {j: -float(v) for j, v in enumerate(cfree)}))
+    sol = sdp.solve(p.program())
     assert sol.status == sdp.STATUS_OPTIMAL
     assert abs(sol.primal_value - RECORDED) <= 1e-9
     assert abs(-sol.primal_value - target) <= 1e-6 * (1 + abs(target))
@@ -689,9 +766,9 @@ def test_presolve_panels_match_the_mgs_reference():
         bad = combo(base, [0, 3], [1.0, 1.0], shift=1.0)
         cases.append((base[:k] + [bad] + base[k + 1:], f"inconsistent affine constraints (row {k},"))
     for cons, message in cases:
-        prob = sdp.SdpProblem(blocks=list(dims), n_free=nf, constraints=cons)
+        prob = _written(dims, cons, nf)
         rows, b = _rows(prob)
-        got = _presolved(prob)
+        got = _presolved(prob.program())
         assert got == _presolve_mgs(rows, b, 1e-8)
         if message is None:
             assert len(got[0]) == rows.shape[1] < m - 4
@@ -755,7 +832,7 @@ def _parent_args(settings, noisy):
     return d, kernel, rhs, [e - t for e, t in zip(els, rhs)]
 
 
-def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.SdpProblem:
+def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.Builder:
     """The parent program written out in full: every row, as the Builder
     expands it, in the row layout of ``incompat.parent_program``.  With
     noise the last row is eta + tr S = 1 over a d x d PSD slack S after the
@@ -772,13 +849,14 @@ def _parent_problem(d: int, kernel, rhs, noise=None) -> sdp.SdpProblem:
     if noise is not None:
         bld.eq_scalar(block_terms=[(slack, np.eye(d))], free_terms=[(eta, 1.0)], rhs=1.0)
         bld.objective(free_terms=[(eta, 1.0)])
-    return bld.prob
+    return bld
 
 
 def _full_program(d, kernel, rhs, noise=None, objective=None):
-    """A parent program written out in full, as the presolve sees it."""
-    p = _parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
-    return sdp.with_slack(p) if noise is None and objective is None else p
+    """A parent program written out in full and compiled, the feasibility
+    kind with the Builder's slack column."""
+    bld = _parent_problem(d, np.asarray(kernel, dtype=float), rhs, noise)
+    return bld.feasibility_program() if noise is None and objective is None else bld.program()
 
 
 def test_cached_and_cold_solves_are_bitwise_equal():
@@ -890,7 +968,7 @@ def test_parent_programs_emit_full_rank_rows(monkeypatch):
         kept, message = _presolved(full)
         assert message is None
         assert prog.structure.kept.tolist() == kept
-        dropped.append(len(full.constraints) - len(kept))
+        dropped.append(len(full.structure.left_out))
     n = 2 * len([k for k in corpus.builtin_keys() if corpus.kind_of(k) == "assemblage"])
     assert all(dropped[:n]) and dropped[n] == 9  # the second setting's last row
 
@@ -933,16 +1011,16 @@ def _witness_problem(d, na, nb):
         for y in ys:
             bld.eq_matrix([(x, 1.0), (y, 1.0), (bld.cblock(d), 1.0), (nn, -1.0)], np.zeros((d, d)))
     bld.eq_scalar(block_terms=[(nn, np.eye(d))], rhs=1.0)
-    return bld.prob
+    return bld
 
 
 def test_witness_structure_keeps_the_rows_of_the_full_presolve():
     for d, na, nb in ((2, 2, 2), (3, 2, 3), (3, 3, 3)):
         full = _witness_problem(d, na, nb)
         prog = incompat._witness_structure(d, na, nb)
-        kept, message = _presolved(full)
+        kept, message = _presolved(full.program())
         assert message is None and prog.structure.kept.tolist() == kept
-        assert np.array_equal(prog.b, np.array([rhs for *_, rhs in full.constraints])[kept])
+        assert np.array_equal(prog.b, full._arrays()[2][kept])
 
 
 @pytest.mark.parametrize("kind", ["noise", "feasibility", "witness"])
@@ -956,14 +1034,14 @@ def test_kernels_match_the_program_written_out_in_full(kind):
     settings = [random_povm(3, 3, rng).elements, random_povm(3, 2, rng).elements]
     if kind == "witness":
         full, st = _witness_problem(3, 3, 2), incompat._witness_structure(3, 3, 2).structure
-    else:
+    else:  # the feasibility kind's slack column holds no block coefficient
         args = _parent_args(settings, kind == "noise")
-        full, st = _full_program(*args), incompat.parent_program(*args).structure
+        full, st = _parent_problem(*args), incompat.parent_program(*args).structure
     assert len(st.K) == len(st.kept) // 9 > 0
     X = np.array([_random_hpd(rng, 3) for _ in full.blocks])
     Zi = np.array([linalg.hermitianize(np.linalg.inv(_random_hpd(rng, 3))) for _ in full.blocks])
     y = rng.standard_normal(st.m)
-    refs = _dense_kernels(_dense_stack(full, st.kept), X, Zi, y)
+    refs = _einsum_kernels(sdp.hvec_inv(full._arrays()[0][st.kept]), X, Zi, y)
     for got, ref, floor in zip(_kernels(st, X, Zi, y), refs, (0.0, 1.0, 0.0)):
         _assert_close(got, ref, floor)
 
@@ -990,7 +1068,7 @@ def test_the_start_point_is_at_the_scale_of_the_data(monkeypatch, bmax):
     bld.eq_scalar([(x, np.eye(2))], [], bmax)
     bld.eq_scalar([(w, np.diag([1.0, -1.0]))], [], -0.1)
     bld.objective([(x, np.diag([1.0, 0.0])), (w, np.eye(2))], [])
-    sol = sdp.solve(bld.prob)
+    sol = sdp.solve(bld.program())
     assert sol.status == sdp.STATUS_NUMERICAL_FAILURE and sol.iterations == 1
     assert (np.array(sol.primal_blocks) == (1.0 + bmax) * np.eye(2)).all()
 

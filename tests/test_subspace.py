@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,37 @@ def test_classify_parallel_matches_serial():
     r2 = subspace.classify(a, 2, 4, seed=9, jobs=2)
     assert r1.verdict == r2.verdict
     assert [rec["eta"] for rec in r1.records] == [rec["eta"] for rec in r2.records]
+
+
+def test_classify_starts_at_most_one_worker_per_cpu(monkeypatch):
+    # the pool gets min(jobs, tasks, CPUs) workers and opens only for more
+    # than one; the recorder maps in this process, so no process starts
+    made = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(subspace, "ProcessPoolExecutor", Recorder)
+    a = corpus.build("fully-compressible")
+    serial = subspace.classify(a, 2, 3, seed=9)
+    assert made == []
+    assert subspace.classify(a, 2, 3, seed=9, jobs=10**6).records == serial.records
+    assert len(made) <= 1 and all(1 < w <= (os.cpu_count() or 1) for w in made)
+    for cpus, workers in ((3, [3]), (None, [])):  # cpu_count() None: one worker, no pool
+        monkeypatch.setattr(subspace.os, "cpu_count", lambda: cpus)
+        made.clear()
+        subspace.classify(a, 2, 3, seed=9, jobs=10**6)
+        assert made == workers
 
 
 def test_classify_skips_probes_with_a_dependent_span():

@@ -32,8 +32,6 @@ def count(workloads, sdp, name: str, seed: int):
     orig = sdp.solve
 
     def solving(p, *args, **kwargs):
-        if isinstance(p, sdp.SdpProblem):  # as solve itself would
-            p = sdp.compile_program(p)
         c = p.structure
         sol = orig(p, *args, **kwargs)
         iters.append(sol.iterations)
