@@ -326,7 +326,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_steering_lhs(args) -> int:
     sa, _, inputs = _load(args, ("state_assemblage",))
-    feasible, slack, strategies, states = incompat.labelled_parent(sa.dB, sa.sigmas)
+    feasible, slack, strategies, states = incompat.labelled_parent(sa.dim, sa.settings())
     model = None if states is None else [
         {"strategy": list(vec), "state": jsonio.matrix_to_json(s)} for vec, s in zip(strategies, states)
     ]

@@ -116,6 +116,7 @@ def coexistent_parent(
     binarisation effect.  A certified result has coexistent=True; an
     inconclusive candidate check has coexistent=None.
     """
+    povm.require_povms(a1, a2)
     if a1.dim != a2.dim:
         raise ValueError("POVMs must share dimension")
     if candidate is not None:

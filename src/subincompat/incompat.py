@@ -150,7 +150,7 @@ def parent_program(d: int, kernel, rhs, noise=None, objective=None) -> sdp.Progr
 
     b = coords(rhs)
     if kind == "noise":
-        N = coords(-np.asarray(noise)) + 0.0  # zeros as +0, not -0; tools/bitwise.py output is the same without it
+        N = coords(-np.asarray(noise))
         return prog.bind(b=np.append(b, 1.0), E=np.append(N, 1.0).reshape(-1, 1))
     if kind == "objective":
         return prog.bind(b=b, C=dict(objective))
@@ -184,7 +184,8 @@ def labelled_parent(d: int, settings, decide: bool = False):
 
 def jm_parent(a: Assemblage) -> JmResult:
     """Decide joint measurability by parent-POVM feasibility."""
-    feasible, slack, labels, blocks = labelled_parent(a.dim, [m.elements for m in a.measurements])
+    povm.require_povms(*a.measurements)
+    feasible, slack, labels, blocks = labelled_parent(a.dim, a.settings())
     parent = None if blocks is None else _parent_from_blocks(a, labels, blocks)
     return JmResult(feasible, slack, parent)
 
@@ -196,12 +197,12 @@ def depolarising_robustness(a: Assemblage) -> RobustnessResult:
     The returned parent is a parent POVM for the assemblage depolarised at
     the optimal eta (for a compatible assemblage, the assemblage itself).
     """
-    labels, rows = _joint_labels([m.elements for m in a.measurements])
-    d = a.dim
-    # sum G = t*1 + eta*(E - t*1) with t = tr(E)/d, per row
+    povm.require_povms(*a.measurements)
+    labels, rows = _joint_labels(a.settings())
+    # sum G = N + eta*(E - N) per row, N = tr(E)*1/d the element's noise
     els = np.array([a.measurements[x].elements[out] for x, out in rows])
-    rhs = (np.trace(els, axis1=1, axis2=2).real / d)[:, None, None] * np.eye(d)
-    sol = sdp.solve(parent_program(d, marginal_kernel(labels, rows), rhs, els - rhs))
+    rhs = povm.noise(els)
+    sol = sdp.solve(parent_program(a.dim, marginal_kernel(labels, rows), rhs, els - rhs))
     if sol.status != sdp.STATUS_OPTIMAL:
         raise sdp.SolverError(f"robustness SDP did not solve: {sol.status} ({sol.message})")
     eta_val = float(sol.scalar_vars[0])
@@ -216,6 +217,7 @@ def witness(a1: Povm, a2: Povm) -> Witness:
     X_i + Y_j <= N for all i,j, tr N = 1.  The value is 1 exactly when the
     pair is compatible and exceeds 1 otherwise.
     """
+    povm.require_povms(a1, a2)
     if a1.dim != a2.dim:
         raise ValueError("witness requires POVMs on the same space")
     na, nb = len(a1.elements), len(a2.elements)

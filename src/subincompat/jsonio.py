@@ -15,8 +15,8 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .povm import Assemblage, ParentPovm, Povm
-from .steering import BipartiteState, StateAssemblage
+from .povm import Assemblage, ParentPovm, setting
+from .steering import BipartiteState
 
 SCHEMA_VERSION = 1
 
@@ -81,7 +81,7 @@ def assemblage_from_json(j: dict) -> Assemblage:
         if "elements" not in mj:
             raise ValueError(f"measurement {k} lacks 'elements'")
         els = _array(mj["elements"], f"measurement {k} field 'elements'")
-        ms.append(Povm(d, [matrix_from_json(e) for e in els]))
+        ms.append(setting(k, d, [matrix_from_json(e) for e in els]))
     return Assemblage(d, ms)
 
 
@@ -104,23 +104,24 @@ def state_from_json(j: dict) -> BipartiteState:
                           matrix_from_json(j["matrix"]))
 
 
-def state_assemblage_to_json(sa: StateAssemblage) -> dict:
+def state_assemblage_to_json(sa: Assemblage) -> dict:
     return {
-        "dB": sa.dB,
-        "sigmas": [[matrix_to_json(s) for s in row] for row in sa.sigmas],
-        "reduced": matrix_to_json(sa.reduced),
+        "dB": sa.dim,
+        "sigmas": [[matrix_to_json(s) for s in row] for row in sa.settings()],
+        "reduced": matrix_to_json(sa.total),
     }
 
 
-def state_assemblage_from_json(j: dict) -> StateAssemblage:
+def state_assemblage_from_json(j: dict) -> Assemblage:
     if not isinstance(j, dict) or not {"dB", "sigmas", "reduced"} <= set(j):
         raise ValueError("state assemblage JSON must have 'dB', 'sigmas' and 'reduced'")
+    d = _dimension(j, "dB", "state assemblage")
     rows = _array(j["sigmas"], "state assemblage field 'sigmas'")
-    return StateAssemblage(
-        _dimension(j, "dB", "state assemblage"),
-        [[matrix_from_json(s) for s in _array(row, f"sigmas row {x}")] for x, row in enumerate(rows)],
-        matrix_from_json(j["reduced"]),
-    )
+    reduced = matrix_from_json(j["reduced"])
+    return Assemblage(d, [
+        setting(x, d, [matrix_from_json(s) for s in _array(row, f"sigmas row {x}")], reduced)
+        for x, row in enumerate(rows)
+    ])
 
 
 # one reader and one writer per instance kind; docs/schema/<kind>.schema.json

@@ -1,6 +1,6 @@
-"""POVMs, assemblages and the operations performed on them: truncation to
-subspaces, coarse-graining and depolarising noise, and the canonical
-subsets that index binarisations."""
+"""POVMs and state assemblages, one type, and the operations performed on
+them: truncation to subspaces, coarse-graining and depolarising noise, and
+the canonical subsets that index binarisations."""
 
 from __future__ import annotations
 
@@ -18,10 +18,12 @@ ZERO_ELEMENT_TOL = 1e-12
 
 @dataclass(eq=False)
 class Povm:
-    """Outcome-indexed PSD operators summing to the identity."""
+    """One setting: outcome-indexed PSD operators summing to ``total``, the
+    identity when it is None (a POVM)."""
 
     dim: int
     elements: list[np.ndarray]
+    total: np.ndarray | None = None
 
     def __post_init__(self):
         """Shapes are checked per element; then the elements, as one (n, d, d)
@@ -36,9 +38,13 @@ class Povm:
         bad = np.flatnonzero(lam < -ELEMENT_PSD_TOL)
         if bad.size:
             raise ValueError(f"element {bad[0]} is not PSD (min eig {lam[bad[0]]:.2e})")
-        dev = np.abs(stack.sum(axis=0) - np.eye(self.dim)).max()
+        target = np.eye(self.dim) if self.total is None else linalg.check_hermitian(self.total)
+        if target.shape[0] != self.dim:
+            raise ValueError(f"total has dimension {target.shape[0]} != {self.dim}")
+        dev = np.abs(stack.sum(axis=0) - target).max()
         if dev > NORMALISATION_TOL:
-            raise ValueError(f"elements sum to identity only within {dev:.2e}")
+            what = "identity" if self.total is None else "the total"
+            raise ValueError(f"elements sum to {what} only within {dev:.2e}")
         self.elements = list(stack)
 
     @property
@@ -46,30 +52,55 @@ class Povm:
         return len(self.elements)
 
 
+def setting(x: int, dim: int, elements, total=None) -> Povm:
+    """``Povm(dim, elements, total)``, a rejection prefixed with setting x."""
+    try:
+        return Povm(dim, elements, total)
+    except ValueError as exc:
+        raise ValueError(f"setting {x}: {exc}") from None
+
+
+def require_povms(*settings: Povm) -> None:
+    """Refuse a state assemblage's settings: the callers return parent POVMs."""
+    if any(m.total is not None for m in settings):
+        raise ValueError("this analysis needs POVMs, not the settings of a state assemblage")
+
+
 def nonzero_outcomes(stack) -> list[int]:
-    """The indices of the matrices of a stack (a POVM's elements, a setting's
-    conditional states) with an entry of modulus at least ZERO_ELEMENT_TOL."""
+    """The indices of the matrices of a stack (a setting's elements) with an
+    entry of modulus at least ZERO_ELEMENT_TOL."""
     nonzero = np.abs(np.asarray(stack)).max(axis=(1, 2)) >= ZERO_ELEMENT_TOL
     return np.flatnonzero(nonzero).tolist()
 
 
 @dataclass(eq=False)
 class Assemblage:
-    """A finite family of POVMs on one Hilbert space (settings x)."""
+    """Settings x on one Hilbert space with one ``total``: None (the identity)
+    for POVMs, Bob's reduced state for a state assemblage's sigma_{a|x}."""
 
     dim: int
     measurements: list[Povm]
 
     def __post_init__(self):
         if not self.measurements:
-            raise ValueError("an assemblage needs at least one measurement, got none")
+            raise ValueError("an assemblage needs at least one setting, got none")
         for x, m in enumerate(self.measurements):
             if m.dim != self.dim:
-                raise ValueError(f"measurement {x} dimension {m.dim} != {self.dim}")
+                raise ValueError(f"setting {x} dimension {m.dim} != {self.dim}")
+            if m.total is not self.total and not np.array_equal(m.total, self.total):
+                raise ValueError(f"setting {x} has a total other than setting 0's")
+
+    @property
+    def total(self) -> np.ndarray | None:
+        return self.measurements[0].total
 
     @property
     def n_settings(self) -> int:
         return len(self.measurements)
+
+    def settings(self) -> list[list[np.ndarray]]:
+        """The element stack of every setting."""
+        return [m.elements for m in self.measurements]
 
     def outcome_counts(self) -> tuple[int, ...]:
         return tuple(m.n_outcomes for m in self.measurements)
@@ -98,15 +129,17 @@ class ParentPovm:
 
 
 def truncate(a: Assemblage, p: linalg.Projector) -> Assemblage:
-    """Conjugate every element by the projector and re-read on its range.
+    """Conjugate every element and the total by the projector; re-read on its range.
 
     Output lives in dimension p.rank, expressed in the orthonormal basis
-    p.basis; per measurement the truncated elements again sum to the
-    subspace identity.  Zero elements are retained with their labels.
+    p.basis; per setting the truncated elements again sum to the truncated
+    total.  Zero elements are retained with their labels.
     """
     if p.dim != a.dim:
         raise ValueError(f"projector dimension {p.dim} != assemblage dimension {a.dim}")
-    return Assemblage(p.rank, [Povm(p.rank, linalg.compress(m.elements, p.basis)) for m in a.measurements])
+    total = None if a.total is None else linalg.compress(a.total, p.basis)
+    return Assemblage(p.rank, [Povm(p.rank, linalg.compress(m.elements, p.basis), total)
+                               for m in a.measurements])
 
 
 def canonical_subsets(m: int) -> list[tuple[int, ...]]:
@@ -129,17 +162,24 @@ def coarse_grain(m: Povm, partition) -> Povm:
     return Povm(m.dim, els)
 
 
+def noise(stack, total=None) -> np.ndarray:
+    """tr(E) * total / tr(total) for every matrix E of an (n, d, d) stack:
+    depolarising noise, tr(E) * 1/d for POVM elements (total None, the
+    identity) and tr(sigma) * rho_B for conditional states."""
+    es = np.asarray(stack)
+    t = np.eye(es.shape[-1]) if total is None else total
+    return (np.trace(es, axis1=1, axis2=2).real / np.trace(t).real)[:, None, None] * t
+
+
 def depolarise(a: Assemblage, eta: float) -> Assemblage:
-    """Mix every element with tr(E) * identity / d at weight 1 - eta."""
+    """Mix every element with its noise (``noise``) at weight 1 - eta."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    d = a.dim
-    eye = np.eye(d)
     out = []
     for m in a.measurements:
-        els = [eta * e + (1 - eta) * (np.trace(e).real / d) * eye for e in m.elements]
-        out.append(Povm(d, els))
-    return Assemblage(d, out)
+        els = [eta * e + (1 - eta) * n for e, n in zip(m.elements, noise(m.elements, m.total))]
+        out.append(Povm(a.dim, els, m.total))
+    return Assemblage(a.dim, out)
 
 
 def from_basis(vectors) -> Povm:

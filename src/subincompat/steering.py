@@ -16,7 +16,6 @@ from .povm import Assemblage, Povm
 
 STATE_PSD_TOL = 1e-9
 STATE_TRACE_TOL = 1e-10
-NOSIG_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-10
 PERES_SCAN_GUARD = 250_000  # grid points a step scan builds at most (step 0.002)
 
@@ -44,42 +43,6 @@ class BipartiteState:
 
 
 @dataclass(eq=False)
-class StateAssemblage:
-    """Subnormalised conditional states sigma_{a|x} plus the reduced state."""
-
-    dB: int
-    sigmas: list[list[np.ndarray]]
-    reduced: np.ndarray
-
-    def __post_init__(self):
-        if not self.sigmas:
-            raise ValueError("an assemblage needs at least one setting, got none")
-        self.reduced = linalg.check_hermitian(self.reduced)
-        index = [(x, a) for x, row in enumerate(self.sigmas) for a in range(len(row))]
-        flat = [linalg.as_square(s) for row in self.sigmas for s in row]
-        for (x, a), s in zip(index, flat):
-            if s.shape[0] != self.dB:
-                raise ValueError(f"sigma[{x}][{a}] dimension mismatch")
-        stack = np.array(flat).reshape(len(flat), self.dB, self.dB)
-        bad = np.flatnonzero(linalg.min_eigenvalue(stack) < -STATE_PSD_TOL)
-        if bad.size:
-            raise ValueError("sigma[{}][{}] is not PSD".format(*index[bad[0]]))
-        rows = np.split(stack, np.cumsum(self.outcome_counts())[:-1])
-        for x, row in enumerate(rows):
-            dev = np.abs(row.sum(axis=0) - self.reduced).max()
-            if dev > NOSIG_TOL:
-                raise ValueError(f"no-signalling violated at setting {x}: {dev:.2e}")
-        self.sigmas = [list(row) for row in rows]
-
-    @property
-    def n_settings(self) -> int:
-        return len(self.sigmas)
-
-    def outcome_counts(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.sigmas)
-
-
-@dataclass(eq=False)
 class PeresParameters:
     m1: float
     m2: float
@@ -89,22 +52,20 @@ class PeresParameters:
     l3: float
 
 
-def assemblage_from_state(rho: BipartiteState, alice: Assemblage) -> StateAssemblage:
-    """sigma_{a|x} = tr_A[(A_{a|x} (x) 1) rho]."""
+def assemblage_from_state(rho: BipartiteState, alice: Assemblage) -> Assemblage:
+    """sigma_{a|x} = tr_A[(A_{a|x} (x) 1) rho]; every setting sums to rho_B."""
     if alice.dim != rho.dA:
         raise ValueError(f"alice dimension {alice.dim} != dA {rho.dA}")
     r4 = rho.matrix.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
-    sigmas = []
-    for m in alice.measurements:
-        row = [
-            linalg.hermitianize(np.einsum("ik,kjil->jl", e, r4))
-            for e in m.elements
-        ]
-        sigmas.append(row)
-    return StateAssemblage(rho.dB, sigmas, rho.reduced_b())
+    reduced = rho.reduced_b()
+    settings = []
+    for x, m in enumerate(alice.measurements):
+        sigmas = [linalg.hermitianize(np.einsum("ik,kjil->jl", e, r4)) for e in m.elements]
+        settings.append(povm.setting(x, rho.dB, sigmas, reduced))
+    return Assemblage(rho.dB, settings)
 
 
-def lhs_feasible(sa: StateAssemblage):
+def lhs_feasible(sa: Assemblage):
     """Local-hidden-state feasibility: unsteerable iff there exist
     sigma_vec >= 0, one per deterministic strategy (an outcome per setting),
     with sum_{vec: vec_x = a} sigma_vec = sigma_{a|x}; no-signalling makes
@@ -118,14 +79,14 @@ def lhs_feasible(sa: StateAssemblage):
     witness) bounding the optimal slack below -1e-7.  ``lhs_slack`` solves
     to optimality.
     """
-    feasible, _, strategies, states = incompat.labelled_parent(sa.dB, sa.sigmas, decide=True)
+    feasible, _, strategies, states = incompat.labelled_parent(sa.dim, sa.settings(), decide=True)
     return feasible, None if states is None else list(zip(strategies, states))
 
 
-def lhs_slack(sa: StateAssemblage) -> float:
+def lhs_slack(sa: Assemblage) -> float:
     """Optimal uniform slack of the local-hidden-state SDP; negative beyond
     tolerance certifies steerability (used for scan certificates)."""
-    return incompat.labelled_parent(sa.dB, sa.sigmas)[1]
+    return incompat.labelled_parent(sa.dim, sa.settings())[1]
 
 
 def _support_isqrt(reduced: np.ndarray):
@@ -141,14 +102,14 @@ def _support_isqrt(reduced: np.ndarray):
     return v, isq, r
 
 
-def pretty_good(sa: StateAssemblage) -> Assemblage:
+def pretty_good(sa: Assemblage) -> Assemblage:
     """Pretty-good measurements reduced^(-1/2) sigma_{a|x} reduced^(-1/2),
     inverted on the support of the reduced state; the output lives in the
     support's eigenbasis and is jointly measurable iff the assemblage is
     unsteerable."""
-    v, isq, r = _support_isqrt(sa.reduced)
+    v, isq, r = _support_isqrt(sa.total)
     w = v * isq  # columns scaled: W = V diag(1/sqrt(vals))
-    return Assemblage(r, [Povm(r, linalg.compress(row, w)) for row in sa.sigmas])
+    return Assemblage(r, [Povm(r, linalg.compress(row, w)) for row in sa.settings()])
 
 
 def choi_apply(rho: BipartiteState, alice: Assemblage) -> Assemblage:
@@ -184,15 +145,6 @@ def truncate_bob(rho: BipartiteState, p: linalg.Projector):
     if tr <= 0:
         raise ValueError("filtered state has nonpositive trace")
     return BipartiteState(rho.dA, p.rank, filt / tr), tr
-
-
-def truncate_state_assemblage(sa: StateAssemblage, p: linalg.Projector) -> StateAssemblage:
-    """Compress every conditional state, and the reduced state, by the
-    subspace basis (Bob side)."""
-    if p.dim != sa.dB:
-        raise ValueError("projector dimension must match dB")
-    sig = [list(linalg.compress(row, p.basis)) for row in sa.sigmas]
-    return StateAssemblage(p.rank, sig, linalg.compress(sa.reduced, p.basis))
 
 
 def peres_state(m1: float, m2: float) -> tuple[BipartiteState, PeresParameters]:

@@ -269,13 +269,25 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     empty.write_text('{"dim": 2, "measurements": []}')
     code, _, err = run(capsys, "robustness", "--input", str(empty))
     assert code == 2
-    assert err == "error: an assemblage needs at least one measurement, got none\n"
+    assert err == "error: an assemblage needs at least one setting, got none\n"
     no_settings = tmp_path / "no_settings.json"
     no_settings.write_text('{"dB": 2, "sigmas": [], '
                            '"reduced": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
     code, _, err = run(capsys, "steering", "lhs", "--input", str(no_settings))
     assert code == 2
     assert err == "error: an assemblage needs at least one setting, got none\n"
+
+
+def test_reduced_state_of_another_dimension_exits_2(tmp_path, capsys):
+    # a 2 x 2 sigma with a 3 x 3 reduced state: the one check names both
+    # dimensions (it used to fail inside NumPy broadcasting)
+    half = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+    third = [[[1 / 3, 0] if i == j else [0, 0] for j in range(3)] for i in range(3)]
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps({"dB": 2, "sigmas": [[half, half]], "reduced": third}))
+    code, rep, err = run(capsys, "steering", "lhs", "--input", str(path))
+    assert code == 2 and rep is None
+    assert err == "error: setting 0: total has dimension 3 != 2\n"
 
 
 COUNT_FLAG_CASES = [

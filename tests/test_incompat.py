@@ -193,3 +193,16 @@ def test_jm_lhs_and_seesaw_share_one_guard_message():
         with pytest.raises(ValueError) as exc:
             decide()
         assert str(exc.value) == f"joint outcome count {count}{tail}"
+
+
+@pytest.mark.parametrize("analysis", [
+    incompat.jm_parent,
+    incompat.depolarising_robustness,
+    lambda sa: incompat.witness(*sa.measurements),
+    lambda sa: coexist.coexistent_parent(*sa.measurements),
+], ids=["jm_parent", "depolarising_robustness", "witness", "coexistent_parent"])
+def test_povm_only_analyses_refuse_a_state_assemblage(analysis):
+    # each returns or bounds a parent POVM, which a state assemblage has not
+    with pytest.raises(ValueError) as exc:
+        analysis(corpus.build("peres-steerable"))
+    assert str(exc.value) == "this analysis needs POVMs, not the settings of a state assemblage"

@@ -42,8 +42,8 @@ def test_state_and_state_assemblage_round_trip():
     assert np.array_equal(s.matrix, back.matrix)
     sa = corpus.build("peres-steerable")
     back = jsonio.state_assemblage_from_json(jsonio.state_assemblage_to_json(sa))
-    assert np.array_equal(sa.reduced, back.reduced)
-    for r1, r2 in zip(sa.sigmas, back.sigmas):
+    assert np.array_equal(sa.total, back.total)
+    for r1, r2 in zip(sa.settings(), back.settings()):
         assert all(np.array_equal(x, y) for x, y in zip(r1, r2))
 
 
@@ -127,3 +127,32 @@ def test_schema_matches_the_writer_and_the_reader(kind):
         for field in dims:
             with pytest.raises(ValueError, match=field):
                 jsonio.READERS[kind]({**data, field: 0})
+
+
+_EYE2 = np.eye(2)
+
+
+# the same faults in setting 1 of either kind; setting 0 is valid
+@pytest.mark.parametrize("kind, settings, message", [
+    ("assemblage", [[_EYE2 / 2, _EYE2 / 2], [_EYE2 / 2, np.eye(3) / 2]],
+     "setting 1: element 1 has dimension 3 != 2"),
+    ("assemblage", [[_EYE2 / 2, _EYE2 / 2], [np.diag([0.6, -0.1]), np.diag([-0.1, 1.1])]],
+     "setting 1: element 0 is not PSD (min eig -1.00e-01)"),
+    ("assemblage", [[_EYE2 / 2, _EYE2 / 2], [_EYE2, _EYE2]],
+     "setting 1: elements sum to identity only within 1.00e+00"),
+    ("state_assemblage", [[_EYE2 / 4, _EYE2 / 4], [_EYE2 / 4, np.eye(3) / 4]],
+     "setting 1: element 1 has dimension 3 != 2"),
+    ("state_assemblage", [[_EYE2 / 4, _EYE2 / 4], [np.diag([0.6, -0.1]), np.diag([-0.1, 0.6])]],
+     "setting 1: element 0 is not PSD (min eig -1.00e-01)"),
+    ("state_assemblage", [[_EYE2 / 4, _EYE2 / 4], [_EYE2 / 4, _EYE2 / 2]],
+     "setting 1: elements sum to the total only within 2.50e-01"),
+])
+def test_readers_name_the_rejected_setting(kind, settings, message):
+    rows = [[jsonio.matrix_to_json(m) for m in row] for row in settings]
+    if kind == "assemblage":
+        data = {"dim": 2, "measurements": [{"elements": row} for row in rows]}
+    else:
+        data = {"dB": 2, "sigmas": rows, "reduced": jsonio.matrix_to_json(_EYE2 / 2)}
+    with pytest.raises(ValueError) as exc:
+        jsonio.READERS[kind](data)
+    assert str(exc.value) == message

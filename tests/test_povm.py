@@ -154,18 +154,31 @@ def test_zero_element_detection():
 _EYE2 = np.eye(2, dtype=complex)
 
 
+# each case lists the settings of an assemblage, as (elements, total) pairs:
+# POVMs (total None, the identity) and conditional states (total rho_B)
 @pytest.mark.parametrize("elements, message", [
-    ([np.ones((2, 3)), _EYE2 / 2], "expected a square matrix, got shape (2, 3)"),
-    ([_EYE2 / 2, np.eye(3) / 2], "element 1 has dimension 3 != 2"),
-    ([np.diag([np.nan, 0.5]), _EYE2 / 2], "matrix has non-finite entries"),
-    ([_EYE2 / 2, np.array([[0.5, 0.5], [0.0, 0.5]])],
+    ([([np.ones((2, 3)), _EYE2 / 2], None)], "expected a square matrix, got shape (2, 3)"),
+    ([([_EYE2 / 2, np.eye(3) / 2], None)], "element 1 has dimension 3 != 2"),
+    ([([np.diag([np.nan, 0.5]), _EYE2 / 2], None)], "matrix has non-finite entries"),
+    ([([_EYE2 / 2, np.array([[0.5, 0.5], [0.0, 0.5]])], None)],
      "matrix is not Hermitian (deviation 5.000e-01 > 1.0e-12)"),
-    ([_EYE2 / 2, np.diag([0.7, -0.1]), np.diag([-0.2, 0.6])], "element 1 is not PSD (min eig -1.00e-01)"),
-    ([_EYE2, _EYE2], "elements sum to identity only within 1.00e+00"),
+    ([([_EYE2 / 2, np.diag([0.7, -0.1]), np.diag([-0.2, 0.6])], None)],
+     "element 1 is not PSD (min eig -1.00e-01)"),
+    ([([_EYE2, _EYE2], None)], "elements sum to identity only within 1.00e+00"),
+    ([([_EYE2 / 4, np.eye(3) / 4], _EYE2 / 2)], "element 1 has dimension 3 != 2"),
+    ([([np.diag([0.6, -0.1]), np.diag([-0.1, 0.6])], _EYE2 / 2)],
+     "element 0 is not PSD (min eig -1.00e-01)"),
+    ([([_EYE2 / 4, _EYE2 / 2], _EYE2 / 2)], "elements sum to the total only within 2.50e-01"),
+    ([([_EYE2 / 4, _EYE2 / 4], np.eye(3) / 2)], "total has dimension 3 != 2"),
+    ([([_EYE2 / 2, _EYE2 / 2], None), ([_EYE2 / 4, _EYE2 / 4], _EYE2 / 2)],
+     "setting 1 has a total other than setting 0's"),
+    ([([_EYE2 / 4, _EYE2 / 4], _EYE2 / 2), ([np.diag([0.3, 0.2])] * 2, np.diag([0.6, 0.4]))],
+     "setting 1 has a total other than setting 0's"),
+    ([], "an assemblage needs at least one setting, got none"),
 ])
 def test_povm_rejections_keep_their_messages(elements, message):
     with pytest.raises(ValueError) as exc:
-        Povm(2, elements)
+        Assemblage(2, [Povm(2, els, total) for els, total in elements])
     assert str(exc.value) == message
 
 
@@ -182,6 +195,29 @@ def test_truncate_equals_the_per_matrix_formula_bitwise():
             for m, tm in zip(a.measurements, t.measurements):
                 for e, te in zip(m.elements, tm.elements):
                     assert te.tobytes() == linalg.hermitianize(b.conj().T @ e @ b).tobytes()
+
+
+def test_truncate_of_a_state_assemblage_compresses_sigma_and_rho_b():
+    sa = corpus.build("peres-steerable")
+    for seed in range(4):
+        p = linalg.haar_subspace(3, 2, seed=500 + seed)
+        t = truncate(sa, p)
+        assert t.dim == 2 and t.outcome_counts() == sa.outcome_counts()
+        assert t.total.tobytes() == linalg.compress(sa.total, p.basis).tobytes()
+        for row, trow in zip(sa.settings(), t.settings()):
+            assert np.array(trow).tobytes() == linalg.compress(row, p.basis).tobytes()
+
+
+def test_depolarise_of_a_state_assemblage_mixes_in_tr_sigma_rho_b():
+    sa = corpus.build("peres-steerable")
+    rho_b = sa.total
+    for eta in (0.0, 0.3, 1.0):
+        noisy = depolarise(sa, eta)
+        assert noisy.total is rho_b
+        for row, nrow in zip(sa.settings(), noisy.settings()):
+            for s, ns in zip(row, nrow):
+                expected = eta * s + (1 - eta) * np.trace(s).real * rho_b
+                assert np.abs(ns - expected).max() < 1e-14
 
 
 def _repair_reference(elements):

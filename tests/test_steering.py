@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from subincompat import corpus, incompat, linalg, sdp, steering
-from subincompat.povm import Assemblage, from_basis, random_povm
+from subincompat.povm import Assemblage, Povm, from_basis, random_povm, truncate
 from subincompat.steering import (
     BipartiteState,
-    StateAssemblage,
     assemblage_from_state,
     choi_apply,
     filter_bob,
@@ -16,7 +15,6 @@ from subincompat.steering import (
     peres_state,
     pretty_good,
     truncate_bob,
-    truncate_state_assemblage,
 )
 
 from helpers import haar_basis, random_mixed_state, steering_instance
@@ -50,20 +48,6 @@ def test_state_rejections_keep_their_messages(args, message):
     assert str(exc.value) == message
 
 
-_EYE2 = np.eye(2, dtype=complex)
-
-
-@pytest.mark.parametrize("sigmas, message", [
-    ([[_EYE2 / 4, _EYE2 / 4], [_EYE2 / 4, np.eye(3) / 4]], "sigma[1][1] dimension mismatch"),
-    ([[_EYE2 / 4, _EYE2 / 4], [np.diag([0.6, -0.1]), np.diag([-0.1, 0.6])]], "sigma[1][0] is not PSD"),
-    ([[_EYE2 / 4, _EYE2 / 4], [_EYE2 / 4, _EYE2 / 2]], "no-signalling violated at setting 1: 2.50e-01"),
-])
-def test_state_assemblage_rejections_keep_their_messages(sigmas, message):
-    with pytest.raises(ValueError) as exc:
-        StateAssemblage(2, sigmas, _EYE2 / 2)
-    assert str(exc.value) == message
-
-
 def test_assemblage_from_state_marginals():
     rho = random_mixed_state(2, 3, np.random.default_rng(30))
     alice = Assemblage(2, [random_povm(2, 2, np.random.default_rng(31)),
@@ -71,7 +55,7 @@ def test_assemblage_from_state_marginals():
     sa = assemblage_from_state(rho, alice)
     rb = rho.reduced_b()
     for x in range(sa.n_settings):
-        tot = sum(sa.sigmas[x])
+        tot = sum(sa.settings()[x])
         assert np.abs(tot - rb).max() < 1e-12
 
 
@@ -85,7 +69,7 @@ def test_assemblage_from_product_state_is_uncorrelated():
     for a in range(2):
         e = alice.measurements[0].elements[a]
         expected = np.trace(e @ a1) * b1
-        assert np.abs(sa.sigmas[0][a] - expected).max() < 1e-12
+        assert np.abs(sa.settings()[0][a] - expected).max() < 1e-12
 
 
 def test_no_signalling_validation():
@@ -93,10 +77,10 @@ def test_no_signalling_validation():
     alice = Assemblage(2, [random_povm(2, 2, np.random.default_rng(35)),
                            random_povm(2, 2, np.random.default_rng(36))])
     sa = assemblage_from_state(rho, alice)
-    bad = [list(row) for row in sa.sigmas]
+    bad = [list(row) for row in sa.settings()]
     bad[0] = [m * 0.9 for m in bad[0]]  # break the common marginal
     with pytest.raises(ValueError):
-        StateAssemblage(2, bad, sa.reduced)
+        Assemblage(2, [Povm(2, row, sa.total) for row in bad])
 
 
 def test_lhs_on_steerable_corpus_point():
@@ -115,7 +99,7 @@ def test_lhs_model_reconstructs_assemblage():
     for x in range(sa.n_settings):
         for a in range(counts[x]):
             tot = sum(state for vec, state in model if vec[x] == a)
-            assert np.abs(tot - sa.sigmas[x][a]).max() < 1e-6
+            assert np.abs(tot - sa.settings()[x][a]).max() < 1e-6
     for _, state in model:
         assert linalg.min_eigenvalue(state) > -1e-6
 
@@ -148,7 +132,7 @@ def test_decided_lhs_model_reproduces_the_assemblage():
     sa = assemblage_from_state(rho, peres_mubs())
     unsteerable, model = lhs_feasible(sa)
     assert unsteerable
-    for x, row in enumerate(sa.sigmas):
+    for x, row in enumerate(sa.settings()):
         for a, sigma in enumerate(row):
             tot = sum((state for vec, state in model if vec[x] == a), np.zeros((3, 3)))
             assert np.abs(tot - sigma).max() < 1e-8
@@ -169,11 +153,11 @@ def test_lhs_drops_strategies_of_zero_states():
     # zero state: the model keeps the 3 x 2 strategies that avoid it
     rho, _ = peres_state(0.0, 0.3)
     sa = assemblage_from_state(rho, peres_mubs())
-    assert np.abs(sa.sigmas[1][0]).max() == 0.0
+    assert np.abs(sa.settings()[1][0]).max() == 0.0
     unsteerable, model = lhs_feasible(sa)
     assert unsteerable
     assert [vec for vec, _ in model] == [(a, b) for a in range(3) for b in (1, 2)]
-    for x, row in enumerate(sa.sigmas):
+    for x, row in enumerate(sa.settings()):
         for a, sigma in enumerate(row):
             tot = sum((state for vec, state in model if vec[x] == a), np.zeros((3, 3)))
             assert np.abs(tot - sigma).max() < 1e-8
@@ -274,7 +258,7 @@ def test_peres_qubit_truncations_ppt_and_unsteerable():
         trunc, _ = truncate_bob(filt, p)
         pt = linalg.partial_transpose(trunc.matrix, (3, 2), side="A")
         assert linalg.min_eigenvalue(pt) > -1e-10  # PPT survives Bob cuts
-        sat = truncate_state_assemblage(sa, p)
+        sat = truncate(sa, p)
         unsteerable, _ = lhs_feasible(sat)
         assert unsteerable
         pg = pretty_good(sat)

@@ -3,7 +3,9 @@ floats as float.hex, so two trees can be diffed for bitwise equality.
 
 usage: python bitwise.py TREE > out.txt
 """
+import contextlib
 import hashlib
+import io
 import sys
 
 tree = sys.argv[1]
@@ -12,7 +14,7 @@ sys.path[:0] = [tree + "/src", tree]
 import numpy as np  # noqa: E402
 
 from perfbench import workloads as w  # noqa: E402
-from subincompat import coexist, corpus, incompat, steering, subspace  # noqa: E402
+from subincompat import cli, coexist, corpus, incompat, steering, subspace  # noqa: E402
 
 
 def h(x):
@@ -80,3 +82,27 @@ for k in ("fully-compressible", "qutrit-pair"):
     print("classify", k, rep.verdict, h(rep.full_eta))
     for i, rec in enumerate(rep.records):
         print("classify-eta", k, i, h(rec["eta"]))
+
+# the reports of the CLI, through cli.main alone: one line per command with
+# its exit code and the SHA-256 of its stdout
+CLI_RUNS = (
+    ("robustness", "--builtin", "qutrit-pair"),
+    ("jm", "--builtin", "sigma-xz-noisy"),
+    ("witness", "--builtin", "sigma-xz-sharp"),
+    ("coexistence", "--builtin", "sigma-xz-sharp"),
+    ("coexistence", "--builtin", "qubit-counterexample"),
+    ("truncate", "--builtin", "qutrit-pair", "--coords", "0,1"),
+    ("classify", "--builtin", "qutrit-pair", "--n", "2", "--samples", "5", "--seed", "0"),
+    ("steering", "lhs", "--builtin", "peres-steerable"),
+    ("steering", "pretty-good", "--builtin", "peres-steerable"),
+    ("steering", "choi", "--builtin", "peres-steerable-state", "--alice-builtin", "peres-mubs"),
+    ("peres", "construct", "--m1", "0.18", "--m2", "0.46"),
+    ("mub-check",),
+    ("integrals", "--samples", "1000", "--seed", "0"),
+    ("corpus", "--list"),
+)
+for argv in CLI_RUNS:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    print("cli", " ".join(argv), code, hashlib.sha256(out.getvalue().encode()).hexdigest())
