@@ -22,8 +22,10 @@ and the border adds T N per block.
 The solver uses the HKM search direction with a Mehrotra predictor-corrector
 and an augmented system for the free scalar variables.  A solve allocates
 its workspace once: the iterates as one (2nb, d, d) stack S = [X; Z], the
-search direction as one stack D = [dX; dZ] and one Newton right-hand side,
-all updated in place; a solve returns the iterate it measured last.  It
+search direction as one stack D = [dX; dZ], one Newton right-hand side and
+the Schur assembly's buffers (``_Structure.schur_workspace``: the outer
+products, the basis product, the basis images and the kernel block), all
+updated in place; a solve returns the iterate it measured last.  It
 measures at most MAX_ITERS iterates; callers treat any exit other than
 Optimal or Decided as a ``SolverError``.  Every program the package builds
 is feasible and bounded, so no exit waits for a side to diverge.  Per iteration
@@ -205,9 +207,19 @@ class _Structure:
             v += (y[self.rn:] @ self.T.reshape(self.g, -1)).reshape(v.shape)
         return hvec_inv(v)
 
-    def schur(self, X: np.ndarray, Zi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def schur_workspace(self) -> np.ndarray:
+        """A new scratch array for ``schur``: max(4 nb, nb + r^2) d^4 floats,
+        the most the Schur temporaries ever hold at once.  Its first half
+        holds the outer products e and its second half the basis product n,
+        both complex (nb, d^2, d^2); then the basis images N go over e's
+        first quarter and the kernel block KK @ N right after them.
+        ``solve`` makes one per solve."""
+        return np.empty(max(4 * self.nb, self.nb + len(self.KK)) * self.d ** 4)
+
+    def schur(self, X: np.ndarray, Zi: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Write B[k,l] = sum_b Re tr(A_kb X_b A_lb Zi_b) into ``out`` (an
-        (m, m) array or view) and return it.
+        (m, m) array or view) and return it; ``work`` is a
+        ``schur_workspace``, overwritten.
 
         With the basis images N_b[q, p] = Re tr(h_p X_b h_q Zi_b), a kernel
         row pair gives B[(i,p), (j,q)] = sum_b K[i,b] K[j,b] N_b[q,p]: one GEMM
@@ -215,18 +227,20 @@ class _Structure:
         K @ V is its coupling to the kernel rows (mirrored, as B is
         symmetric) and T . V its own block.
 
-        Temporaries are freed as soon as they are used: glibc may give a
-        freed heap top back to the system and fault it in again at the next
-        allocation, so the less each iteration holds at once, the better."""
+        The temporaries live in ``work``, made once per solve.  At d = 5
+        they come to about 1 MB; allocated and freed every iteration they
+        took the heap top above glibc's trim threshold, so it was given back
+        to the system and faulted in again: 158 minor faults per iteration
+        over the ladder's d = 5 pool, against 10 with the workspace (2-vCPU
+        Xeon, glibc malloc)."""
         nb, n, r, rn, g = self.nb, self.d * self.d, len(self.K), self.rn, self.g
-        N = _basis_images(X, Zi)
-        M = (self.KK @ N.reshape(nb, n * n)).reshape(r, r, n, n)
+        N = _basis_images(X, Zi, work)
+        size = N.size
+        M = np.matmul(self.KK, N.reshape(nb, n * n), out=work[size:size + r * r * n * n].reshape(r * r, n * n))
         # splitting both axes of the (rn, rn) view is a view, so this writes into out
-        out[:rn, :rn].reshape(r, n, r, n)[...] = M.transpose(0, 3, 1, 2)
-        del M
+        out[:rn, :rn].reshape(r, n, r, n)[...] = M.reshape(r, r, n, n).transpose(0, 3, 1, 2)
         if g:
             V = self.T.transpose(1, 0, 2) @ N  # (nb, g, d^2)
-            del N
             KV = (self.K @ V.reshape(nb, g * n)).reshape(r, g, n)
             out[:rn, rn:] = KV.transpose(0, 2, 1).reshape(rn, g)
             out[rn:, :rn] = out[:rn, rn:].T
@@ -234,15 +248,21 @@ class _Structure:
         return out
 
 
-def _basis_images(x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+def _basis_images(x: np.ndarray, zi: np.ndarray, work: np.ndarray) -> np.ndarray:
     """N[b, q] = hvec(x_b h_q zi_b) for a stack of nb blocks of dimension d:
-    an (nb, d^2, d^2) array (see ``_Structure.schur``), combined from the
-    outer products x E_ij zi = x[:, i] zi[j, :]."""
+    an (nb, d^2, d^2) view of ``work`` (see ``_Structure.schur_workspace``),
+    combined from the outer products x E_ij zi = x[:, i] zi[j, :]."""
     nb, d = x.shape[:2]
-    e = x.transpose(0, 2, 1)[:, :, None, :, None] * zi[:, None, :, None, :]
-    n = _hermitian_basis(d).reshape(d * d, d * d) @ e.reshape(nb, d * d, d * d)
-    del e
-    return hvec(n.reshape(nb, d * d, d, d))
+    n = d * d
+    size = nb * n * n
+    e = work[:2 * size].view(complex).reshape(nb, n, n)
+    prod = work[2 * size:4 * size].view(complex).reshape(nb, n, n)
+    np.multiply(x.transpose(0, 2, 1)[:, :, None, :, None], zi[:, None, :, None, :],
+                out=e.reshape(nb, d, d, d, d))
+    np.matmul(_hermitian_basis(d).reshape(n, n), e, out=prod)
+    N = work[:size].reshape(nb, n, n)
+    np.matmul(prod.view(float).reshape(-1, 2 * n), _hvec_rows(d).T, out=N.reshape(-1, n))
+    return N
 
 
 def _presolve(rows: np.ndarray):
@@ -456,10 +476,12 @@ def solve(p: Program) -> SdpSolution:
     rhs = np.empty(m + nf)  # Newton rhs [h; r_f]
 
     # the workspace: iterates S = [X; Z] and directions D = [dX; dZ], each
-    # one stack updated in place; X, Z, dX, dZ are views
+    # one stack updated in place (X, Z, dX, dZ are views), and the Schur
+    # assembly's buffers
     S = np.empty((2 * nb, d, d), dtype=complex)
     D = np.empty_like(S)
     X, Z, dX, dZ = S[:nb], S[nb:], D[:nb], D[nb:]
+    work = c.schur_workspace()
 
     # starting point at the data's own scale: X0 = (1 + max|b|) I, Z0 = (1 + max(|C|, |c|)) I
     bscale = 1.0 + np.abs(bk).max(initial=0.0)
@@ -518,7 +540,7 @@ def solve(p: Program) -> SdpSolution:
             F = _factor(S)
             FH = F.conj().transpose(0, 2, 1)
             Zi = FH[nb:] @ F[nb:]
-            c.schur(X, Zi, aug[:m, :m])
+            c.schur(X, Zi, aug[:m, :m], work)
             Xrd = X @ r_d
             rhs[m:] = r_f
 

@@ -54,6 +54,7 @@ class PeresParameters:
 
 def assemblage_from_state(rho: BipartiteState, alice: Assemblage) -> Assemblage:
     """sigma_{a|x} = tr_A[(A_{a|x} (x) 1) rho]; every setting sums to rho_B."""
+    povm.require_povms(*alice.measurements)
     if alice.dim != rho.dA:
         raise ValueError(f"alice dimension {alice.dim} != dA {rho.dA}")
     r4 = rho.matrix.reshape(rho.dA, rho.dB, rho.dA, rho.dB)
@@ -107,6 +108,8 @@ def pretty_good(sa: Assemblage) -> Assemblage:
     inverted on the support of the reduced state; the output lives in the
     support's eigenbasis and is jointly measurable iff the assemblage is
     unsteerable."""
+    if sa.total is None:
+        raise ValueError("pretty-good measurements need a state assemblage, not POVMs")
     v, isq, r = _support_isqrt(sa.total)
     w = v * isq  # columns scaled: W = V diag(1/sqrt(vals))
     return Assemblage(r, [Povm(r, linalg.compress(row, w)) for row in sa.settings()])

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -186,7 +187,7 @@ def _structure(nb, d, rows, n_free, kept):
 
 def _kernels(st, X, Zi, y):
     """The structure's row products, adjoint and Schur matrix at (X, Zi, y)."""
-    return st.apply(X), st.adjoint(y), st.schur(X, Zi, np.empty((st.m, st.m)))
+    return st.apply(X), st.adjoint(y), st.schur(X, Zi, np.empty((st.m, st.m)), st.schur_workspace())
 
 
 def _einsum_kernels(A, X, Zi, y):
@@ -1082,3 +1083,51 @@ def test_two_solves_of_one_program_share_no_memory(monkeypatch):
         for x in (one.scalar_vars, *one.primal_blocks):
             for y in (two.scalar_vars, *two.primal_blocks):
                 assert not np.shares_memory(x, y)
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["robustness", "jm"])
+def test_a_reused_schur_workspace_keeps_no_stale_data(noisy):
+    # the robustness parent has the eta border row, the JM parent none
+    rng = np.random.default_rng(91)
+    a = corpus.build("qutrit-pair")
+    st = incompat.parent_program(*_parent_args([m.elements for m in a.measurements], noisy)).structure
+    assert st.g == int(noisy)
+    pairs = []
+    for _ in range(2):
+        X = np.array([_random_hpd(rng, 3) for _ in range(st.nb)])
+        Zi = np.array([linalg.hermitianize(np.linalg.inv(_random_hpd(rng, 3))) for _ in range(st.nb)])
+        pairs.append((X, Zi))
+    work, out = st.schur_workspace(), np.full((st.m, st.m), np.nan)
+    st.schur(*pairs[0], out, work)
+    st.schur(*pairs[1], out, work)
+    fresh = st.schur(*pairs[1], np.empty((st.m, st.m)), st.schur_workspace())
+    assert np.array_equal(out, fresh)
+
+
+def test_a_solve_builds_one_schur_workspace(monkeypatch):
+    made = []
+    real = sdp._Structure.schur_workspace
+
+    def counting(st):
+        made.append(st)
+        return real(st)
+
+    monkeypatch.setattr(sdp._Structure, "schur_workspace", counting)
+    res = incompat.depolarising_robustness(_fourier_pair(3))
+    assert res.solution.iterations > 2 and len(made) == 1
+
+
+def test_the_traced_peak_of_a_fourier_pair_solve_is_bounded(monkeypatch):
+    # d = 5: the Schur workspace is as large as its temporaries at their
+    # peak; the bound is 10 % above the 1325 KB measured with NumPy 2.4
+    seen = []
+    real = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda p: seen.append(p) or real(p))
+    incompat.depolarising_robustness(_fourier_pair(5))
+    tracemalloc.start()
+    try:
+        real(seen[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1458 * 1024

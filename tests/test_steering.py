@@ -311,3 +311,17 @@ def test_peres_scan_explicit_points():
 def test_peres_scan_rejects_bad_step():
     with pytest.raises(ValueError):
         peres_scan(1.5)
+
+
+def test_pretty_good_refuses_povms():
+    with pytest.raises(ValueError) as exc:
+        pretty_good(corpus.build("qutrit-pair"))
+    assert str(exc.value) == "pretty-good measurements need a state assemblage, not POVMs"
+
+
+def test_assemblage_from_state_refuses_a_state_assemblage_as_alice():
+    alice = corpus.build("peres-steerable")
+    rho = random_mixed_state(alice.dim, 2, np.random.default_rng(33))
+    with pytest.raises(ValueError) as exc:
+        assemblage_from_state(rho, alice)
+    assert str(exc.value) == "this analysis needs POVMs, not the settings of a state assemblage"
